@@ -37,11 +37,12 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
                         CLAUSE_QUEUE_CAP, ENQUEUE, DelayedOrderRecord,
                         DominanceEngine, DominanceParams, InvariantViolation,
-                        PhaseReport, phase_clause_failures, phase_pnl_diff_check)
+                        PhaseReport, SimulationError, phase_clause_failures,
+                        phase_pnl_diff_check)
 from .market import Instrument, Money, Order, side_sign
 from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
-                     PriceProcessConfig, PricePathState, next_price,
-                     substream, walk_block)
+                     STREAM_REPLICATION, PriceProcessConfig, PricePathState,
+                     next_price, substream, walk_block)
 from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
                          baseline_streams, intent_block)
 
@@ -212,17 +213,15 @@ class _RunState:
         self.prev_diff: Money = 0
         self.pending_intent: tuple[int, int] | None = None   # (sign, quantity)
 
-        # Tick series buffers (numpy chunks, concatenated at the end).
-        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]] = []
+        # Tick record: the price path (the start price and the scalar
+        # engine's prices, then the blocked engine's blocks) and one mark
+        # (t, W_s, SQ_s, W*, SQ*) per aggregate change.  tick_series derives
+        # every row from the two.
+        self.path_prices: list[int] = []
+        self._path_blocks: list[np.ndarray] = []
+        self._marks: list[tuple[int, int, int, int, int]] = []
 
     # -- PnL ------------------------------------------------------------
-
-    def pnl_s(self, price: int) -> Money:
-        return self.m * (self.w_s - price * self.sq_s)
-
-    def pnl_star(self, price: int) -> Money:
-        return self.m * (self.w_star - price * self.sq_star)
 
     def diff(self, price: int) -> Money:
         return self.m * ((self.w_star - self.w_s) - price * (self.sq_star - self.sq_s))
@@ -246,6 +245,8 @@ class _RunState:
             if self.orders_star is not None:
                 self.orders_star.append(
                     Order(self.order_count, time, sign, fill, quantity))
+        if self.record_ticks:
+            self.emit_row(time)
 
     def apply_executions(self, records: Sequence[DelayedOrderRecord]) -> None:
         for r in records:
@@ -256,6 +257,8 @@ class _RunState:
                 self.orders_star.append(Order(r.order_id, r.execution_time,
                                               r.sign, r.execution_price,
                                               r.quantity))
+        if records and self.record_ticks:
+            self.emit_row(records[-1].execution_time)
 
     def end_phase(self, time: int, price: int) -> None:
         if self.sq_star != self.sq_s:
@@ -304,42 +307,70 @@ class _RunState:
     # -- tick rows ----------------------------------------------------------
 
     def emit_initial_row(self, price: int) -> None:
+        """Start the record: the price at t = 0 under zero aggregates."""
         if self.record_ticks:
-            z = np.zeros(1, dtype=np.int64)
-            self._chunks.append((z.copy(), np.full(1, price, dtype=np.int64),
-                                 z.copy(), z.copy(), z.copy()))
+            self.path_prices.append(price)
+            self._marks.append((0, 0, 0, 0, 0))
 
-    def emit_rows(self, prices: np.ndarray, start_time: int, lo: int, hi: int) -> None:
-        """Rows for block offsets [lo, hi) under the current aggregates."""
-        if hi <= lo or not self.record_ticks:
-            return
-        seg = prices[lo:hi]
-        times = np.arange(start_time + lo, start_time + hi, dtype=np.int64)
-        pnl_s = self.m * (self.w_s - seg * self.sq_s)
-        pnl_star = self.m * (self.w_star - seg * self.sq_star)
-        self._chunks.append((times, seg.astype(np.int64),
-                             pnl_s, pnl_star, pnl_star - pnl_s))
+    def emit_rows(self, prices: np.ndarray) -> None:
+        """Record one walk_block block of the price path."""
+        if self.record_ticks:
+            self._path_blocks.append(prices)
 
-    def emit_row(self, price: int, time: int) -> None:
-        if not self.record_ticks:
-            return
-        times = np.array([time], dtype=np.int64)
-        prices = np.array([price], dtype=np.int64)
-        ps = np.array([self.pnl_s(price)], dtype=np.int64)
-        pst = np.array([self.pnl_star(price)], dtype=np.int64)
-        self._chunks.append((times, prices, ps, pst, pst - ps))
+    def emit_row(self, time: int) -> None:
+        """Mark the aggregates after an event at tick `time` (called only
+        while ticks are recorded)."""
+        self._marks.append((time, self.w_s, self.sq_s,
+                            self.w_star, self.sq_star))
 
-    def tick_series(self) -> TickSeries | None:
+    def tick_series(self, final_time: int) -> TickSeries | None:
+        """Rows t = 0 .. final_time: each tick's price under the last mark
+        at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
-        cols = [np.concatenate(c) for c in zip(*self._chunks)]
-        return TickSeries(*cols)
+        self._check_int64_range()
+        n = final_time + 1
+        # One allocation holds the five columns, filled a block of ticks at
+        # a time: no temporary is series-sized, so the run's peak memory
+        # does not hinge on where the allocator puts a dozen large arrays.
+        time, price, pnl_s, pnl_star, diff = np.empty((5, n), dtype=np.int64)
+        pos = 0
+        for piece in (self.path_prices, *self._path_blocks):
+            k = min(len(piece), n - pos)
+            price[pos:pos + k] = piece[:k]
+            pos += k
+        marks = np.array(self._marks, dtype=np.int64)
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            time[lo:hi] = np.arange(lo, hi)
+            at = np.searchsorted(marks[:, 0], time[lo:hi], side="right") - 1
+            w_s, sq_s, w_star, sq_star = marks[at, 1:].T
+            pnl_s[lo:hi] = self.m * (w_s - price[lo:hi] * sq_s)
+            pnl_star[lo:hi] = self.m * (w_star - price[lo:hi] * sq_star)
+        np.subtract(pnl_star, pnl_s, out=diff)
+        return TickSeries(time, price, pnl_s, pnl_star, diff)
+
+    def _check_int64_range(self) -> None:
+        """Refuse a series whose int64 arithmetic could wrap.
+
+        m * (|W| + g * |SQ|) bounds each strategy's PnL for every grid
+        price (g the largest grid magnitude); twice the larger bound also
+        covers the diff column and the drawdowns."""
+        g = max(abs(self.config.price.grid_min), abs(self.config.price.grid_max))
+        bound = 2 * self.m * max(
+            max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
+            for _, w_s, sq_s, w_star, sq_star in self._marks)
+        if bound >= 2 ** 63:
+            raise SimulationError(
+                f"the tick series would overflow int64 (PnL bound {bound} "
+                f"with instrument.multiplier {self.m}); use a smaller "
+                f"multiplier or set run.record_ticks: false")
 
     # -- report --------------------------------------------------------------
 
     def build_report(self, seed: int, final_time: int, final_price: int,
                      stop_reason: str) -> RunReport:
-        series = self.tick_series()
+        series = self.tick_series(final_time)
         if series is not None:
             dd_s = _max_drawdown(series.pnl_s)
             dd_star = _max_drawdown(series.pnl_sstar)
@@ -382,8 +413,9 @@ class _RunState:
 def _max_drawdown(pnl: np.ndarray) -> Money:
     if len(pnl) == 0:
         return 0
-    peaks = np.maximum.accumulate(pnl)
-    return int((peaks - pnl).max())
+    drawdown = np.maximum.accumulate(pnl)
+    drawdown -= pnl
+    return int(drawdown.max())
 
 
 def _stop_on_phase(config: RunConfig, state: _RunState) -> bool:
@@ -425,6 +457,7 @@ def _run_scalar(config: RunConfig, state: _RunState, seed: int,
     scfg = config.strategy
     ps = PricePathState(pcfg.start_price, 0, substream(seed, STREAM_PRICE))
     state.emit_initial_row(ps.current_price)
+    path = state.path_prices if state.record_ticks else None
     total = config.run.total_ticks
 
     while True:
@@ -442,7 +475,8 @@ def _run_scalar(config: RunConfig, state: _RunState, seed: int,
             state.apply_executions(records)
         if per_tick_audit:
             state.audit_tick(price)
-        state.emit_row(price, t)
+        if path is not None:
+            path.append(price)
         if phase_ended:
             state.end_phase(t, price)
             if _stop_on_phase(config, state):
@@ -464,6 +498,7 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
     while True:
         n = _BLOCK if total is None else min(_BLOCK, total - t)
         prices = walk_block(price, rng, n, pcfg)
+        state.emit_rows(prices)
         offsets, sides = intent_block(scfg, t + 1, n, state.streams)
 
         # Intents fill one tick later; the last tick's intent carries over.
@@ -505,12 +540,10 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
                     mask = low if mask is None else (mask | low)
                 if mask is not None and mask.any():
                     e = pos + int(np.argmax(mask))
-                    state.emit_rows(prices, t + 1, pos, e)
                     tick = t + 1 + e
                     price_e = int(prices[e])
                     records, phase_ended = engine.on_tick(tick, price_e)
                     state.apply_executions(records)
-                    state.emit_row(price_e, tick)
                     if phase_ended:
                         state.end_phase(tick, price_e)
                         if _stop_on_phase(config, state):
@@ -518,7 +551,6 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
                     pos = e + 1
                     continue
 
-            state.emit_rows(prices, t + 1, pos, next_fill)
             if fill_idx < len(fills):
                 f = next_fill
                 tick = t + 1 + f
@@ -530,7 +562,6 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
                     state.apply_executions(records)
                 else:
                     phase_ended = False
-                state.emit_row(price_f, tick)
                 if phase_ended:
                     state.end_phase(tick, price_f)
                     if _stop_on_phase(config, state):
@@ -548,10 +579,16 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
-    """Seed for the k-th replication; replication 0 is the master seed."""
+    """Seed for the k-th replication; replication 0 is the master seed.
+
+    Later replications take a 64-bit word of the master seed's child
+    (STREAM_REPLICATION, k), clear of the run's own substreams, so the
+    replications of one master seed never reuse another master's seeds."""
     if replication == 0:
         return master_seed
-    return master_seed + replication
+    child = np.random.SeedSequence(master_seed,
+                                   spawn_key=(STREAM_REPLICATION, replication))
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def run_replications(config: RunConfig) -> list[RunReport]:

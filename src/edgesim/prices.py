@@ -45,6 +45,7 @@ STREAM_INTENT = 1
 STREAM_SIDE = 2
 STREAM_DELAY = 3
 STREAM_HITTING = 4
+STREAM_REPLICATION = 5
 
 # Scalar fallback near boundaries re-vectorizes at most this many times
 # per block before finishing the block step by step.

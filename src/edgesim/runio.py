@@ -17,17 +17,23 @@ q_delayed and diff_quanta in phases.csv are cumulative from the start of
 the run; n_delayed counts the phase's own delayed orders.  Prices in the
 delayed-order file are the side-adjusted fill prices.  All files are
 written deterministically: same config and seed, same bytes.
+
+ticks.csv is derived data: the run keeps its price path and one aggregate
+mark per fill or release, derives the five columns from them in one pass,
+and writes them in blocks of rows.  read_ticks streams the file back in
+chunks of rows, so verify checks it in bounded memory.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 import yaml
@@ -48,6 +54,12 @@ PHASES_HEADER = ["phase", "end_time", "q_delayed", "diff_quanta",
                  "lower_bound_quanta", "n_delayed"]
 DELAYED_HEADER = ["order_id", "sign", "qty", "t_delay", "p_delay_ticks",
                   "t_exec", "p_exec_ticks", "gap_ticks"]
+
+# ticks.csv is formatted and read back _CHUNK_ROWS rows (about 230 kB of
+# text) at a time: per-chunk overhead stays negligible, and no temporary
+# comes near the size of the series.
+_ROW_FORMAT = "%d,%d,%d,%d,%d\n"
+_CHUNK_ROWS = 8192
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -228,10 +240,12 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
 
     if report.ticks is not None:
         t = report.ticks
-        table = np.column_stack([t.time, t.price, t.pnl_s, t.pnl_sstar, t.diff])
+        cols = (t.time, t.price, t.pnl_s, t.pnl_sstar, t.diff)
         with open(out / TICKS_CSV, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(TICKS_HEADER + "\n")
-            np.savetxt(fh, table, fmt="%d", delimiter=",", newline="\n")
+            for lo in range(0, len(t), _CHUNK_ROWS):
+                chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in cols])
+                fh.write(_ROW_FORMAT * len(chunk) % tuple(chunk.ravel().tolist()))
 
     with open(out / SUMMARY_JSON, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
@@ -251,11 +265,21 @@ def read_delayed(run_dir: str | Path) -> list[dict]:
                 for row in csv.DictReader(fh)]
 
 
-def read_ticks(run_dir: str | Path) -> np.ndarray | None:
+def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray] | None:
+    """The rows of ticks.csv as consecutive int64 chunks of up to
+    _CHUNK_ROWS rows, or None when the run recorded no tick series."""
     path = Path(run_dir) / TICKS_CSV
     if not path.exists():
         return None
-    return np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    return _tick_chunks(path)
+
+
+def _tick_chunks(path: Path) -> Iterator[np.ndarray]:
+    with open(path, "rb") as fh:
+        fh.readline()
+        while fh.peek(1):
+            yield np.loadtxt(itertools.islice(fh, _CHUNK_ROWS), dtype=np.int64,
+                             delimiter=",", ndmin=2)
 
 
 def read_summary(run_dir: str | Path) -> dict:

@@ -3,13 +3,17 @@
 verify_run re-derives every provable clause from phases.csv,
 delayed_orders.csv, summary.json and (when present) ticks.csv, without
 trusting any in-run bookkeeping.  Each clause yields one verdict; a
-violation names the first offending phase index or order id.
+violation names the first offending phase index or order id.  ticks.csv
+is streamed in chunks, so its check runs in bounded memory however long
+the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
@@ -125,27 +129,62 @@ def _check_queue_cap(records: list[dict], cap: int) -> Verdict:
     return Verdict(CLAUSE_QUEUE_CAP, True, f"{len(records)} orders")
 
 
-def _check_tick_consistency(run_dir: Path, phases: list[dict]) -> Verdict | None:
-    ticks = read_ticks(run_dir)
-    if ticks is None:
+def _check_tick_consistency(run_dir: Path, phases: list[dict],
+                            final_time: int) -> Verdict | None:
+    """Stream ticks.csv: five integer columns, rows t = 0 .. final_time in
+    order, pnl_sstar = pnl_s + diff on every row, and each phase end's diff
+    as in phases.csv.  An unreadable file fails the clause."""
+    chunks = read_ticks(run_dir)
+    if chunks is None:
         return None
-    times = ticks[:, 0]
-    diffs = ticks[:, 4]
-    if ticks[:, 3].tolist() != (ticks[:, 2] + diffs).tolist():
-        return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                       "diff column inconsistent with the two PnL columns")
-    lookup = {int(t): int(d) for t, d in zip(times, diffs)}
+    ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
+    n_rows = 0
+    while True:
+        try:
+            rows = next(chunks, None)
+        except ValueError as exc:
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                           f"ticks.csv unreadable after {n_rows} rows: {exc}")
+        if rows is None:
+            break
+        if rows.shape[1] != 5:
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                           f"ticks.csv rows have {rows.shape[1]} columns, "
+                           f"expected 5")
+        times, pnl_s, pnl_star, diff = rows[:, [0, 2, 3, 4]].T
+        bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
+        if len(bad):
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                           f"ticks.csv row {n_rows + bad[0]} has t="
+                           f"{times[bad[0]]}; rows must run t = 0, 1, ...")
+        total = pnl_s + diff
+        # int64 addition wraps; a wrapped sum is never a match.
+        wrapped = ((pnl_s ^ total) & (diff ^ total)) < 0
+        bad = np.flatnonzero((pnl_star != total) | wrapped)
+        if len(bad):
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                           f"t={times[bad[0]]}: diff column inconsistent "
+                           f"with the two PnL columns")
+        inside = np.flatnonzero((ends >= n_rows) & (ends < n_rows + len(rows)))
+        for k in inside:
+            got = int(diff[ends[k] - n_rows])
+            if got != phases[k]["diff_quanta"]:
+                return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                               f"phase {phases[k]['phase']}: ticks.csv diff "
+                               f"{got} != phases.csv diff "
+                               f"{phases[k]['diff_quanta']}")
+        n_rows += len(rows)
     for p in phases:
-        got = lookup.get(p["end_time"])
-        if got is None:
+        if not 0 <= p["end_time"] < n_rows:
             return Verdict(CLAUSE_TICK_CONSISTENCY, False,
                            f"phase {p['phase']}: end tick {p['end_time']} "
                            f"missing from ticks.csv")
-        if got != p["diff_quanta"]:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"phase {p['phase']}: ticks.csv diff {got} != "
-                           f"phases.csv diff {p['diff_quanta']}")
-    return Verdict(CLAUSE_TICK_CONSISTENCY, True, f"{len(phases)} phase ends")
+    if n_rows != final_time + 1:
+        return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                       f"ticks.csv has {n_rows} rows, summary.json's "
+                       f"final_time + 1 is {final_time + 1}")
+    return Verdict(CLAUSE_TICK_CONSISTENCY, True,
+                   f"{n_rows} ticks, {len(phases)} phase ends")
 
 
 def verify_run(run_dir: str | Path) -> list[Verdict]:
@@ -168,7 +207,8 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
         _check_monotonicity(phases),
         _check_queue_cap(records, cap),
     ]
-    tick_verdict = _check_tick_consistency(run_dir, phases)
+    tick_verdict = _check_tick_consistency(run_dir, phases,
+                                           int(summary["results"]["final_time"]))
     if tick_verdict is not None:
         verdicts.append(tick_verdict)
     return verdicts

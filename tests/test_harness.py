@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from edgesim import cli
 from edgesim.accounting import pnl_direct
 from edgesim.dominance import DominanceParams, StrandedOrderError
 from edgesim.harness import (RunConfig, RunSettings, default_config,
@@ -184,6 +185,51 @@ def test_total_ticks_mode_stops_exactly():
 def test_replication_seeds():
     assert replication_seed(7, 0) == 7
     assert len({replication_seed(7, r) for r in range(5)}) == 5
+    seeds = [replication_seed(m, r) for m in range(1, 11) for r in range(5)]
+    assert len(set(seeds)) == len(seeds)
+    assert replication_seed(1, 1) != replication_seed(2, 0)
+
+
+def _pnl_from_orders(orders, price, multiplier):
+    """Per-tick PnL from an order list by cumulative sums over fill times."""
+    w = np.zeros(len(price), dtype=np.int64)
+    sq = np.zeros(len(price), dtype=np.int64)
+    for o in orders:
+        w[o.time] += o.sign * o.price * o.quantity
+        sq[o.time] += o.sign * o.quantity
+    return multiplier * (np.cumsum(w) - price * np.cumsum(sq))
+
+
+@pytest.mark.parametrize("cfg", [
+    default_config(master_seed=41, total_ticks=12_345, target_phases=None,
+                   keep_orders=True, half_spread=2),
+    quick(seed=13, phases=3, half_spread=1),
+], ids=["total_ticks", "target_phases"])
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_tick_series_matches_order_lists(cfg, engine):
+    rep = run_simulation(cfg, engine=engine)
+    ticks = rep.ticks
+    assert len(ticks) == rep.final_time + 1
+    assert np.array_equal(ticks.time, np.arange(rep.final_time + 1))
+    m = cfg.instrument.multiplier
+    pnl_s = _pnl_from_orders(rep.orders_s, ticks.price, m)
+    pnl_star = _pnl_from_orders(rep.orders_sstar, ticks.price, m)
+    assert np.array_equal(ticks.pnl_s, pnl_s)
+    assert np.array_equal(ticks.pnl_sstar, pnl_star)
+    assert np.array_equal(ticks.diff, pnl_star - pnl_s)
+    assert pnl_s.min() < 0 < pnl_s.max()
+
+
+def test_cli_refuses_a_tick_series_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.yaml"
+    path.write_text("instrument:\n  multiplier: 10000000000000000\n"
+                    "run:\n  target_phases: 2\n")
+    status = cli.main(["simulate", str(path), "--seed", "1",
+                       "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: ")
+    assert "multiplier" in err and "record_ticks: false" in err
 
 
 # -- sweep -----------------------------------------------------------------------

@@ -1,14 +1,16 @@
 import csv
+import io
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_QUEUE_CAP, CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import default_config, run_simulation
-from edgesim.runio import (DELAYED_CSV, PHASES_CSV, TICKS_CSV, load_config,
-                           read_delayed, read_phases, save_config,
+from edgesim.runio import (DELAYED_CSV, PHASES_CSV, TICKS_CSV, TICKS_HEADER,
+                           load_config, read_delayed, read_phases, save_config,
                            write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
@@ -105,6 +107,87 @@ def test_tampered_tick_diff_fails_consistency(run_dir, tmp_path):
     lines[end + 1] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+def _append_next_row(lines):
+    # one more row after the final tick, consistent in itself
+    t, price, pnl_s, pnl_star, diff = map(int, lines[-1].split(","))
+    return lines + [f"{t + 1},{price},{pnl_s},{pnl_star},{diff}\n"]
+
+
+def _set_row(lines, t, **values):
+    cols = dict(zip(TICKS_HEADER.split(","), map(int, lines[t + 1].split(","))))
+    cols.update(values)
+    return (lines[:t + 1] + [",".join(map(str, cols.values())) + "\n"]
+            + lines[t + 2:])
+
+
+def _shift_row_diff(lines, t):
+    # pnl_sstar and diff moved together, so the row stays consistent
+    cols = [int(v) for v in lines[t + 1].split(",")]
+    return _set_row(lines, t, pnl_sstar_quanta=cols[3] + 1,
+                    diff_quanta=cols[4] + 1)
+
+
+# Line 0 of ticks.csv is the header; line k + 1 holds tick k.
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lines, end: lines[:100] + lines[101:], id="deleted"),
+    pytest.param(lambda lines, end: lines[:100] + [lines[99]] + lines[100:],
+                 id="duplicated"),
+    pytest.param(lambda lines, end: (lines[:100] + [lines[101], lines[100]]
+                                     + lines[102:]), id="swapped"),
+    pytest.param(lambda lines, end: lines[:end + 1],
+                 id="truncated_before_last_phase_end"),
+    pytest.param(lambda lines, end: _append_next_row(lines),
+                 id="row_after_final_time"),
+    pytest.param(_shift_row_diff, id="phase_end_diff"),
+    pytest.param(lambda lines, end: _set_row(lines, 100, pnl_sstar_quanta=1),
+                 id="pnl_sstar"),
+    # pnl_s + diff wraps around in int64 to exactly pnl_sstar
+    pytest.param(lambda lines, end: _set_row(lines, 100, pnl_s_quanta=2**62,
+                                             diff_quanta=2**62,
+                                             pnl_sstar_quanta=-2**63),
+                 id="int64_wrap"),
+    pytest.param(lambda lines, end: (lines[:1] + [line[:-1] + ",0\n"
+                                                  for line in lines[1:]]),
+                 id="sixth_column"),
+    pytest.param(lambda lines, end: lines[:100] + ["99,x,0,0,0\n"] + lines[101:],
+                 id="not_an_integer"),
+])
+def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
+    dst = _copy(run_dir, tmp_path)
+    path = dst / TICKS_CSV
+    lines = path.read_text().splitlines(keepends=True)
+    last_end = read_phases(dst)[-1]["end_time"]
+    path.write_text("".join(edit(lines, last_end)))
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+def test_phase_end_past_the_last_tick_fails_consistency(run_dir, tmp_path):
+    dst = _copy(run_dir, tmp_path)
+
+    def mutate(body):
+        body[-1][1] = str(int(body[-1][1]) + 7)    # end_time
+
+    _rewrite_csv(dst / PHASES_CSV, mutate)
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+def test_ticks_csv_equals_savetxt_of_the_series(tmp_path):
+    # More rows than one write chunk, with negative PnL columns.
+    cfg = default_config(master_seed=41, total_ticks=150_000,
+                         target_phases=None, half_spread=2)
+    report = run_simulation(cfg)
+    t = report.ticks
+    assert t.pnl_s.min() < 0 and t.pnl_sstar.min() < 0
+    write_run_artifacts(report, tmp_path)
+    expected = io.BytesIO()
+    expected.write((TICKS_HEADER + "\n").encode())
+    np.savetxt(expected, np.column_stack([t.time, t.price, t.pnl_s,
+                                          t.pnl_sstar, t.diff]),
+               fmt="%d", delimiter=",")
+    assert (tmp_path / TICKS_CSV).read_bytes() == expected.getvalue()
+    assert all_passed(verify_run(tmp_path))
 
 
 def test_verify_without_ticks_file(run_dir, tmp_path):

@@ -9,15 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesim import (PriceProcessConfig, estimate_hitting_time, initial_state,
-                     next_price, substream, walk_block)
+from edgesim import (PriceProcessConfig, PricePathState,
+                     estimate_hitting_time, next_price, substream, walk_block)
+from edgesim.prices import STREAM_PRICE
 
 config = PriceProcessConfig(kind="reflecting_walk", grid_min=9000,
                             grid_max=11000, start_price=10000,
-                            stay_probability=Fraction(1, 2), seed=7)
+                            stay_probability=Fraction(1, 2))
 
-# Step literally, one tick at a time.
-state = initial_state(config)
+# Step literally, one tick at a time, on master seed 7's price substream.
+state = PricePathState(config.start_price, 0, substream(7, STREAM_PRICE))
 path = []
 for _ in range(10):
     state = next_price(state, config)
@@ -27,7 +28,7 @@ print("first ten ticks:", path)
 # The block generator draws uniforms in bulk but walks the same path.
 again = walk_block(config.start_price, substream(7, 0), 10, config)
 scalar = []
-st = initial_state(config, substream(7, 0))
+st = PricePathState(config.start_price, 0, substream(7, STREAM_PRICE))
 for _ in range(10):
     st = next_price(st, config)
     scalar.append(st.current_price)
@@ -39,10 +40,10 @@ print(f"200k ticks stay inside the grid: min {long_path.min()}, "
       f"max {long_path.max()}")
 
 # Hitting times: how long until the price exceeds start + xi?
-plain = PriceProcessConfig(stay_probability=Fraction(0), seed=11)
+plain = PriceProcessConfig(stay_probability=Fraction(0))
 for xi in (25, 50, 100):
     s = estimate_hitting_time(plain, 10000, xi, "above",
-                              samples=2000, cap=10_000_000)
+                              samples=2000, cap=10_000_000, master_seed=11)
     # Reflected symmetric walk, first passage to b = start + xi + 1
     # (strictly above the threshold): E[T] = (b - x) * (b + x - 2 * gmin).
     d = xi + 1
@@ -54,7 +55,7 @@ for xi in (25, 50, 100):
 mr = PriceProcessConfig(kind="mean_reverting_walk", grid_min=9000,
                         grid_max=11000, start_price=9500,
                         stay_probability=Fraction(0),
-                        reversion_strength=Fraction(1, 2), seed=13)
+                        reversion_strength=Fraction(1, 2))
 mr_path = walk_block(9500, substream(13, 0), 100_000, mr)
 print(f"mean-reverting walk started at 9500; long-run mean "
       f"{mr_path.mean():.0f} (center is 10000)")

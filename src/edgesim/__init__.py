@@ -5,20 +5,18 @@ from .accounting import (FIFO, LIFO, LotMatch, PnLBreakdown, UnmatchedLot,
                          match_lots, pnl_decomposed, pnl_direct,
                          pnl_via_position, position_value,
                          signed_open_position)
-from .cloud import (EMPTY_CLOUD, CloudStats, RationalPrice, cloud_update,
-                    gravity_center)
 from .dominance import (DelayedOrderRecord, DelayQueueEntry, DominanceEngine,
                         DominanceParams, InvariantViolation, PhaseReport,
-                        SimulationError, StrandedOrderError, delay_eligible,
-                        execution_ready, minmax, phase_pnl_diff_check)
+                        SimulationError, StrandedOrderError, pair_extreme,
+                        phase_pnl_diff_check, release_level)
 from .harness import (RunConfig, RunReport, RunSettings, SweepRow, TickSeries,
                       default_config, run_simulation, sweep)
 from .market import (Instrument, Money, Order, Side, currency_to_price,
                      fill_price, price_to_currency, quanta_to_currency,
                      side_sign)
 from .prices import (HittingTimeSummary, PriceProcessConfig, PricePathState,
-                     estimate_hitting_time, initial_state, next_price,
-                     substream, walk_block)
+                     estimate_hitting_time, next_price, substream,
+                     walk_block)
 from .runio import (load_config, read_summary, save_config, summary_dict,
                     write_run_artifacts, write_sweep_csv)
 from .strategies import (BaselineConfig, BaselineStreams, OrderIntent,

@@ -6,6 +6,9 @@
     edgesim recurrence <config.yaml> --xi 100 --samples 10000 [--cap N]
                        [--direction above|below] [--start P] [--seed N]
 
+Without --seed, simulate, sweep and recurrence use the config's
+run.master_seed.
+
 Exit status is 0 only when every check passes; simulation aborts
 (invariant violations, stranded orders, bad configs) exit nonzero with a
 diagnostic on stderr.
@@ -102,9 +105,10 @@ def _cmd_recurrence(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     price = config.price
     start = args.start if args.start is not None else price.start_price
+    seed = args.seed if args.seed is not None else config.run.master_seed
     summary = estimate_hitting_time(
         price, start, args.xi, args.direction, args.samples, args.cap,
-        master_seed=args.seed)
+        master_seed=seed)
     print(f"threshold {args.direction} {args.xi} ticks from {start}: "
           f"{summary.count_finite}/{summary.samples} hit within cap "
           f"{summary.cap}")

@@ -16,10 +16,13 @@ phase/stage state machine:
             with a frozen snapshot of the gravity center; all others
             fill immediately, identically to the baseline.
 
-Every tick the queue is scanned in enqueue order and an entry is
-released once the price clears its gain threshold,
-sign * (P - minmax_sign(C_now, C_frozen)) > gamma.  The frozen snapshot
-anchors the threshold, which yields the per-order guarantee
+The order cloud is the pair (sum p*q, sum q) over the overlay's own
+fills; its gravity center C is their exact ratio.  Every tick the queue
+is scanned in enqueue order and an entry is released once the price
+clears its gain level, sign * (P - minmax_sign(C_now, C_frozen)) > gamma,
+where minmax_sign is the max for a sell and the min for a buy
+(pair_extreme; release_level turns the level into a grid price).  The
+frozen snapshot anchors the level, which yields the per-order guarantee
 
     sign * (execution_price - delay_price) > gamma + tau   (exact)
 
@@ -44,9 +47,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .accounting import pnl_direct
-from .cloud import (CloudStats, RationalPrice, rational_pair_max,
-                    rational_pair_min)
-from .market import SELL, Instrument, Money, Order
+from .market import SELL, Instrument, Money, Order, fill_price
 
 MIRROR = "mirror"
 ENQUEUE = "enqueue"
@@ -69,17 +70,18 @@ class SimulationError(Exception):
 
 
 class StrandedOrderError(SimulationError):
-    """A phase exceeded its tick budget with orders still queued."""
+    """A phase exceeded its tick budget (max_phase_ticks); entries are the
+    orders still queued."""
 
-    def __init__(self, phase_index: int, elapsed: int,
+    def __init__(self, phase_index: int, max_ticks: int,
                  entries: Sequence["DelayQueueEntry"]):
         self.phase_index = phase_index
-        self.elapsed = elapsed
+        self.max_ticks = max_ticks
         self.entries = tuple(entries)
         names = ", ".join(f"order {e.order_id} (sign {e.sign:+d}, "
                           f"delayed at t={e.delay_time})" for e in entries)
         super().__init__(
-            f"phase {phase_index} exceeded {elapsed} ticks with "
+            f"phase {phase_index} exceeded {max_ticks} ticks with "
             f"{len(entries)} queued order(s): {names or 'none'}; the "
             f"recurrence precondition or parameter validation has failed")
 
@@ -138,7 +140,7 @@ class DelayQueueEntry:
     frozen_trigger: int       # first grid price that could ever release this entry
 
     @property
-    def gravity_at_delay(self) -> RationalPrice:
+    def gravity_at_delay(self) -> Fraction:
         return Fraction(self.gravity_num, self.gravity_den)
 
 
@@ -177,43 +179,18 @@ class PhaseReport:
         return len(self.records)
 
 
-def minmax(sign: int, x, y) -> Fraction:
-    """Midpoint plus sign times the semi-distance: the max of x and y for
-    sign +1, the min for sign -1."""
-    fx, fy = Fraction(x), Fraction(y)
-    return (fx + fy) / 2 + sign * abs(fx - fy) / 2
+def pair_extreme(sign: int, n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """The larger of n1/d1 and n2/d2 for sign +1 (a sell), the smaller for
+    sign -1 (a buy), as a pair; denominators positive, ties give the first."""
+    return (n1, d1) if sign * (n1 * d2 - n2 * d1) >= 0 else (n2, d2)
 
 
-def delay_eligible(price: int, gravity: RationalPrice | None, sign: int,
-                   tau: int) -> bool:
-    """Tolerance test sign * (C - P) > tau; False while C is undefined."""
-    if gravity is None:
-        return False
-    num, den = gravity.numerator, gravity.denominator
-    return sign * (num - price * den) > tau * den
-
-
-def execution_ready(price: int, gravity_now: RationalPrice,
-                    gravity_at_delay: RationalPrice, sign: int,
-                    gamma: int) -> bool:
-    """Gain test sign * (P - minmax_sign(C_now, C_frozen)) > gamma."""
-    n1, d1 = gravity_now.numerator, gravity_now.denominator
-    n2, d2 = gravity_at_delay.numerator, gravity_at_delay.denominator
-    if sign == SELL:
-        mn, md = rational_pair_max(n1, d1, n2, d2)
-    else:
-        mn, md = rational_pair_min(n1, d1, n2, d2)
-    return sign * (price * md - mn) > gamma * md
-
-
-def _sell_trigger(num: int, den: int, gamma: int) -> int:
-    """Smallest integer P with P > num/den + gamma."""
-    return (num + gamma * den) // den + 1
-
-
-def _buy_trigger(num: int, den: int, gamma: int) -> int:
-    """Largest integer P with P < num/den - gamma."""
-    return (num - gamma * den - 1) // den
+def release_level(sign: int, num: int, den: int, gamma: int) -> int:
+    """The gain level of a rational anchor num/den (den > 0) as a grid
+    price: the smallest P with P > num/den + gamma for a sell, the largest
+    P with P < num/den - gamma for a buy.  An entry releases at P exactly
+    when sign * (P - level) >= 0."""
+    return sign * ((sign * num + gamma * den) // den + 1)
 
 
 class DominanceEngine:
@@ -236,14 +213,9 @@ class DominanceEngine:
         self.half_spread = half_spread
         self.delay_draw = delay_draw
 
-        # Order cloud over unadjusted grid prices.
-        self._qty_sell = 0
-        self._qty_buy = 0
-        self._ws_sell = 0
-        self._ws_buy = 0
-        self._fill_count = 0
-        self._min_fill: int | None = None
-        self._max_fill: int | None = None
+        # Order cloud over unadjusted grid prices: sum p*q and sum q.
+        self._cloud_num = 0
+        self._cloud_den = 0
 
         self.phase_index = 1
         self.stage = 1
@@ -262,38 +234,22 @@ class DominanceEngine:
         self.records: list[DelayedOrderRecord] = []
         self._phase_records: list[DelayedOrderRecord] = []
         self.last_phase_records: tuple[DelayedOrderRecord, ...] = ()
-        self.last_phase_end_time = 0
         self.q_delayed_total = 0      # cumulative quantity over delayed orders
         self.gap_weighted_total = 0   # cumulative sum sign*(p_exec - p_delay)*qty
+        # How many times each in-run check ran (the run's verdict counts).
+        self.checked = {CLAUSE_PER_ORDER_GAP: 0, CLAUSE_QUEUE_CAP: 0}
 
     # -- cloud ---------------------------------------------------------
 
-    def _cloud_add(self, sign: int, quantity: int, raw_price: int) -> None:
-        if sign == SELL:
-            self._qty_sell += quantity
-            self._ws_sell += raw_price * quantity
-        else:
-            self._qty_buy += quantity
-            self._ws_buy += raw_price * quantity
-        self._fill_count += 1
-        if self._min_fill is None or raw_price < self._min_fill:
-            self._min_fill = raw_price
-        if self._max_fill is None or raw_price > self._max_fill:
-            self._max_fill = raw_price
+    def _cloud_add(self, quantity: int, raw_price: int) -> None:
+        self._cloud_num += raw_price * quantity
+        self._cloud_den += quantity
 
-    def cloud_stats(self) -> CloudStats:
-        return CloudStats(self._fill_count, self._qty_sell, self._qty_buy,
-                          self._ws_sell, self._ws_buy,
-                          self._min_fill, self._max_fill)
-
-    def gravity(self) -> RationalPrice | None:
-        if self._fill_count == 0:
+    def gravity(self) -> Fraction | None:
+        """The gravity center of the overlay's fills; None before the first."""
+        if self._cloud_den == 0:
             return None
-        return Fraction(self._ws_sell + self._ws_buy,
-                        self._qty_sell + self._qty_buy)
-
-    def _gravity_pair(self) -> tuple[int, int]:
-        return self._ws_sell + self._ws_buy, self._qty_sell + self._qty_buy
+        return Fraction(self._cloud_num, self._cloud_den)
 
     # -- phase bookkeeping ----------------------------------------------
 
@@ -301,11 +257,11 @@ class DominanceEngine:
         """Raise StrandedOrderError once the phase exceeds its tick budget."""
         elapsed = time - self.phase_start_time
         if elapsed > self.params.max_phase_ticks:
-            raise StrandedOrderError(self.phase_index, elapsed, self.queue)
+            raise StrandedOrderError(self.phase_index,
+                                     self.params.max_phase_ticks, self.queue)
 
     def _roll_phase(self, time: int) -> None:
         self.last_phase_records = tuple(self._phase_records)
-        self.last_phase_end_time = time
         self._phase_records = []
         self.phase_index += 1
         self.stage = 1
@@ -327,55 +283,48 @@ class DominanceEngine:
         """
         self.check_phase_backstop(time)
         if self.stage == 1:
-            self._cloud_add(sign, quantity, raw_price)
+            self._cloud_add(quantity, raw_price)
             self._stage1_remaining -= 1
             if self._stage1_remaining == 0:
                 self.stage = 2
             return MIRROR
 
-        delayed = self.delay_draw()
-        num, den = self._gravity_pair()
-        eligible = (delayed
-                    and den > 0
-                    and sign * (num - raw_price * den) > self.params.tau * den)
-        if not eligible:
-            self._cloud_add(sign, quantity, raw_price)
+        # Stage 2 follows at least one fill, so den >= 1.
+        num, den = self._cloud_num, self._cloud_den
+        if not (self.delay_draw()
+                and sign * (num - raw_price * den) > self.params.tau * den):
+            self._cloud_add(quantity, raw_price)
             return MIRROR
 
-        blocked = len(self.queue) >= self.params.queue_cap
-        if not blocked and self.params.min_distance > 0:
-            blocked = any(
-                sign * (e.delay_grid_price - raw_price) <= self.params.min_distance
-                for e in self.queue)
-        if not blocked:
-            # Reachability guard: the frozen gain level must be strictly
-            # inside the grid, otherwise the release price may not exist.
-            if sign == SELL:
-                blocked = self.grid_max * den <= num + self.params.gamma * den
-            else:
-                blocked = self.grid_min * den >= num - self.params.gamma * den
-        if blocked:
-            self._cloud_add(sign, quantity, raw_price)
+        # The last test is the reachability guard: the frozen gain level
+        # must be a grid price, otherwise the release price may not exist.
+        level = release_level(sign, num, den, self.params.gamma)
+        if (len(self.queue) >= self.params.queue_cap
+                or (self.params.min_distance > 0 and any(
+                    sign * (e.delay_grid_price - raw_price) <= self.params.min_distance
+                    for e in self.queue))
+                or not self.grid_min <= level <= self.grid_max):
+            self._cloud_add(quantity, raw_price)
             return FORCED
 
         delta_t = Fraction(sign * (raw_price * den - num), den) + self.params.tau
+        self.checked[CLAUSE_PER_ORDER_GAP] += 1
         if delta_t >= 0:
             raise InvariantViolation(
                 CLAUSE_PER_ORDER_GAP,
                 f"delta_T at delay must be < 0, got {delta_t}")
-        trigger = (_sell_trigger(num, den, self.params.gamma) if sign == SELL
-                   else _buy_trigger(num, den, self.params.gamma))
         self.queue.append(DelayQueueEntry(
             order_id=order_id, sign=sign, quantity=quantity, delay_time=time,
             base_fill_price=base_fill_price, delay_grid_price=raw_price,
             gravity_num=num, gravity_den=den, delta_T_at_delay=delta_t,
-            frozen_trigger=trigger))
-        if sign == SELL:
-            if self.frozen_sell_min is None or trigger < self.frozen_sell_min:
-                self.frozen_sell_min = trigger
-        else:
-            if self.frozen_buy_max is None or trigger > self.frozen_buy_max:
-                self.frozen_buy_max = trigger
+            frozen_trigger=level))
+        self.checked[CLAUSE_QUEUE_CAP] += 1
+        if len(self.queue) > self.params.queue_cap:
+            raise InvariantViolation(
+                CLAUSE_QUEUE_CAP,
+                f"order {order_id}: {len(self.queue)} queued orders exceed "
+                f"queue_cap = {self.params.queue_cap}")
+        self._refresh_frozen_bounds()
         self.delays_this_phase += 1
         return ENQUEUE
 
@@ -391,36 +340,32 @@ class DominanceEngine:
         self.check_phase_backstop(time)
         executed: list[DelayedOrderRecord] = []
         if self.queue:
-            num_t, den_t = self._gravity_pair()
             remaining: list[DelayQueueEntry] = []
             gamma = self.params.gamma
             for entry in self.queue:
                 sign = entry.sign
-                if sign == SELL:
-                    mn, md = rational_pair_max(num_t, den_t,
-                                               entry.gravity_num, entry.gravity_den)
-                else:
-                    mn, md = rational_pair_min(num_t, den_t,
-                                               entry.gravity_num, entry.gravity_den)
-                margin = sign * (raw_price * md - mn) - gamma * md
-                if margin > 0:
-                    exec_price = raw_price - sign * self.half_spread
+                mn, md = pair_extreme(sign, self._cloud_num, self._cloud_den,
+                                      entry.gravity_num, entry.gravity_den)
+                if sign * (raw_price - release_level(sign, mn, md, gamma)) >= 0:
                     record = DelayedOrderRecord(
                         order_id=entry.order_id, sign=sign,
                         quantity=entry.quantity, delay_time=entry.delay_time,
                         base_fill_price=entry.base_fill_price,
-                        execution_time=time, execution_price=exec_price,
+                        execution_time=time,
+                        execution_price=fill_price(raw_price, sign,
+                                                   self.half_spread),
                         delta_T_at_delay=entry.delta_T_at_delay,
-                        delta_G_at_execution=Fraction(margin, md))
+                        delta_G_at_execution=(
+                            Fraction(sign * (raw_price * md - mn), md) - gamma))
                     gap = record.gap
+                    self.checked[CLAUSE_PER_ORDER_GAP] += 1
                     if gap <= self.params.gamma + self.params.tau:
                         raise InvariantViolation(
                             CLAUSE_PER_ORDER_GAP,
                             f"order {entry.order_id}: gap {gap} ticks does not "
                             f"exceed gamma + tau = "
                             f"{self.params.gamma + self.params.tau}")
-                    self._cloud_add(sign, entry.quantity, raw_price)
-                    num_t, den_t = self._gravity_pair()
+                    self._cloud_add(entry.quantity, raw_price)
                     self.records.append(record)
                     self._phase_records.append(record)
                     self.q_delayed_total += entry.quantity
@@ -438,26 +383,24 @@ class DominanceEngine:
             phase_ended = True
         return executed, phase_ended
 
-    def _refresh_frozen_bounds(self) -> None:
-        sell_min: int | None = None
-        buy_max: int | None = None
-        for e in self.queue:
-            if e.sign == SELL:
-                if sell_min is None or e.frozen_trigger < sell_min:
-                    sell_min = e.frozen_trigger
-            else:
-                if buy_max is None or e.frozen_trigger > buy_max:
-                    buy_max = e.frozen_trigger
-        self.frozen_sell_min = sell_min
-        self.frozen_buy_max = buy_max
+    def _queue_bounds(self, level: Callable[[DelayQueueEntry], int]
+                      ) -> tuple[int | None, int | None]:
+        """The lowest level over queued sells and the highest over buys."""
+        return (min((level(e) for e in self.queue if e.sign == SELL), default=None),
+                max((level(e) for e in self.queue if e.sign != SELL), default=None))
 
-    def may_release_at(self, price: int) -> bool:
-        """False when no queued entry can possibly release at this price,
-        by the frozen conservative levels; a True may still release nothing."""
+    def _refresh_frozen_bounds(self) -> None:
+        self.frozen_sell_min, self.frozen_buy_max = self._queue_bounds(
+            lambda e: e.frozen_trigger)
+
+    def may_release_in(self, low: int, high: int) -> bool:
+        """False when no queued entry can release at any price in
+        [low, high], by the frozen conservative levels; a True may still
+        release nothing."""
         return ((self.frozen_sell_min is not None
-                 and price >= self.frozen_sell_min)
+                 and high >= self.frozen_sell_min)
                 or (self.frozen_buy_max is not None
-                    and price <= self.frozen_buy_max))
+                    and low <= self.frozen_buy_max))
 
     # -- block-engine support ---------------------------------------------
 
@@ -468,22 +411,9 @@ class DominanceEngine:
         harness to locate the first possible release tick inside a
         fill-free price segment.
         """
-        if not self.queue:
-            return None, None
-        num_t, den_t = self._gravity_pair()
-        gamma = self.params.gamma
-        sell_min: int | None = None
-        buy_max: int | None = None
-        for e in self.queue:
-            if e.sign == SELL:
-                mn, md = rational_pair_max(num_t, den_t, e.gravity_num, e.gravity_den)
-                level = _sell_trigger(mn, md, gamma)
-                sell_min = level if sell_min is None else min(sell_min, level)
-            else:
-                mn, md = rational_pair_min(num_t, den_t, e.gravity_num, e.gravity_den)
-                level = _buy_trigger(mn, md, gamma)
-                buy_max = level if buy_max is None else max(buy_max, level)
-        return sell_min, buy_max
+        return self._queue_bounds(lambda e: release_level(e.sign, *pair_extreme(
+            e.sign, self._cloud_num, self._cloud_den,
+            e.gravity_num, e.gravity_den), self.params.gamma))
 
 
 def phase_clause_failures(diff: Money, previous_diff: Money, report: PhaseReport,

@@ -17,8 +17,8 @@ Two execution engines produce bit-identical results:
     precomputed integer price levels; this is what makes desk-scale
     acceptance runs fast.
 
-Randomness is consumed from four documented substreams of the master
-seed (price steps, baseline intents, baseline sides, delay draws); see
+A run consumes four of the documented substreams of the master seed
+(price steps, baseline intents, baseline sides, delay draws); see
 edgesim.prices.substream.  All run state is integer; seeds plus config
 determine every output byte.
 """
@@ -33,13 +33,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
-                        CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
-                        CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
-                        CLAUSE_QUEUE_CAP, ENQUEUE, DelayedOrderRecord,
+                        CLAUSE_PHASE_IDENTITY, CLAUSE_POSITION_MATCH,
+                        CLAUSE_POSITIVITY, ENQUEUE, DelayedOrderRecord,
                         DominanceEngine, DominanceParams, InvariantViolation,
                         PhaseReport, SimulationError, phase_clause_failures,
                         phase_pnl_diff_check)
-from .market import Instrument, Money, Order, side_sign
+from .market import Instrument, Money, Order, fill_price, side_sign
 from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, PricePathState,
                      next_price, substream, walk_block)
@@ -48,6 +47,12 @@ from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
 
 _BLOCK = 8192
 _DELAY_BUFFER = 4096
+
+# The verdict naming the independent accounting oracle, which re-derives
+# every phase end from the kept order lists (run.keep_orders only).
+ORACLE_CHECK = "phase_pnl_diff_check"
+_PHASE_CHECKS = (CLAUSE_PHASE_IDENTITY, CLAUSE_LOWER_BOUND, CLAUSE_POSITIVITY,
+                 CLAUSE_MONOTONICITY, CLAUSE_POSITION_MATCH)
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,8 @@ class _RunState:
 
         self.phases: list[PhaseReport] = []
         self.prev_diff: Money = 0
+        # How many times each phase-end check ran (the run's verdict counts).
+        self.checked = dict.fromkeys((*_PHASE_CHECKS, ORACLE_CHECK), 0)
         self.pending_intent: tuple[int, int] | None = None   # (sign, quantity)
 
         # Tick record: the price path (the start price and the scalar
@@ -230,7 +237,7 @@ class _RunState:
 
     def base_fill(self, time: int, raw_price: int, sign: int, quantity: int) -> None:
         self.order_count += 1
-        fill = raw_price - sign * self.half_spread
+        fill = fill_price(raw_price, sign, self.half_spread)
         self.w_s += sign * fill * quantity
         self.sq_s += sign * quantity
         self.qty_s += quantity
@@ -261,6 +268,8 @@ class _RunState:
             self.emit_row(records[-1].execution_time)
 
     def end_phase(self, time: int, price: int) -> None:
+        for clause in _PHASE_CHECKS:
+            self.checked[clause] += 1
         if self.sq_star != self.sq_s:
             raise InvariantViolation(
                 CLAUSE_POSITION_MATCH,
@@ -280,6 +289,7 @@ class _RunState:
         failures = phase_clause_failures(diff, self.prev_diff, report, telescoping,
                                     self.m, params)
         if not failures and self.orders_s is not None:
+            self.checked[ORACLE_CHECK] += 1
             failures = phase_pnl_diff_check(report, self.prev_diff,
                                             engine.records, self.orders_s,
                                             self.orders_star, price,
@@ -299,6 +309,7 @@ class _RunState:
                    for e in self.engine.queue)
         expected = self.m * (self.engine.gap_weighted_total + pend)
         got = self.diff(price)
+        self.checked[CLAUSE_PHASE_IDENTITY] += 1
         if got != expected:
             raise InvariantViolation(
                 CLAUSE_PHASE_IDENTITY,
@@ -380,22 +391,11 @@ class _RunState:
             dd_s, dd_star = None, None
             exact = False
         engine = self.engine
-        verdicts = [
-            {"clause": CLAUSE_PER_ORDER_GAP, "passed": True,
-             "checked": len(engine.records)},
-            {"clause": CLAUSE_PHASE_IDENTITY, "passed": True,
-             "checked": len(self.phases)},
-            {"clause": CLAUSE_LOWER_BOUND, "passed": True,
-             "checked": len(self.phases)},
-            {"clause": CLAUSE_POSITIVITY, "passed": True,
-             "checked": len(self.phases)},
-            {"clause": CLAUSE_MONOTONICITY, "passed": True,
-             "checked": len(self.phases)},
-            {"clause": CLAUSE_POSITION_MATCH, "passed": True,
-             "checked": len(self.phases)},
-            {"clause": CLAUSE_QUEUE_CAP, "passed": True,
-             "checked": len(engine.records)},
-        ]
+        # A failed check raises, so a report exists only when every check
+        # passed; each count is how often that check ran.
+        verdicts = [{"clause": clause, "passed": True, "checked": checked}
+                    for clause, checked in ({**engine.checked,
+                                             **self.checked}).items()]
         return RunReport(
             config=self.config, master_seed=seed,
             final_time=final_time, final_price=final_price,
@@ -525,11 +525,7 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
             # Release search inside the fill-free stretch.  The frozen
             # bounds skip provably release-free blocks; within candidate
             # blocks the exact per-queue levels locate the crossing tick.
-            if (engine.queue and pos < next_fill
-                    and ((engine.frozen_sell_min is not None
-                          and block_max >= engine.frozen_sell_min)
-                         or (engine.frozen_buy_max is not None
-                             and block_min <= engine.frozen_buy_max))):
+            if pos < next_fill and engine.may_release_in(block_min, block_max):
                 sell_min, buy_max = engine.current_release_bounds()
                 seg = prices[pos:next_fill]
                 mask = None
@@ -557,7 +553,7 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
                 price_f = int(prices[f])
                 _, sign, qty = fills[fill_idx]
                 state.base_fill(tick, price_f, sign, qty)
-                if engine.queue and engine.may_release_at(price_f):
+                if engine.may_release_in(price_f, price_f):
                     records, phase_ended = engine.on_tick(tick, price_f)
                     state.apply_executions(records)
                 else:

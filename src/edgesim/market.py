@@ -62,10 +62,6 @@ class Instrument:
             raise ValueError(
                 f"grid_min must be < grid_max, got [{self.grid_min}, {self.grid_max}]")
 
-    @property
-    def grid_width(self) -> int:
-        return self.grid_max - self.grid_min
-
     def contains(self, price_ticks: int) -> bool:
         return self.grid_min <= price_ticks <= self.grid_max
 

@@ -66,7 +66,6 @@ class PriceProcessConfig:
     start_price: int = 10000
     stay_probability: Fraction = Fraction(1, 2)
     reversion_strength: Fraction = Fraction(0)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in (REFLECTING_WALK, MEAN_REVERTING_WALK):
@@ -96,13 +95,6 @@ class PricePathState:
     current_price: int
     time: int
     rng: np.random.Generator
-
-
-def initial_state(config: PriceProcessConfig,
-                  rng: np.random.Generator | None = None) -> PricePathState:
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    return PricePathState(current_price=config.start_price, time=0, rng=rng)
 
 
 def _up_probability(config: PriceProcessConfig, price: int) -> float:
@@ -300,27 +292,27 @@ def _hit_lockstep_mean_reverting(rng: np.random.Generator,
 
 def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
                           direction: str, samples: int, cap: int,
-                          master_seed: int | None = None) -> HittingTimeSummary:
+                          master_seed: int = 0) -> HittingTimeSummary:
     """Monte Carlo summary of the first time the price moves strictly
     beyond start_price +/- xi, over independent replications.
 
-    Replications use deterministic child streams of the seed in
-    replication order, so the summary is reproducible for a given
-    (config, seed, samples, cap).
+    Replications use deterministic child streams of the master seed's
+    STREAM_HITTING substream in replication order, so the summary is
+    reproducible for a given (config, master_seed, samples, cap).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     target = _validate_threshold(config, start_price, xi, direction)
-    seed = config.seed if master_seed is None else master_seed
 
     if config.kind == MEAN_REVERTING_WALK:
-        rng = substream(seed, STREAM_HITTING)
+        rng = substream(master_seed, STREAM_HITTING)
         times = _hit_lockstep_mean_reverting(
             rng, config, start_price, target, direction, samples, cap)
     else:
-        root = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_HITTING,))
+        root = np.random.SeedSequence(entropy=master_seed,
+                                      spawn_key=(STREAM_HITTING,))
         children = root.spawn(samples)
         times = np.empty(samples, dtype=np.int64)
         for w in range(samples):

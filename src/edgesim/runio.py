@@ -1,27 +1,45 @@
 """Config files and run artifacts.
 
 Config is YAML with five sections (instrument, price, strategy, dominance,
-run); every key has a default, and the price grid defaults to the
-instrument grid.  Exact rationals may be written as "1/2" strings, ints,
-or decimal floats (floats are parsed through their decimal string so
-0.02 means 1/50, not its binary approximation).
+run) holding the fields of the matching config classes; every key has a
+default, and the price grid defaults to the instrument grid.  An unknown
+section or key, an integer field given anything but an integer, and a
+bool field given anything but true/false are errors.  Exact rationals may
+be written as "1/2" strings, ints, or decimal floats (floats are parsed
+through their decimal string so 0.02 means 1/50, not its binary
+approximation).
 
 A run directory contains:
 
   ticks.csv           time,price_ticks,pnl_s_quanta,pnl_sstar_quanta,diff_quanta
   phases.csv          phase,end_time,q_delayed,diff_quanta,lower_bound_quanta,n_delayed
   delayed_orders.csv  order_id,sign,qty,t_delay,p_delay_ticks,t_exec,p_exec_ticks,gap_ticks
-  summary.json        config echo, results (ticks and currency), verdicts
+  summary.json        schema, seed, config echo, results (ticks and
+                      currency), verdicts
 
 q_delayed and diff_quanta in phases.csv are cumulative from the start of
-the run; n_delayed counts the phase's own delayed orders.  Prices in the
-delayed-order file are the side-adjusted fill prices.  All files are
-written deterministically: same config and seed, same bytes.
+the run (lower_bound_quanta = multiplier * q_delayed * (gamma + tau));
+n_delayed counts the phase's own delayed orders.  Prices in the
+delayed-order file are the side-adjusted fill prices; the half-spread
+cancels inside gap_ticks.  A quantum is the value of one tick on one unit
+of quantity, multiplier included; multiply by tick_size for currency.
+The verdicts of summary.json (schema edgesim-run-summary/2) name each
+in-run check and how many times it ran; a failed check aborts the run,
+so a written summary always reads passed.  phase_pnl_diff_check counts
+the phase ends re-derived from the kept order lists (0 unless
+run.keep_orders).  All files are written deterministically: same config
+and seed, same bytes.
 
-ticks.csv is derived data: the run keeps its price path and one aggregate
-mark per fill or release, derives the five columns from them in one pass,
-and writes them in blocks of rows.  read_ticks streams the file back in
-chunks of rows, so verify checks it in bounded memory.
+ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
+the run keeps its price path and one aggregate mark (the signed cash and
+position sums of S and S*) per fill or release, and the rows follow from
+the two, the last event at a tick winning.  It is written in blocks of
+rows.  Recording ticks needs every PnL to fit in a signed 64-bit integer;
+a run that could exceed it stops with an error naming the multiplier
+(set run.record_ticks: false for such instruments).  read_ticks streams
+the file back in chunks of rows, so verify checks it in bounded memory:
+the rows run from t = 0 to summary.json's final_time, pnl_sstar = pnl_s +
+diff on every row, and each phase end matches phases.csv.
 """
 
 from __future__ import annotations
@@ -29,11 +47,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -80,75 +98,63 @@ def parse_decimal(value: Any) -> Decimal:
     return Decimal(str(value))
 
 
-def _section(data: Mapping | None, name: str) -> dict:
-    section = (data or {}).get(name) or {}
+_SECTIONS = {"instrument": Instrument, "price": PriceProcessConfig,
+             "strategy": BaselineConfig, "dominance": DominanceParams,
+             "run": RunSettings}
+
+
+def _parse_value(where: str, kind: Any, value: Any) -> Any:
+    """One config value of a field's type.  An int field takes only an
+    integer and a bool field only true or false, so a typo cannot turn
+    25.9 into 25 or "false" into True."""
+    if type(None) in get_args(kind):
+        if value is None:
+            return None
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    if kind is int or kind is bool:
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, int):
+            expected = "true or false" if kind is bool else "an integer"
+            raise ValueError(f"config key {where} must be {expected}, "
+                             f"got {value!r}")
+        return value
+    try:
+        return {Fraction: parse_fraction, Decimal: parse_decimal, str: str}[kind](value)
+    except (ValueError, ArithmeticError):
+        raise ValueError(f"config key {where}: cannot parse {value!r} "
+                         f"as {kind.__name__}") from None
+
+
+def _section(data: Mapping, name: str) -> dict:
+    section = data.get(name) or {}
     if not isinstance(section, Mapping):
         raise ValueError(f"config section {name!r} must be a mapping")
-    return dict(section)
+    kinds = get_type_hints(_SECTIONS[name])
+    for key in section:
+        if key not in kinds:
+            raise ValueError(f"unknown config key {name}.{key}")
+    return {key: _parse_value(f"{name}.{key}", kinds[key], value)
+            for key, value in section.items()}
 
 
 def config_from_dict(data: Mapping | None) -> RunConfig:
+    """A RunConfig from parsed YAML; omitted keys take default_config()'s
+    values, and an unknown section or key is an error."""
+    data = data or {}
+    for name in data:
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown config section {name!r}")
     base = default_config()
-    inst = _section(data, "instrument")
-    instrument = Instrument(
-        symbol=str(inst.get("symbol", base.instrument.symbol)),
-        multiplier=int(inst.get("multiplier", base.instrument.multiplier)),
-        tick_size=parse_decimal(inst.get("tick_size", base.instrument.tick_size)),
-        grid_min=int(inst.get("grid_min", base.instrument.grid_min)),
-        grid_max=int(inst.get("grid_max", base.instrument.grid_max)))
-
-    pr = _section(data, "price")
-    price = PriceProcessConfig(
-        kind=str(pr.get("kind", base.price.kind)),
-        grid_min=int(pr.get("grid_min", instrument.grid_min)),
-        grid_max=int(pr.get("grid_max", instrument.grid_max)),
-        start_price=int(pr.get("start_price", base.price.start_price)),
-        stay_probability=parse_fraction(
-            pr.get("stay_probability", base.price.stay_probability)),
-        reversion_strength=parse_fraction(
-            pr.get("reversion_strength", base.price.reversion_strength)),
-        seed=int(pr.get("seed", base.price.seed)))
-
-    st = _section(data, "strategy")
-    strategy = BaselineConfig(
-        kind=str(st.get("kind", base.strategy.kind)),
-        order_probability=parse_fraction(
-            st.get("order_probability", base.strategy.order_probability)),
-        period=int(st.get("period", base.strategy.period)),
-        quantity=int(st.get("quantity", base.strategy.quantity)))
-
-    dom = _section(data, "dominance")
-    dominance = DominanceParams(
-        tau=int(dom.get("tau", base.dominance.tau)),
-        gamma=int(dom.get("gamma", base.dominance.gamma)),
-        delay_probability=parse_fraction(
-            dom.get("delay_probability", base.dominance.delay_probability)),
-        queue_cap=int(dom.get("queue_cap", base.dominance.queue_cap)),
-        min_distance=int(dom.get("min_distance", base.dominance.min_distance)),
-        stage1_fill_count=int(dom.get("stage1_fill_count",
-                                      base.dominance.stage1_fill_count)),
-        max_phase_ticks=int(dom.get("max_phase_ticks",
-                                    base.dominance.max_phase_ticks)))
-
-    rn = _section(data, "run")
-    total_ticks = rn.get("total_ticks")
-    target_phases = rn.get("target_phases")
-    if total_ticks is None and target_phases is None:
-        target_phases = base.run.target_phases
-    run = RunSettings(
-        total_ticks=None if total_ticks is None else int(total_ticks),
-        target_phases=None if target_phases is None else int(target_phases),
-        master_seed=int(rn.get("master_seed", base.run.master_seed)),
-        half_spread=int(rn.get("half_spread", base.run.half_spread)),
-        commission_per_unit=int(rn.get("commission_per_unit",
-                                       base.run.commission_per_unit)),
-        replications=int(rn.get("replications", base.run.replications)),
-        record_ticks=bool(rn.get("record_ticks", base.run.record_ticks)),
-        keep_orders=bool(rn.get("keep_orders", base.run.keep_orders)),
-        disable_delays=bool(rn.get("disable_delays", base.run.disable_delays)),
-        out_dir=rn.get("out_dir"))
-
-    return RunConfig(instrument, price, strategy, dominance, run)
+    sections = {name: _section(data, name) for name in _SECTIONS}
+    for key in ("grid_min", "grid_max"):
+        sections["price"].setdefault(
+            key, sections["instrument"].get(key, getattr(base.instrument, key)))
+    run = sections["run"]
+    if run.get("total_ticks") is not None:
+        run.setdefault("target_phases", None)
+    elif run.get("target_phases") is None:
+        run["target_phases"] = base.run.target_phases
+    return RunConfig(*(replace(getattr(base, name), **sections[name])
+                       for name in _SECTIONS))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -190,7 +196,7 @@ def summary_dict(report: RunReport) -> dict:
     instrument = report.config.instrument
     mean_gap = report.mean_order_gap
     summary = {
-        "schema": "edgesim-run-summary/1",
+        "schema": "edgesim-run-summary/2",
         "seed": report.master_seed,
         "config": config_to_dict(report.config),
         "results": {

@@ -1,72 +1,63 @@
+"""The order cloud as the engine keeps it: fills folded through a
+DominanceEngine with delays off, so every fill joins the cloud, against
+the gravity center recomputed from the whole fill history."""
+
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim.cloud import (EMPTY_CLOUD, CloudStats, cloud_update,
-                           gravity_center, rational_gt, rational_lt,
-                           rational_pair_max, rational_pair_min)
-from edgesim.market import BUY, SELL, Order
-
-
-def o(id_, sign, price, qty):
-    return Order(id_, 0, sign, price, qty)
-
+from edgesim.dominance import (MIRROR, DominanceEngine, DominanceParams,
+                               pair_extreme)
+from edgesim.market import BUY, SELL
 
 fills_strategy = st.lists(
     st.tuples(st.sampled_from([SELL, BUY]),
               st.integers(min_value=9000, max_value=11000),
               st.integers(min_value=1, max_value=10)),
-    max_size=30,
-).map(lambda rows: [o(i + 1, s, p, q) for i, (s, p, q) in enumerate(rows)])
+    max_size=30)
 
 
-def batch_stats(fills):
-    """Oracle: recompute the totals from the whole fill history."""
-    sells = [f for f in fills if f.sign == SELL]
-    buys = [f for f in fills if f.sign == BUY]
-    prices = [f.price for f in fills]
-    return CloudStats(
-        fill_count=len(fills),
-        qty_sell=sum(f.quantity for f in sells),
-        qty_buy=sum(f.quantity for f in buys),
-        weighted_sum_sell=sum(f.price * f.quantity for f in sells),
-        weighted_sum_buy=sum(f.price * f.quantity for f in buys),
-        min_fill_price=min(prices) if prices else None,
-        max_fill_price=max(prices) if prices else None)
+def fold(fills, engine=None):
+    """Feed (sign, price, qty) fills to an engine that never delays."""
+    if engine is None:
+        engine = DominanceEngine(DominanceParams(), 9000, 11000, 0,
+                                 lambda: False)
+    for sign, price, qty in fills:
+        assert engine.on_base_fill(1, sign, qty, 0, price, price) == MIRROR
+    return engine
 
 
-def fold(fills):
-    stats = EMPTY_CLOUD
-    for f in fills:
-        stats = cloud_update(stats, f)
-    return stats
+def batch_gravity(fills):
+    """Oracle: the quantity-weighted average of the whole fill history."""
+    total = sum(qty for _, _, qty in fills)
+    if total == 0:
+        return None
+    return Fraction(sum(price * qty for _, price, qty in fills), total)
 
 
 def test_first_fill():
-    stats = cloud_update(EMPTY_CLOUD, o(1, SELL, 10200, 2))
-    assert stats.qty_sell == 2
-    assert stats.weighted_sum_sell == 20400
-    assert stats.fill_count == 1
-    assert stats.min_fill_price == stats.max_fill_price == 10200
+    assert fold([(SELL, 10200, 2)]).gravity() == 10200
 
 
 def test_accumulation():
-    stats = fold([o(1, SELL, 10200, 2), o(2, BUY, 10000, 3)])
-    assert stats.qty_buy == 3
-    assert stats.weighted_sum_buy == 30000
-    assert stats.qty_sell == 2
-    assert stats.weighted_sum_sell == 20400
+    # sells and buys weigh alike: (2 * 10200 + 3 * 10000) / 5
+    engine = fold([(SELL, 10200, 2)])
+    fold([(BUY, 10000, 3)], engine)
+    assert engine.gravity() == Fraction(2 * 10200 + 3 * 10000, 5)
 
 
 def test_gravity_undefined_when_empty():
-    assert gravity_center(EMPTY_CLOUD) is None
+    assert fold([]).gravity() is None
 
 
 def test_gravity_weighted_average():
-    stats = fold([o(1, SELL, 10200, 2), o(2, BUY, 10000, 3)])
-    assert gravity_center(stats) == Fraction(50400, 5)
-    assert gravity_center(stats) == 10080
+    engine = fold([(SELL, 10200, 2), (BUY, 10000, 3)])
+    assert engine.gravity() == Fraction(50400, 5)
+    assert engine.gravity() == 10080
+    # an odd lot makes the center a true rational
+    fold([(BUY, 10033, 1)], engine)
+    assert engine.gravity() == Fraction(50400 + 10033, 6)
 
 
 @given(st.integers(min_value=9000, max_value=11000),
@@ -74,14 +65,13 @@ def test_gravity_weighted_average():
                           st.integers(min_value=1, max_value=10)),
                 min_size=1, max_size=10))
 def test_gravity_constant_price(price, lots):
-    fills = [o(i + 1, s, price, q) for i, (s, q) in enumerate(lots)]
-    assert gravity_center(fold(fills)) == price
+    assert fold([(s, price, q) for s, q in lots]).gravity() == price
 
 
 @settings(max_examples=200)
 @given(fills_strategy)
 def test_incremental_equals_batch(fills):
-    assert fold(fills) == batch_stats(fills)
+    assert fold(fills).gravity() == batch_gravity(fills)
 
 
 @settings(max_examples=100)
@@ -89,48 +79,34 @@ def test_incremental_equals_batch(fills):
 def test_permutation_invariance_of_totals(fills, rnd):
     shuffled = list(fills)
     rnd.shuffle(shuffled)
-    a, b = fold(fills), fold(shuffled)
-    # min/max and totals are order-free
-    assert (a.qty_sell, a.qty_buy, a.weighted_sum_sell, a.weighted_sum_buy,
-            a.min_fill_price, a.max_fill_price, a.fill_count) == \
-           (b.qty_sell, b.qty_buy, b.weighted_sum_sell, b.weighted_sum_buy,
-            b.min_fill_price, b.max_fill_price, b.fill_count)
+    assert fold(fills).gravity() == fold(shuffled).gravity()
 
 
 @settings(max_examples=200)
 @given(fills_strategy)
 def test_gravity_between_min_and_max(fills):
-    stats = fold(fills)
-    center = gravity_center(stats)
-    if center is None:
-        assert stats.fill_count == 0
+    center = fold(fills).gravity()
+    if not fills:
+        assert center is None
     else:
-        assert stats.min_fill_price <= center <= stats.max_fill_price
+        prices = [price for _, price, _ in fills]
+        assert min(prices) <= center <= max(prices)
 
 
 @settings(max_examples=150)
 @given(fills_strategy)
 def test_gravity_on_every_prefix(fills):
-    stats = EMPTY_CLOUD
-    for i, f in enumerate(fills):
-        stats = cloud_update(stats, f)
-        assert gravity_center(stats) == gravity_center(batch_stats(fills[:i + 1]))
+    engine = fold([])
+    for i in range(len(fills)):
+        fold(fills[i:i + 1], engine)
+        assert engine.gravity() == batch_gravity(fills[:i + 1])
 
 
-# -- cross-multiplication helpers ----------------------------------------------
-
-@given(st.integers(-10**9, 10**9), st.integers(1, 10**6),
-       st.integers(-10**6, 10**6))
-def test_rational_comparisons_match_fraction(num, den, value):
-    frac = Fraction(num, den)
-    assert rational_gt(num, den, value) == (frac > value)
-    assert rational_lt(num, den, value) == (frac < value)
-
+# -- the sign-aware extreme of two centers ------------------------------------
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6),
        st.integers(-10**9, 10**9), st.integers(1, 10**6))
 def test_rational_pair_extrema(n1, d1, n2, d2):
-    mx = rational_pair_max(n1, d1, n2, d2)
-    mn = rational_pair_min(n1, d1, n2, d2)
-    assert Fraction(*mx) == max(Fraction(n1, d1), Fraction(n2, d2))
-    assert Fraction(*mn) == min(Fraction(n1, d1), Fraction(n2, d2))
+    a, b = Fraction(n1, d1), Fraction(n2, d2)
+    assert Fraction(*pair_extreme(SELL, n1, d1, n2, d2)) == max(a, b)
+    assert Fraction(*pair_extreme(BUY, n1, d1, n2, d2)) == min(a, b)

@@ -2,12 +2,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PHASE_IDENTITY, ENQUEUE, FORCED, MIRROR,
                                DominanceEngine, DominanceParams, PhaseReport,
-                               StrandedOrderError, delay_eligible,
-                               execution_ready, minmax, phase_pnl_diff_check)
+                               StrandedOrderError, pair_extreme,
+                               phase_pnl_diff_check, release_level)
 from edgesim.market import BUY, SELL, Instrument, Order
 
 INST = Instrument("SIM", 1, Decimal("0.01"), 9000, 11000)
@@ -38,58 +40,110 @@ def seed_stage1(engine, price=10000, start_id=1, time=0):
     return start_id + n
 
 
-# -- minmax ----------------------------------------------------------------------
+# -- the gain level: minmax_sign(C_now, C_frozen) is pair_extreme ---------------
 
 def test_minmax_max_case():
-    assert minmax(+1, 2, 7) == 7
+    assert pair_extreme(SELL, 2, 1, 7, 1) == (7, 1)
 
 
 def test_minmax_min_case():
-    assert minmax(-1, 2, 7) == 2
+    assert pair_extreme(BUY, 2, 1, 7, 1) == (2, 1)
 
 
 def test_minmax_identity_case():
-    for sign in (+1, -1):
-        assert minmax(sign, 5, 5) == 5
+    for sign in (SELL, BUY):
+        assert pair_extreme(sign, 5, 1, 5, 1) == (5, 1)
+        assert Fraction(*pair_extreme(sign, 10, 2, 5, 1)) == 5
 
 
 def test_minmax_exact_on_rationals():
     a, b = Fraction(10000, 3), Fraction(9999, 2)
-    assert minmax(+1, a, b) == max(a, b)
-    assert minmax(-1, a, b) == min(a, b)
+    assert Fraction(*pair_extreme(SELL, 10000, 3, 9999, 2)) == max(a, b)
+    assert Fraction(*pair_extreme(BUY, 10000, 3, 9999, 2)) == min(a, b)
+
+
+@given(st.sampled_from([SELL, BUY]), st.integers(-10**9, 10**9),
+       st.integers(1, 10**6), st.integers(1, 1000),
+       st.integers(-10**6, 10**6))
+def test_release_level_matches_fraction(sign, num, den, gamma, price):
+    # the level is the first grid price strictly past C + sign * gamma
+    level = release_level(sign, num, den, gamma)
+    anchor = Fraction(num, den) + sign * gamma
+    assert sign * (level - anchor) > 0
+    assert sign * (level - sign - anchor) <= 0
+    assert (sign * (price - level) >= 0) == (sign * (price - anchor) > 0)
 
 
 # -- delay event -------------------------------------------------------------------
 
-def test_delay_eligible_undefined_gravity():
-    assert delay_eligible(9925, None, SELL, 50) is False
+def candidate(sign, price, tau=50, gamma=40):
+    """The engine's action for one Stage-2 candidate with the cloud at 10000."""
+    engine = make_engine(tau=tau, gamma=gamma, stage1=2)
+    next_id = seed_stage1(engine, 10000)
+    return engine.on_base_fill(next_id, sign, 1, 10, price, price)
 
 
 def test_delay_eligible_sell_beyond_tolerance():
-    assert delay_eligible(9925, Fraction(10000), SELL, 50) is True
+    assert candidate(SELL, 9925) == ENQUEUE
 
 
 def test_delay_eligible_buy_within_tolerance():
-    assert delay_eligible(10025, Fraction(10000), BUY, 50) is False
+    assert candidate(BUY, 10025) == MIRROR
+    assert candidate(BUY, 10051) == ENQUEUE
 
 
 def test_delay_eligible_boundary_is_strict():
-    assert delay_eligible(9950, Fraction(10000), SELL, 50) is False
-    assert delay_eligible(9949, Fraction(10000), SELL, 50) is True
+    assert candidate(SELL, 9950) == MIRROR
+    assert candidate(SELL, 9949) == ENQUEUE
 
 
 # -- execution event ---------------------------------------------------------------
 
+def sell_delayed_at_10000_cloud_at_9960():
+    """A sell delayed with the cloud at 10000; a mirrored buy then moves
+    the current cloud to 9960, so the frozen center anchors the level."""
+    engine = make_engine(tau=50, gamma=40, stage1=2)
+    next_id = seed_stage1(engine, 10000)
+    assert engine.on_base_fill(next_id, SELL, 1, 10, 9925, 9925) == ENQUEUE
+    assert engine.on_base_fill(next_id + 1, BUY, 2, 11, 9920, 9920) == MIRROR
+    assert engine.gravity() == 9960
+    return engine
+
+
 def test_execution_ready_sell_clears_gain():
-    assert execution_ready(10050, Fraction(9960), Fraction(10000), SELL, 40)
+    records, _ = sell_delayed_at_10000_cloud_at_9960().on_tick(20, 10050)
+    assert len(records) == 1
+    assert records[0].delta_G_at_execution == 10
 
 
 def test_execution_ready_boundary_is_strict():
-    assert not execution_ready(10040, Fraction(9960), Fraction(10000), SELL, 40)
+    engine = sell_delayed_at_10000_cloud_at_9960()
+    assert engine.current_release_bounds() == (10041, None)
+    assert engine.on_tick(20, 10040) == ([], False)
+    records, _ = engine.on_tick(21, 10041)
+    assert records[0].delta_G_at_execution == 1
 
 
 def test_execution_ready_buy_case():
-    assert execution_ready(9950, Fraction(10000), Fraction(10000), BUY, 40)
+    engine = make_engine(tau=50, gamma=40, stage1=2)
+    next_id = seed_stage1(engine, 10000)
+    assert engine.on_base_fill(next_id, BUY, 1, 10, 10075, 10075) == ENQUEUE
+    assert engine.on_tick(20, 9960) == ([], False)
+    records, _ = engine.on_tick(21, 9950)
+    assert records[0].delta_G_at_execution == 10
+
+
+def test_current_cloud_anchors_when_it_is_the_extreme():
+    # a mirrored sell above the cloud lifts it to 10040 after the delay
+    engine = make_engine(tau=50, gamma=40, stage1=2)
+    next_id = seed_stage1(engine, 10000)
+    assert engine.on_base_fill(next_id, SELL, 1, 10, 9925, 9925) == ENQUEUE
+    assert engine.on_base_fill(next_id + 1, SELL, 2, 11, 10080, 10080) == MIRROR
+    assert engine.gravity() == 10040
+    assert engine.frozen_sell_min == 10041
+    assert engine.current_release_bounds() == (10081, None)
+    assert engine.on_tick(20, 10080) == ([], False)
+    assert len(engine.on_tick(21, 10081)[0]) == 1
 
 
 # -- engine scenarios ----------------------------------------------------------------
@@ -186,6 +240,18 @@ def test_grid_reachability_guard_blocks_unreachable_gain():
     action = engine.on_base_fill(3, SELL, 1, 10, 80, 80)
     assert action == FORCED
     assert engine.queue == []
+
+
+@pytest.mark.parametrize("sign,cloud,price,action", [
+    (SELL, 69, 58, ENQUEUE),   # level 69 + 40 + 1 = 110, the grid maximum
+    (SELL, 70, 59, FORCED),    # level 111 lies above the grid
+    (BUY, 41, 52, ENQUEUE),    # level 41 - 40 - 1 = 0, the grid minimum
+    (BUY, 40, 51, FORCED),     # level -1 lies below the grid
+])
+def test_grid_reachability_guard_boundary(sign, cloud, price, action):
+    engine = make_engine(tau=10, gamma=40, stage1=2, grid=(0, 110))
+    seed_stage1(engine, cloud)
+    assert engine.on_base_fill(3, sign, 1, 10, price, price) == action
 
 
 def test_release_scan_is_fifo_and_multiple_per_tick():

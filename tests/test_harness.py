@@ -4,12 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgesim import cli
 from edgesim.accounting import pnl_direct
-from edgesim.dominance import DominanceParams, StrandedOrderError
-from edgesim.harness import (RunConfig, RunSettings, default_config,
-                             replication_seed, run_simulation, sweep)
+from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
+                               CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
+                               CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
+                               CLAUSE_QUEUE_CAP, DominanceParams,
+                               SimulationError, StrandedOrderError)
+from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
+                             default_config, replication_seed, run_simulation,
+                             sweep)
 from edgesim.market import Instrument
 from edgesim.prices import (MEAN_REVERTING_WALK, REFLECTING_WALK,
                             PriceProcessConfig)
@@ -32,13 +39,7 @@ def quick(seed=11, phases=2, **run_overrides):
 
 
 def assert_reports_equal(a, b):
-    assert a.final_time == b.final_time
-    assert a.final_price == b.final_price
-    assert a.final_diff == b.final_diff
-    assert a.phases == b.phases
-    assert a.records == b.records
-    assert a.orders_s == b.orders_s
-    assert a.orders_sstar == b.orders_sstar
+    assert replace(a, ticks=None) == replace(b, ticks=None)
     if a.ticks is None or b.ticks is None:
         assert a.ticks is None and b.ticks is None
     else:
@@ -88,6 +89,79 @@ def test_engines_agree_on_default_profile():
     cfg = default_config(master_seed=92, target_phases=1, keep_orders=True)
     assert_reports_equal(run_simulation(cfg, engine="scalar"),
                          run_simulation(cfg, engine="blocked"))
+
+
+@st.composite
+def small_configs(draw):
+    """Narrow grids just above 2(tau + gamma), spread, spacing, lots above
+    one unit, both baselines, both walks and both stopping rules."""
+    tau, gamma = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid_min = draw(st.integers(0, 100))
+    grid_max = grid_min + 2 * (tau + gamma) + draw(st.integers(1, 8))
+    instrument = Instrument("F", draw(st.integers(1, 3)), Decimal("0.01"),
+                            grid_min, grid_max)
+    price = PriceProcessConfig(
+        kind=draw(st.sampled_from([REFLECTING_WALK, MEAN_REVERTING_WALK])),
+        grid_min=grid_min, grid_max=grid_max,
+        start_price=draw(st.integers(grid_min, grid_max)),
+        stay_probability=draw(st.sampled_from([Fraction(0), Fraction(1, 2)])),
+        reversion_strength=draw(st.sampled_from([Fraction(1, 2), Fraction(1)])))
+    quantity = draw(st.integers(1, 3))
+    strategy = draw(st.sampled_from([
+        BaselineConfig(order_probability=Fraction(1, 3), quantity=quantity),
+        BaselineConfig(order_probability=Fraction(1, 8), quantity=quantity),
+        BaselineConfig(kind="periodic_alternator",
+                       period=draw(st.integers(1, 6)), quantity=quantity)]))
+    dominance = DominanceParams(
+        tau=tau, gamma=gamma,
+        delay_probability=draw(st.sampled_from([Fraction(1, 2), Fraction(1)])),
+        queue_cap=draw(st.integers(1, 5)), min_distance=draw(st.integers(0, 3)),
+        stage1_fill_count=draw(st.integers(1, 4)),
+        max_phase_ticks=draw(st.integers(100, 3000)))
+    stop = draw(st.one_of(
+        st.builds(lambda n: {"total_ticks": n, "target_phases": None},
+                  st.integers(1, 3000)),
+        st.builds(lambda n: {"target_phases": n}, st.integers(1, 3))))
+    run = RunSettings(master_seed=draw(st.integers(0, 2 ** 16)),
+                      half_spread=draw(st.integers(0, 2)),
+                      commission_per_unit=draw(st.integers(0, 3)),
+                      keep_orders=True, **stop)
+    return RunConfig(instrument, price, strategy, dominance, run)
+
+
+def _outcome(cfg, engine):
+    try:
+        return run_simulation(cfg, engine=engine)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_engines_agree_on_fuzzed_configs(cfg):
+    scalar, blocked = _outcome(cfg, "scalar"), _outcome(cfg, "blocked")
+    if isinstance(scalar, tuple) or isinstance(blocked, tuple):
+        assert scalar == blocked
+    else:
+        assert_reports_equal(scalar, blocked)
+
+
+@pytest.mark.parametrize("keep_orders", [True, False])
+def test_verdict_counts_are_the_checks_that_ran(keep_orders):
+    rep = run_simulation(quick(seed=13, phases=3, keep_orders=keep_orders))
+    assert all(v["passed"] for v in rep.verdicts)
+    checked = {v["clause"]: v["checked"] for v in rep.verdicts}
+    # a target_phases stop leaves the queue empty: every enqueue released
+    enqueues = len(rep.records)
+    assert enqueues > 0
+    assert checked.pop(CLAUSE_QUEUE_CAP) == enqueues
+    # delta_T < 0 at each delay, gap > gamma + tau at each release
+    assert checked.pop(CLAUSE_PER_ORDER_GAP) == 2 * enqueues
+    assert checked.pop(ORACLE_CHECK) == (3 if keep_orders else 0)
+    assert checked == {clause: 3 for clause in (
+        CLAUSE_PHASE_IDENTITY, CLAUSE_LOWER_BOUND, CLAUSE_POSITIVITY,
+        CLAUSE_MONOTONICITY, CLAUSE_POSITION_MATCH)}
 
 
 def test_per_tick_audit_passes():

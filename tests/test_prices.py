@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesim import cli
 from edgesim.prices import (ABOVE, BELOW, MEAN_REVERTING_WALK,
-                            REFLECTING_WALK, PriceProcessConfig,
-                            PricePathState, estimate_hitting_time,
-                            initial_state, next_price, substream, walk_block)
+                            REFLECTING_WALK, STREAM_PRICE, PriceProcessConfig,
+                            PricePathState, estimate_hitting_time, next_price,
+                            substream, walk_block)
+
+
+def start_state(config, seed):
+    return PricePathState(config.start_price, 0, substream(seed, STREAM_PRICE))
 
 
 def scalar_path(config, rng, n):
@@ -35,7 +40,7 @@ def test_reflection_at_grid_max_is_forced_inward():
     # from the top edge with stay 0, both step directions land one tick in
     config = PriceProcessConfig(grid_min=0, grid_max=2, start_price=2,
                                 stay_probability=Fraction(0))
-    state = initial_state(config)
+    state = start_state(config, 0)
     for _ in range(50):
         prev = state.current_price
         state = next_price(state, config)
@@ -47,8 +52,8 @@ def test_reflection_at_grid_max_is_forced_inward():
 
 
 def test_zero_stay_always_moves_one_tick():
-    config = PriceProcessConfig(stay_probability=Fraction(0), seed=3)
-    state = initial_state(config)
+    config = PriceProcessConfig(stay_probability=Fraction(0))
+    state = start_state(config, 3)
     for _ in range(1000):
         prev = state.current_price
         state = next_price(state, config)
@@ -56,9 +61,9 @@ def test_zero_stay_always_moves_one_tick():
 
 
 def test_determinism_same_seed_same_path():
-    config = PriceProcessConfig(seed=77)
-    a = scalar_path(config, initial_state(config).rng, 2000)
-    b = scalar_path(config, initial_state(config).rng, 2000)
+    config = PriceProcessConfig()
+    a = scalar_path(config, start_state(config, 77).rng, 2000)
+    b = scalar_path(config, start_state(config, 77).rng, 2000)
     assert a == b
 
 
@@ -79,7 +84,7 @@ def test_generator_bulk_draws_match_scalar_draws():
 ])
 def test_walk_block_matches_scalar_path(kind, stay):
     config = PriceProcessConfig(kind=kind, stay_probability=stay,
-                                reversion_strength=Fraction(1, 4), seed=11)
+                                reversion_strength=Fraction(1, 4))
     expected = scalar_path(config, substream(42, 0), 5000)
     got = walk_block(config.start_price, substream(42, 0), 5000, config)
     assert got.tolist() == expected
@@ -88,14 +93,14 @@ def test_walk_block_matches_scalar_path(kind, stay):
 def test_walk_block_matches_scalar_path_with_many_reflections():
     # narrow grid so the boundary fallback is exercised constantly
     config = PriceProcessConfig(grid_min=100, grid_max=110, start_price=105,
-                                stay_probability=Fraction(1, 4), seed=9)
+                                stay_probability=Fraction(1, 4))
     expected = scalar_path(config, substream(9, 0), 4000)
     got = walk_block(config.start_price, substream(9, 0), 4000, config)
     assert got.tolist() == expected
 
 
 def test_walk_block_chunks_compose():
-    config = PriceProcessConfig(seed=13)
+    config = PriceProcessConfig()
     whole = walk_block(config.start_price, substream(8, 0), 3000, config)
     rng = substream(8, 0)
     first = walk_block(config.start_price, rng, 1700, config)
@@ -111,7 +116,7 @@ def test_walk_block_chunks_compose():
 def test_grid_containment_under_fuzzed_configs(gmin, width, stay, seed):
     config = PriceProcessConfig(grid_min=gmin, grid_max=gmin + width,
                                 start_price=gmin + width // 2,
-                                stay_probability=stay, seed=seed)
+                                stay_probability=stay)
     path = walk_block(config.start_price, substream(seed, 0), 3000, config)
     assert path.min() >= gmin
     assert path.max() <= gmin + width
@@ -122,7 +127,7 @@ def test_mean_reverting_mean_near_center():
     config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
                                 grid_max=200, start_price=100,
                                 stay_probability=Fraction(0),
-                                reversion_strength=Fraction(1, 2), seed=21)
+                                reversion_strength=Fraction(1, 2))
     path = walk_block(config.start_price, substream(21, 0), 1_000_000, config)
     batches = path.reshape(100, -1).mean(axis=1)
     se = batches.std(ddof=1) / np.sqrt(len(batches))
@@ -133,8 +138,9 @@ def test_mean_reverting_mean_near_center():
 
 def test_hitting_time_is_at_least_one():
     config = PriceProcessConfig(grid_min=0, grid_max=100, start_price=50,
-                                stay_probability=Fraction(0), seed=4)
-    s = estimate_hitting_time(config, 50, 1, ABOVE, samples=200, cap=100000)
+                                stay_probability=Fraction(0))
+    s = estimate_hitting_time(config, 50, 1, ABOVE, samples=200, cap=100000,
+                              master_seed=4)
     assert s.count_finite == 200
     assert s.mean >= 1.0
     assert s.max >= 1
@@ -150,10 +156,10 @@ def test_hitting_time_rejects_threshold_at_grid_edge():
 
 def test_hitting_time_finite_on_narrow_grid_both_directions():
     config = PriceProcessConfig(grid_min=0, grid_max=80, start_price=40,
-                                stay_probability=Fraction(1, 2), seed=6)
+                                stay_probability=Fraction(1, 2))
     for direction in (ABOVE, BELOW):
         s = estimate_hitting_time(config, 40, 10, direction,
-                                  samples=500, cap=200000)
+                                  samples=500, cap=200000, master_seed=6)
         assert s.count_finite == 500
         assert 0 < s.mean <= s.max <= 200000
 
@@ -161,7 +167,7 @@ def test_hitting_time_finite_on_narrow_grid_both_directions():
 def test_hitting_time_folded_sampler_matches_direct_chain():
     # law check: folded free-walk exit times vs literal next_price stepping
     config = PriceProcessConfig(grid_min=0, grid_max=60, start_price=30,
-                                stay_probability=Fraction(0), seed=5)
+                                stay_probability=Fraction(0))
     xi, cap, n = 8, 50000, 4000
     direct = []
     root = np.random.SeedSequence(entropy=123, spawn_key=(9,))
@@ -186,13 +192,61 @@ def test_hitting_time_mean_reverting_lockstep():
     config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
                                 grid_max=100, start_price=50,
                                 stay_probability=Fraction(0),
-                                reversion_strength=Fraction(1, 4), seed=31)
-    s = estimate_hitting_time(config, 50, 10, ABOVE, samples=300, cap=500000)
+                                reversion_strength=Fraction(1, 4))
+    s = estimate_hitting_time(config, 50, 10, ABOVE, samples=300, cap=500000,
+                              master_seed=31)
     assert s.count_finite == 300
 
 
 def test_hitting_time_determinism():
-    config = PriceProcessConfig(seed=40, stay_probability=Fraction(0))
-    a = estimate_hitting_time(config, 10000, 20, ABOVE, samples=100, cap=10**6)
-    b = estimate_hitting_time(config, 10000, 20, ABOVE, samples=100, cap=10**6)
+    config = PriceProcessConfig(stay_probability=Fraction(0))
+    a = estimate_hitting_time(config, 10000, 20, ABOVE, samples=100, cap=10**6,
+                              master_seed=40)
+    b = estimate_hitting_time(config, 10000, 20, ABOVE, samples=100, cap=10**6,
+                              master_seed=40)
     assert a == b
+
+
+def exit_time_moments(config, start, target):
+    """Exact mean and variance of the first time the walk, reflected at
+    grid_min, reaches target > start.
+
+    Folding at grid_min turns it into a free walk leaving (-a, a) from x
+    (a = target - grid_min, x = start - grid_min), that is a simple walk on
+    (0, L) from k with L = 2a, k = x + a: its move count has mean k(L - k)
+    and variance k(L - k)((L - k)^2 + k^2 - 2)/3 (gambler's ruin; Feller,
+    vol. 1, XIV.3), and each move waits a Geometric(1 - stay) number of
+    ticks."""
+    s = Fraction(config.stay_probability)
+    a, x = target - config.grid_min, start - config.grid_min
+    length, k = 2 * a, x + a
+    moves = Fraction(k * (length - k))
+    moves_var = Fraction(k * (length - k) * ((length - k) ** 2 + k ** 2 - 2), 3)
+    wait, wait_var = 1 / (1 - s), s / (1 - s) ** 2
+    return moves * wait, moves * wait_var + moves_var * wait ** 2
+
+
+@pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 2)])
+def test_hitting_time_mean_matches_gamblers_ruin(stay):
+    config = PriceProcessConfig(grid_min=0, grid_max=30, start_price=12,
+                                stay_probability=stay)
+    xi, samples = 5, 2000
+    s = estimate_hitting_time(config, 12, xi, ABOVE, samples=samples,
+                              cap=10**6, master_seed=2024)
+    mean, var = exit_time_moments(config, 12, 12 + xi + 1)
+    assert s.count_finite == samples
+    assert abs(s.mean - float(mean)) <= 4 * float(var / samples) ** 0.5
+
+
+def test_recurrence_cli_defaults_to_the_run_master_seed(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("instrument:\n  grid_min: 0\n  grid_max: 60\n"
+                    "price:\n  start_price: 30\n"
+                    "dominance:\n  tau: 5\n  gamma: 5\n"
+                    "run:\n  master_seed: 5\n")
+    outputs = []
+    for extra in ([], ["--seed", "5"], ["--seed", "0"]):
+        assert cli.main(["recurrence", str(path), "--xi", "4",
+                         "--samples", "50", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]

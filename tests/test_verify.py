@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgesim import cli
 from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_QUEUE_CAP, CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import default_config, run_simulation
@@ -212,6 +213,30 @@ def test_config_defaults_from_empty_file(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
     assert load_config(path) == default_config()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("model:\n  tau: 10\n", "unknown config section 'model'"),
+    ("dominance:\n  tua: 10\n", "unknown config key dominance.tua"),
+    ("price:\n  seed: 3\n", "unknown config key price.seed"),
+    ("dominance:\n  tau: true\n", "dominance.tau must be an integer"),
+    ("dominance:\n  gamma: 25.9\n", "dominance.gamma must be an integer"),
+    ("run:\n  master_seed: \"7\"\n", "run.master_seed must be an integer"),
+    ("run:\n  record_ticks: \"false\"\n", "run.record_ticks must be true or false"),
+    ("run:\n  keep_orders: 1\n", "run.keep_orders must be true or false"),
+], ids=["unknown_section", "unknown_key", "stale_price_seed", "int_given_bool",
+        "int_given_float", "int_given_string", "bool_given_string",
+        "bool_given_int"])
+def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+    status = cli.main(["simulate", str(path), "--out", str(tmp_path / "run")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_fraction_forms(tmp_path):

@@ -125,7 +125,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--engine", choices=["auto", "scalar", "blocked"],
-                   default="auto")
+                   default="auto",
+                   help="scalar: the tick-by-tick reference; blocked: "
+                        "vectorized, identical reports; auto (default): "
+                        "blocked")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="re-audit a run directory offline")

@@ -10,12 +10,12 @@ RunReport therefore certifies that every check passed.
 Two execution engines produce bit-identical results:
 
   * scalar: one literal next_price/on_tick step per tick; the reference.
-  * blocked: prices, intents and release scans are processed in
-    vectorized blocks; the engine is only invoked at ticks where a fill
-    or a queue release can occur.  Between overlay fills the gravity
-    center is constant, so queue releases are exactly the crossings of
-    precomputed integer price levels; this is what makes desk-scale
-    acceptance runs fast.
+  * blocked: prices (both walks), intents and release scans are
+    processed in vectorized blocks; the engine is only invoked at ticks
+    where a fill or a queue release can occur.  Between overlay fills
+    the gravity center is constant, so queue releases are exactly the
+    crossings of precomputed integer price levels; this is what makes
+    desk-scale acceptance runs fast.
 
 A run consumes four of the documented substreams of the master seed
 (price steps, baseline intents, baseline sides, delay draws); see
@@ -428,15 +428,15 @@ def run_simulation(config: RunConfig, master_seed: int | None = None,
     """Run one replication to its stopping condition and return the report.
 
     engine: "scalar" steps literally tick by tick, "blocked" vectorizes
-    event-free stretches, "auto" picks blocked for the reflecting walk.
-    Both produce identical reports for identical seeds.  per_tick_audit
-    additionally re-checks the PnL-difference reconciliation at every
-    tick (scalar engine only; slow, meant for tests).
+    event-free stretches, "auto" picks blocked for both price walks
+    (scalar under per_tick_audit).  Both produce identical reports for
+    identical seeds.  per_tick_audit additionally re-checks the
+    PnL-difference reconciliation at every tick (scalar engine only; slow,
+    meant for tests).
     """
     seed = config.run.master_seed if master_seed is None else master_seed
     if engine == "auto":
-        engine = ("blocked" if config.price.kind == REFLECTING_WALK
-                  and not per_tick_audit else "scalar")
+        engine = "scalar" if per_tick_audit else "blocked"
     if engine not in ("scalar", "blocked"):
         raise ValueError(f"unknown engine {engine!r}")
     if per_tick_audit and engine != "scalar":

@@ -21,6 +21,9 @@ move is fixed and shared by every code path in the package:
 walk_block() produces the same path as repeated next_price() calls on the
 same generator, tick for tick, while drawing uniforms in bulk; the
 simulation harness relies on that equivalence for its vectorized engine.
+The vectorized paths compare u against a per-price table of the same
+float thresholds (up_thresholds), so a lookup reproduces the scalar move
+bit for bit.
 
 Deterministic substreams are derived from a master seed with
 numpy SeedSequence spawn keys; see substream().
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from numbers import Rational
 
 import numpy as np
 
@@ -50,6 +55,12 @@ STREAM_REPLICATION = 5
 # Scalar fallback near boundaries re-vectorizes at most this many times
 # per block before finishing the block step by step.
 _MAX_BLOCK_RESTARTS = 8
+
+# The mean-reverting walk is speculated and verified this many ticks at a
+# time: a longer window wastes more work past a mismatch, a shorter one
+# pays the per-window numpy overhead more often (2,048 ran faster than 512
+# or 128 on the default grid with reversion 1/2).
+_SPECULATION_WINDOW = 2048
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
@@ -76,13 +87,11 @@ class PriceProcessConfig:
             raise ValueError(f"start_price {self.start_price} outside grid")
         if not 0 <= self.stay_probability < 1:
             raise ValueError("stay_probability must be in [0, 1)")
+        if not isinstance(self.reversion_strength, Rational):
+            raise ValueError("reversion_strength must be an exact rational")
         if not 0 <= self.reversion_strength <= 1:
             raise ValueError("reversion_strength must be in [0, 1] so step "
                              "probabilities stay in [0, 1]")
-
-    @property
-    def center(self) -> Fraction:
-        return Fraction(self.grid_min + self.grid_max, 2)
 
     @property
     def width(self) -> int:
@@ -98,10 +107,29 @@ class PricePathState:
 
 
 def _up_probability(config: PriceProcessConfig, price: int) -> float:
+    """0.5, tilted by strength * (center - price) / width for the
+    mean-reverting walk and clamped to [0, 1].  The tilt is the float
+    nearest the exact rational, as float(Fraction) gives it: both are one
+    correctly rounded integer division."""
     if config.kind == REFLECTING_WALK:
         return 0.5
-    tilt = config.reversion_strength * (config.center - price) / config.width
-    return min(1.0, max(0.0, 0.5 + float(tilt)))
+    s = config.reversion_strength
+    tilt = (s.numerator * (config.grid_min + config.grid_max - 2 * price)
+            / (2 * s.denominator * config.width))
+    return min(1.0, max(0.0, 0.5 + tilt))
+
+
+@lru_cache(maxsize=16)
+def up_thresholds(config: PriceProcessConfig) -> np.ndarray:
+    """thr[p - grid_min] = stay + (1 - stay) * p_up(p) for every grid price:
+    the float next_price compares u against, computed by the same
+    expression, so u < thr[p - grid_min] is exactly its up-move test.
+    Cached per config and read-only."""
+    stay = float(config.stay_probability)
+    thr = np.array([stay + (1.0 - stay) * _up_probability(config, p)
+                    for p in range(config.grid_min, config.grid_max + 1)])
+    thr.flags.writeable = False
+    return thr
 
 
 def _reflect(price: int, grid_min: int, grid_max: int) -> int:
@@ -128,28 +156,18 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
                config: PriceProcessConfig) -> np.ndarray:
     """The next n prices, path-identical to n next_price() steps.
 
-    Consumes exactly n uniforms from rng.  Vectorized for the reflecting
-    walk (with a scalar fallback around boundary reflections); the
-    mean-reverting walk is stepped sequentially because its move law
-    depends on the current position.
+    Consumes exactly n uniforms from rng.  Vectorized for both walks: the
+    reflecting walk with a scalar fallback around boundary reflections,
+    the mean-reverting walk by speculating on its path and verifying it
+    (_walk_mean_reverting).
     """
     if n <= 0:
         return np.empty(0, dtype=np.int64)
     u = rng.random(n)
+    if config.kind == MEAN_REVERTING_WALK:
+        return _walk_mean_reverting(price, u, config)
     stay = float(config.stay_probability)
     gmin, gmax = config.grid_min, config.grid_max
-
-    if config.kind == MEAN_REVERTING_WALK:
-        out = np.empty(n, dtype=np.int64)
-        p = price
-        for i in range(n):
-            ui = u[i]
-            if ui >= stay:
-                p_up = _up_probability(config, p)
-                step = 1 if ui < stay + (1.0 - stay) * p_up else -1
-                p = _reflect(p + step, gmin, gmax)
-            out[i] = p
-        return out
 
     up_threshold = stay + (1.0 - stay) * 0.5
     steps = np.where(u < stay, 0, np.where(u < up_threshold, 1, -1)).astype(np.int64)
@@ -182,6 +200,52 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
             if gmin + 1 < p < gmax - 1:
                 break
         i = j
+    return out
+
+
+def _walk_mean_reverting(price: int, u: np.ndarray,
+                         config: PriceProcessConfig) -> np.ndarray:
+    """The mean-reverting path for the uniforms u, window by window.
+
+    Each window is stepped with the threshold of its start price, the
+    steps are summed, and every step is recomputed from the threshold of
+    the speculated price before it.  The prefix up to the first mismatch
+    or grid exit is the true path (each of its steps was taken from its
+    true predecessor); one scalar step, with the reflection, follows, and
+    the next window starts after it.
+    """
+    thr = up_thresholds(config)
+    stay = float(config.stay_probability)
+    gmin, gmax = config.grid_min, config.grid_max
+    n = len(u)
+    moves = u >= stay
+    out = np.empty(n, dtype=np.int64)
+    p = price
+    i = 0
+    while i < n:
+        w = min(_SPECULATION_WINDOW, n - i)
+        uw, mw = u[i:i + w], moves[i:i + w]
+        up = uw < thr[p - gmin]
+        path = p + np.cumsum(np.where(mw, np.where(up, 1, -1), 0))
+        prev = np.empty(w, dtype=np.int64)
+        prev[0] = p
+        prev[1:] = path[:-1]
+        # Past the first grid exit prev may leave the grid; clipping keeps
+        # the lookup in range and the exit itself stops the prefix.
+        true_up = uw < thr.take(prev - gmin, mode="clip")
+        bad = (mw & (true_up != up)) | (path < gmin) | (path > gmax)
+        k = int(np.argmax(bad)) if bad.any() else w
+        out[i:i + k] = path[:k]
+        if k == w:
+            p = int(path[-1])
+            i += w
+            continue
+        if k > 0:
+            p = int(path[k - 1])
+        if mw[k]:
+            p = _reflect(p + (1 if uw[k] < thr[p - gmin] else -1), gmin, gmax)
+        out[i + k] = p
+        i += k + 1
     return out
 
 
@@ -262,9 +326,7 @@ def _hit_lockstep_mean_reverting(rng: np.random.Generator,
                                  cap: int) -> np.ndarray:
     """Hitting times for all replications advanced in lockstep (0 = capped)."""
     stay = float(config.stay_probability)
-    strength = float(config.reversion_strength)
-    center = float(config.center)
-    width = float(config.width)
+    thr = up_thresholds(config)
     gmin, gmax = config.grid_min, config.grid_max
     above = direction == ABOVE
 
@@ -275,9 +337,8 @@ def _hit_lockstep_mean_reverting(rng: np.random.Generator,
     while idx.size and t < cap:
         t += 1
         u = rng.random(idx.size)
-        p_up = np.clip(0.5 + strength * (center - pos) / width, 0.0, 1.0)
         move = u >= stay
-        up = u < stay + (1.0 - stay) * p_up
+        up = u < thr[pos - gmin]
         pos = pos + np.where(move, np.where(up, 1, -1), 0)
         pos = np.where(pos > gmax, 2 * gmax - pos, pos)
         pos = np.where(pos < gmin, 2 * gmin - pos, pos)

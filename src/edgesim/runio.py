@@ -83,6 +83,8 @@ _CHUNK_ROWS = 8192
 def parse_fraction(value: Any) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):

@@ -94,7 +94,8 @@ def test_engines_agree_on_default_profile():
 @st.composite
 def small_configs(draw):
     """Narrow grids just above 2(tau + gamma), spread, spacing, lots above
-    one unit, both baselines, both walks and both stopping rules."""
+    one unit, both baselines, both walks and both stopping rules.  Stay and
+    reversion 1/3 give thresholds that are not dyadic."""
     tau, gamma = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     grid_min = draw(st.integers(0, 100))
     grid_max = grid_min + 2 * (tau + gamma) + draw(st.integers(1, 8))
@@ -104,8 +105,10 @@ def small_configs(draw):
         kind=draw(st.sampled_from([REFLECTING_WALK, MEAN_REVERTING_WALK])),
         grid_min=grid_min, grid_max=grid_max,
         start_price=draw(st.integers(grid_min, grid_max)),
-        stay_probability=draw(st.sampled_from([Fraction(0), Fraction(1, 2)])),
-        reversion_strength=draw(st.sampled_from([Fraction(1, 2), Fraction(1)])))
+        stay_probability=draw(st.sampled_from(
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2)])),
+        reversion_strength=draw(st.sampled_from(
+            [Fraction(1, 3), Fraction(1, 2), Fraction(1)])))
     quantity = draw(st.integers(1, 3))
     strategy = draw(st.sampled_from([
         BaselineConfig(order_probability=Fraction(1, 3), quantity=quantity),
@@ -244,6 +247,19 @@ def test_mean_reverting_price_process_runs():
     assert rep.final_time == 20_000
     assert rep.ticks.price.min() >= 9000
     assert rep.ticks.price.max() <= 11000
+
+
+def test_auto_engine_matches_scalar_on_mean_reverting_walk():
+    # spread, commission, spacing and the accounting oracle on the
+    # mean-reverting walk; auto must reproduce the reference engine
+    cfg = default_config(master_seed=2, target_phases=2, record_ticks=False,
+                         keep_orders=True, half_spread=1,
+                         commission_per_unit=2)
+    cfg = replace(cfg, price=replace(cfg.price, kind=MEAN_REVERTING_WALK,
+                                     reversion_strength=Fraction(1, 2)),
+                  dominance=replace(cfg.dominance, min_distance=5))
+    assert_reports_equal(run_simulation(cfg, engine="scalar"),
+                         run_simulation(cfg))
 
 
 def test_total_ticks_mode_stops_exactly():

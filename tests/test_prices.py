@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesim import cli
-from edgesim.prices import (ABOVE, BELOW, MEAN_REVERTING_WALK,
-                            REFLECTING_WALK, STREAM_PRICE, PriceProcessConfig,
-                            PricePathState, estimate_hitting_time, next_price,
-                            substream, walk_block)
+from edgesim.prices import (_SPECULATION_WINDOW, ABOVE, BELOW,
+                            MEAN_REVERTING_WALK, REFLECTING_WALK,
+                            STREAM_HITTING, STREAM_PRICE, PriceProcessConfig,
+                            PricePathState, _up_probability,
+                            estimate_hitting_time, next_price, substream,
+                            up_thresholds, walk_block)
 
 
 def start_state(config, seed):
@@ -34,6 +36,8 @@ def test_config_validation():
         PriceProcessConfig(stay_probability=Fraction(1))
     with pytest.raises(ValueError):
         PriceProcessConfig(reversion_strength=Fraction(3, 2))
+    with pytest.raises(ValueError):
+        PriceProcessConfig(reversion_strength=0.5)
 
 
 def test_reflection_at_grid_max_is_forced_inward():
@@ -100,12 +104,68 @@ def test_walk_block_matches_scalar_path_with_many_reflections():
 
 
 def test_walk_block_chunks_compose():
-    config = PriceProcessConfig()
-    whole = walk_block(config.start_price, substream(8, 0), 3000, config)
-    rng = substream(8, 0)
-    first = walk_block(config.start_price, rng, 1700, config)
-    second = walk_block(int(first[-1]), rng, 1300, config)
-    assert whole.tolist() == first.tolist() + second.tolist()
+    # both pieces are longer than one mean-reverting speculation window
+    for config in (PriceProcessConfig(),
+                   PriceProcessConfig(kind=MEAN_REVERTING_WALK,
+                                      reversion_strength=Fraction(1, 2))):
+        whole = walk_block(config.start_price, substream(8, 0), 5000, config)
+        rng = substream(8, 0)
+        first = walk_block(config.start_price, rng, 2900, config)
+        second = walk_block(int(first[-1]), rng, 2100, config)
+        assert whole.tolist() == first.tolist() + second.tolist()
+
+
+@pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
+@pytest.mark.parametrize("strength", [Fraction(0), Fraction(1, 3),
+                                      Fraction(2, 7), Fraction(1)])
+def test_up_thresholds_are_the_scalar_float_law(stay, strength):
+    for gmin, gmax in ((0, 7), (9000, 11000)):
+        config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=gmin,
+                                    grid_max=gmax, start_price=gmin,
+                                    stay_probability=stay,
+                                    reversion_strength=strength)
+        grid = range(gmin, gmax + 1)
+        center = Fraction(gmin + gmax, 2)
+        p_up = [_up_probability(config, p) for p in grid]
+        # the documented law, in exact rationals rounded once
+        tilts = [float(strength * (center - p) / (gmax - gmin)) for p in grid]
+        assert p_up == [min(1.0, max(0.0, 0.5 + t)) for t in tilts]
+        s = float(stay)
+        assert up_thresholds(config).tolist() == [s + (1.0 - s) * q
+                                                  for q in p_up]
+
+
+@st.composite
+def mean_reverting_walks(draw):
+    """Narrow grids and the default one, starts at and next to both edges
+    and at the center, strengths up to 1 (p_up clamped at the edges)."""
+    if draw(st.booleans()):
+        gmin, gmax = 9000, 11000
+    else:
+        gmin = draw(st.integers(0, 100))
+        gmax = gmin + draw(st.integers(5, 60))
+    start = draw(st.sampled_from(
+        [gmin, gmin + 1, gmax - 1, gmax, (gmin + gmax) // 2]))
+    return PriceProcessConfig(
+        kind=MEAN_REVERTING_WALK, grid_min=gmin, grid_max=gmax,
+        start_price=start,
+        stay_probability=draw(st.sampled_from(
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2)])),
+        reversion_strength=draw(st.sampled_from(
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mean_reverting_walks(),
+       st.one_of(st.integers(1, 3 * _SPECULATION_WINDOW + 100),
+                 st.sampled_from([_SPECULATION_WINDOW, _SPECULATION_WINDOW + 1,
+                                  3 * _SPECULATION_WINDOW + 100])),
+       st.integers(0, 2 ** 32 - 1))
+def test_mean_reverting_walk_block_is_the_scalar_path(config, n, seed):
+    expected = scalar_path(config, substream(seed, STREAM_PRICE), n)
+    got = walk_block(config.start_price, substream(seed, STREAM_PRICE), n,
+                     config)
+    assert got.tolist() == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -196,6 +256,22 @@ def test_hitting_time_mean_reverting_lockstep():
     s = estimate_hitting_time(config, 50, 10, ABOVE, samples=300, cap=500000,
                               master_seed=31)
     assert s.count_finite == 300
+
+
+def test_mean_reverting_hitting_time_steps_the_scalar_law():
+    # one sample draws one uniform per step from the hitting substream,
+    # so its passage time is that of literal next_price steps
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
+                                grid_max=40, start_price=20,
+                                stay_probability=Fraction(1, 3),
+                                reversion_strength=Fraction(1, 3))
+    for seed in range(5):
+        state = PricePathState(20, 0, substream(seed, STREAM_HITTING))
+        while state.current_price <= 26:
+            state = next_price(state, config)
+        s = estimate_hitting_time(config, 20, 6, ABOVE, samples=1,
+                                  cap=10**6, master_seed=seed)
+        assert s.count_finite == 1 and s.max == state.time
 
 
 def test_hitting_time_determinism():

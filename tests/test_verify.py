@@ -224,9 +224,11 @@ def test_config_defaults_from_empty_file(tmp_path):
     ("run:\n  master_seed: \"7\"\n", "run.master_seed must be an integer"),
     ("run:\n  record_ticks: \"false\"\n", "run.record_ticks must be true or false"),
     ("run:\n  keep_orders: 1\n", "run.keep_orders must be true or false"),
+    ("dominance:\n  delay_probability: true\n",
+     "dominance.delay_probability: cannot parse True as Fraction"),
 ], ids=["unknown_section", "unknown_key", "stale_price_seed", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
-        "bool_given_int"])
+        "bool_given_int", "fraction_given_bool"])
 def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

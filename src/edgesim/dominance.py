@@ -44,10 +44,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .accounting import pnl_direct
-from .market import SELL, Instrument, Money, Order, fill_price
+from .market import BUY, SELL, Instrument, Money, Order, fill_price
+
+# numpy only for annotations: importing it this early in the package
+# raised the peak RSS of an import by 0.5 MB.
+if TYPE_CHECKING:
+    import numpy as np
 
 MIRROR = "mirror"
 ENQUEUE = "enqueue"
@@ -70,8 +75,8 @@ class SimulationError(Exception):
 
 
 class StrandedOrderError(SimulationError):
-    """A phase exceeded its tick budget (max_phase_ticks); entries are the
-    orders still queued."""
+    """A queued order waited longer than its tick budget (max_phase_ticks);
+    entries are the orders still queued, oldest first."""
 
     def __init__(self, phase_index: int, max_ticks: int,
                  entries: Sequence["DelayQueueEntry"]):
@@ -81,9 +86,9 @@ class StrandedOrderError(SimulationError):
         names = ", ".join(f"order {e.order_id} (sign {e.sign:+d}, "
                           f"delayed at t={e.delay_time})" for e in entries)
         super().__init__(
-            f"phase {phase_index} exceeded {max_ticks} ticks with "
-            f"{len(entries)} queued order(s): {names or 'none'}; the "
-            f"recurrence precondition or parameter validation has failed")
+            f"phase {phase_index}: the oldest queued order waited more than "
+            f"{max_ticks} ticks; {len(entries)} queued order(s): {names}; "
+            f"the recurrence precondition or parameter validation has failed")
 
 
 class InvariantViolation(SimulationError):
@@ -185,11 +190,18 @@ def pair_extreme(sign: int, n1: int, d1: int, n2: int, d2: int) -> tuple[int, in
     return (n1, d1) if sign * (n1 * d2 - n2 * d1) >= 0 else (n2, d2)
 
 
+def exceeds_tolerance(sign, num, den, raw_price, tau):
+    """The delay test sign * (C - P) > tau against the cloud C = num/den
+    (den > 0); elementwise on int64 arrays whose products fit."""
+    return sign * (num - raw_price * den) > tau * den
+
+
 def release_level(sign: int, num: int, den: int, gamma: int) -> int:
     """The gain level of a rational anchor num/den (den > 0) as a grid
     price: the smallest P with P > num/den + gamma for a sell, the largest
     P with P < num/den - gamma for a buy.  An entry releases at P exactly
-    when sign * (P - level) >= 0."""
+    when sign * (P - level) >= 0.  Nondecreasing in the anchor, so the
+    level of pair_extreme's anchor is the extreme of the two levels."""
     return sign * ((sign * num + gamma * den) // den + 1)
 
 
@@ -198,7 +210,7 @@ class DominanceEngine:
 
     The engine owns the overlay's decision state only; order histories
     and PnL aggregation live in the harness.  delay_draw is called once
-    per Stage-2 candidate and returns True when the Bernoulli delay
+    per Stage-2 fill and returns True when the Bernoulli delay
     variable comes up 1.
     """
 
@@ -219,8 +231,7 @@ class DominanceEngine:
 
         self.phase_index = 1
         self.stage = 1
-        self._stage1_remaining = params.stage1_fill_count
-        self.phase_start_time = 0
+        self.stage1_remaining = params.stage1_fill_count
         self.delays_this_phase = 0
         self.queue: list[DelayQueueEntry] = []
         # Frozen conservative release levels over the current queue: no
@@ -251,25 +262,46 @@ class DominanceEngine:
             return None
         return Fraction(self._cloud_num, self._cloud_den)
 
+    @property
+    def cloud(self) -> tuple[int, int]:
+        """The order cloud as the exact pair (sum p*q, sum q)."""
+        return self._cloud_num, self._cloud_den
+
     # -- phase bookkeeping ----------------------------------------------
 
+    def backstop_deadline(self) -> int | None:
+        """The first tick at which the oldest queued order has waited more
+        than max_phase_ticks; None while the queue is empty."""
+        if not self.queue:
+            return None
+        return self.queue[0].delay_time + self.params.max_phase_ticks + 1
+
     def check_phase_backstop(self, time: int) -> None:
-        """Raise StrandedOrderError once the phase exceeds its tick budget."""
-        elapsed = time - self.phase_start_time
-        if elapsed > self.params.max_phase_ticks:
+        """Raise StrandedOrderError once the oldest queued order has waited
+        more than max_phase_ticks; an empty queue strands nothing."""
+        deadline = self.backstop_deadline()
+        if deadline is not None and time >= deadline:
             raise StrandedOrderError(self.phase_index,
                                      self.params.max_phase_ticks, self.queue)
 
-    def _roll_phase(self, time: int) -> None:
+    def _roll_phase(self) -> None:
         self.last_phase_records = tuple(self._phase_records)
         self._phase_records = []
         self.phase_index += 1
         self.stage = 1
-        self._stage1_remaining = self.params.stage1_fill_count
+        self.stage1_remaining = self.params.stage1_fill_count
         self.delays_this_phase = 0
-        self.phase_start_time = time
 
     # -- events ----------------------------------------------------------
+
+    def mirror_fills(self, raw_prices: np.ndarray, quantity: int) -> None:
+        """on_base_fill for fills in bulk that the caller knows none of
+        enqueues, their delay draws taken: add them to the cloud."""
+        self._cloud_num += int(raw_prices.sum()) * quantity
+        self._cloud_den += len(raw_prices) * quantity
+        if self.stage == 1:
+            self.stage1_remaining = max(self.stage1_remaining - len(raw_prices), 0)
+            self.stage = 1 if self.stage1_remaining else 2
 
     def on_base_fill(self, order_id: int, sign: int, quantity: int, time: int,
                      raw_price: int, base_fill_price: int) -> str:
@@ -284,15 +316,15 @@ class DominanceEngine:
         self.check_phase_backstop(time)
         if self.stage == 1:
             self._cloud_add(quantity, raw_price)
-            self._stage1_remaining -= 1
-            if self._stage1_remaining == 0:
+            self.stage1_remaining -= 1
+            if self.stage1_remaining == 0:
                 self.stage = 2
             return MIRROR
 
         # Stage 2 follows at least one fill, so den >= 1.
         num, den = self._cloud_num, self._cloud_den
         if not (self.delay_draw()
-                and sign * (num - raw_price * den) > self.params.tau * den):
+                and exceeds_tolerance(sign, num, den, raw_price, self.params.tau)):
             self._cloud_add(quantity, raw_price)
             return MIRROR
 
@@ -379,41 +411,28 @@ class DominanceEngine:
 
         phase_ended = False
         if self.delays_this_phase >= 1 and not self.queue:
-            self._roll_phase(time)
+            self._roll_phase()
             phase_ended = True
         return executed, phase_ended
 
-    def _queue_bounds(self, level: Callable[[DelayQueueEntry], int]
-                      ) -> tuple[int | None, int | None]:
-        """The lowest level over queued sells and the highest over buys."""
-        return (min((level(e) for e in self.queue if e.sign == SELL), default=None),
-                max((level(e) for e in self.queue if e.sign != SELL), default=None))
-
     def _refresh_frozen_bounds(self) -> None:
-        self.frozen_sell_min, self.frozen_buy_max = self._queue_bounds(
-            lambda e: e.frozen_trigger)
-
-    def may_release_in(self, low: int, high: int) -> bool:
-        """False when no queued entry can release at any price in
-        [low, high], by the frozen conservative levels; a True may still
-        release nothing."""
-        return ((self.frozen_sell_min is not None
-                 and high >= self.frozen_sell_min)
-                or (self.frozen_buy_max is not None
-                    and low <= self.frozen_buy_max))
+        """The lowest frozen trigger over queued sells, the highest over buys."""
+        self.frozen_sell_min = min((e.frozen_trigger for e in self.queue
+                                    if e.sign == SELL), default=None)
+        self.frozen_buy_max = max((e.frozen_trigger for e in self.queue
+                                   if e.sign != SELL), default=None)
 
     # -- block-engine support ---------------------------------------------
 
     def current_release_bounds(self) -> tuple[int | None, int | None]:
-        """Exact release levels for the current cloud state.
-
-        Valid until the next cloud change (any overlay fill); used by the
-        harness to locate the first possible release tick inside a
-        fill-free price segment.
-        """
-        return self._queue_bounds(lambda e: release_level(e.sign, *pair_extreme(
-            e.sign, self._cloud_num, self._cloud_den,
-            e.gravity_num, e.gravity_den), self.params.gamma))
+        """Exact release bounds for the current cloud and queue: on_tick
+        releases something at P exactly when P >= the sell bound or P <=
+        the buy bound (None: no such entry).  By release_level's identity
+        they are the current cloud's level against the frozen bounds."""
+        num, den, gamma = self._cloud_num, self._cloud_den, self.params.gamma
+        sell, buy = self.frozen_sell_min, self.frozen_buy_max
+        return (None if sell is None else max(release_level(SELL, num, den, gamma), sell),
+                None if buy is None else min(release_level(BUY, num, den, gamma), buy))
 
 
 def phase_clause_failures(diff: Money, previous_diff: Money, report: PhaseReport,

@@ -10,12 +10,13 @@ RunReport therefore certifies that every check passed.
 Two execution engines produce bit-identical results:
 
   * scalar: one literal next_price/on_tick step per tick; the reference.
-  * blocked: prices (both walks), intents and release scans are
-    processed in vectorized blocks; the engine is only invoked at ticks
-    where a fill or a queue release can occur.  Between overlay fills
-    the gravity center is constant, so queue releases are exactly the
-    crossings of precomputed integer price levels; this is what makes
-    desk-scale acceptance runs fast.
+  * blocked: prices and intents come in vectorized blocks, and per-fill
+    Python runs only at events (next-event time advance): a delay
+    candidate while the queue has room, a tick at which a queued order
+    releases, or the backstop deadline.  The overlay takes every other
+    fill at once too, so the fills between events go in bulk, as int64
+    arrays (cumulative sums give the cloud before each fill); where those
+    sums could pass 2**62 every fill is an event, in exact ints.
 
 A run consumes four of the documented substreams of the master seed
 (price steps, baseline intents, baseline sides, delay draws); see
@@ -36,9 +37,11 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_PHASE_IDENTITY, CLAUSE_POSITION_MATCH,
                         CLAUSE_POSITIVITY, ENQUEUE, DelayedOrderRecord,
                         DominanceEngine, DominanceParams, InvariantViolation,
-                        PhaseReport, SimulationError, phase_clause_failures,
-                        phase_pnl_diff_check)
-from .market import Instrument, Money, Order, fill_price, side_sign
+                        PhaseReport, SimulationError, exceeds_tolerance,
+                        phase_clause_failures, phase_pnl_diff_check,
+                        release_level)
+from .market import (BUY, SELL, Instrument, Money, Order, fill_price,
+                     side_sign)
 from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, PricePathState,
                      next_price, substream, walk_block)
@@ -46,7 +49,7 @@ from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
                          baseline_streams, intent_block)
 
 _BLOCK = 8192
-_DELAY_BUFFER = 4096
+_DELAY_CHUNK = 4096
 
 # The verdict naming the independent accounting oracle, which re-derives
 # every phase end from the kept order lists (run.keep_orders only).
@@ -75,6 +78,9 @@ class RunSettings:
             raise ValueError("total_ticks must be >= 1")
         if self.target_phases is not None and self.target_phases < 1:
             raise ValueError("target_phases must be >= 1")
+        if self.disable_delays and self.target_phases is not None:
+            raise ValueError("disable_delays needs total_ticks: without a "
+                             "delay no phase ends")
         if self.half_spread < 0:
             raise ValueError("half_spread must be >= 0")
         if self.commission_per_unit < 0:
@@ -162,26 +168,33 @@ class RunReport:
         return Fraction(sum(r.gap for r in self.records), len(self.records))
 
 
-class _BufferedBernoulli:
-    """Buffered uniform draws against a fixed probability; one draw per call."""
+class _DelayDraws:
+    """The run's delay uniforms (STREAM_DELAY), one per Stage-2 fill in
+    fill order, behind one cursor for bulk fills (peek, skip) and the
+    engine (a call).  Drawn in chunks: the same sequence as one draw."""
 
     def __init__(self, rng: np.random.Generator, probability: Fraction):
         self._rng = rng
-        self._p = float(probability)
+        self.probability = float(probability)
         self._buf = np.empty(0)
-        self._idx = 0
+        self._pos = 0
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next count uniforms, without taking them."""
+        if self._pos + count > len(self._buf):
+            self._buf = np.concatenate((self._buf[self._pos:], self._rng.random(
+                max(count, _DELAY_CHUNK))))
+            self._pos = 0
+        return self._buf[self._pos:self._pos + count]
+
+    def skip(self, count: int) -> None:
+        self.peek(count)
+        self._pos += count
 
     def __call__(self) -> bool:
-        if self._idx >= len(self._buf):
-            self._buf = self._rng.random(_DELAY_BUFFER)
-            self._idx = 0
-        u = self._buf[self._idx]
-        self._idx += 1
-        return bool(u < self._p)
-
-
-def _never_delay() -> bool:
-    return False
+        """Take one draw: True when the delay variable comes up 1."""
+        self.skip(1)
+        return bool(self._buf[self._pos - 1] < self.probability)
 
 
 class _RunState:
@@ -195,12 +208,12 @@ class _RunState:
         self.keep_orders = config.run.keep_orders
         self.record_ticks = config.run.record_ticks
 
-        delay_draw = (_never_delay if config.run.disable_delays
-                      else _BufferedBernoulli(substream(seed, STREAM_DELAY),
-                                              config.dominance.delay_probability))
+        self.delay_draws = _DelayDraws(
+            substream(seed, STREAM_DELAY),
+            0 if config.run.disable_delays else config.dominance.delay_probability)
         self.engine = DominanceEngine(config.dominance, config.price.grid_min,
                                       config.price.grid_max, self.half_spread,
-                                      delay_draw)
+                                      self.delay_draws)
         self.streams: BaselineStreams = baseline_streams(seed)
 
         # Running integer aggregates: W = sum sign*price*qty, SQ = sum sign*qty.
@@ -254,6 +267,33 @@ class _RunState:
                     Order(self.order_count, time, sign, fill, quantity))
         if self.record_ticks:
             self.emit_row(time)
+
+    def mirror_fills(self, times: np.ndarray, raw_prices: np.ndarray,
+                     signs: np.ndarray, quantity: int) -> None:
+        """base_fill in bulk for fills that the overlay takes at once too
+        (int64 sums, bounded by the blocked engine's guard)."""
+        self.engine.mirror_fills(raw_prices, quantity)
+        fills = raw_prices - signs * self.half_spread
+        flows = signs * fills * quantity
+        ids = range(self.order_count + 1, self.order_count + len(times) + 1)
+        if self.orders_s is not None:
+            orders = [Order(*o, quantity) for o in zip(
+                ids, times.tolist(), signs.tolist(), fills.tolist())]
+            self.orders_s += orders
+            self.orders_star += orders
+        if self.record_ticks:
+            self._marks += [(time, self.w_s + w, self.sq_s + sq, self.w_star + w,
+                             self.sq_star + sq) for time, w, sq in zip(
+                times.tolist(), np.cumsum(flows).tolist(),
+                (np.cumsum(signs) * quantity).tolist())]
+        self.order_count += len(times)
+        flow, position = int(flows.sum()), int(signs.sum()) * quantity
+        self.w_s += flow
+        self.w_star += flow
+        self.sq_s += position
+        self.sq_star += position
+        self.qty_s += len(times) * quantity
+        self.qty_star += len(times) * quantity
 
     def apply_executions(self, records: Sequence[DelayedOrderRecord]) -> None:
         for r in records:
@@ -489,7 +529,6 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
     pcfg = config.price
     scfg = config.strategy
     rng = substream(seed, STREAM_PRICE)
-    engine = state.engine
     t = 0
     price = pcfg.start_price
     state.emit_initial_row(price)
@@ -499,79 +538,111 @@ def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, i
         n = _BLOCK if total is None else min(_BLOCK, total - t)
         prices = walk_block(price, rng, n, pcfg)
         state.emit_rows(prices)
-        offsets, sides = intent_block(scfg, t + 1, n, state.streams)
-
-        # Intents fill one tick later; the last tick's intent carries over.
-        fills: list[tuple[int, int, int]] = []
-        if state.pending_intent is not None:
-            sign, qty = state.pending_intent
-            fills.append((0, sign, qty))
-            state.pending_intent = None
-        for k, off in enumerate(offsets):
-            sign = side_sign(sides[k])
-            if off + 1 < n:
-                fills.append((int(off) + 1, sign, scfg.quantity))
-            else:
-                state.pending_intent = (sign, scfg.quantity)
-
-        block_max = int(prices.max())
-        block_min = int(prices.min())
-
-        pos = 0
-        fill_idx = 0
-        while pos < n:
-            next_fill = fills[fill_idx][0] if fill_idx < len(fills) else n
-
-            # Release search inside the fill-free stretch.  The frozen
-            # bounds skip provably release-free blocks; within candidate
-            # blocks the exact per-queue levels locate the crossing tick.
-            if pos < next_fill and engine.may_release_in(block_min, block_max):
-                sell_min, buy_max = engine.current_release_bounds()
-                seg = prices[pos:next_fill]
-                mask = None
-                if sell_min is not None:
-                    mask = seg >= sell_min
-                if buy_max is not None:
-                    low = seg <= buy_max
-                    mask = low if mask is None else (mask | low)
-                if mask is not None and mask.any():
-                    e = pos + int(np.argmax(mask))
-                    tick = t + 1 + e
-                    price_e = int(prices[e])
-                    records, phase_ended = engine.on_tick(tick, price_e)
-                    state.apply_executions(records)
-                    if phase_ended:
-                        state.end_phase(tick, price_e)
-                        if _stop_on_phase(config, state):
-                            return tick, price_e, "target_phases"
-                    pos = e + 1
-                    continue
-
-            if fill_idx < len(fills):
-                f = next_fill
-                tick = t + 1 + f
-                price_f = int(prices[f])
-                _, sign, qty = fills[fill_idx]
-                state.base_fill(tick, price_f, sign, qty)
-                if engine.may_release_in(price_f, price_f):
-                    records, phase_ended = engine.on_tick(tick, price_f)
-                    state.apply_executions(records)
-                else:
-                    phase_ended = False
-                if phase_ended:
-                    state.end_phase(tick, price_f)
-                    if _stop_on_phase(config, state):
-                        return tick, price_f, "target_phases"
-                pos = f + 1
-                fill_idx += 1
-            else:
-                pos = n
-
+        # The intent of tick t + o fills at offset o (tick 0 has none), so
+        # each block draws the intents of the ticks before its own.
+        first = int(t == 0)
+        offsets, signs = intent_block(scfg, t + first, n - first, state.streams)
+        stop = _advance_block(config, state, t, prices, offsets + first, signs)
+        if stop is not None:
+            return stop
         t += n
         price = int(prices[-1])
-        engine.check_phase_backstop(t)
         if total is not None and t >= total:
             return t, price, "total_ticks"
+
+
+def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarray,
+                   fill_at: np.ndarray, signs: np.ndarray
+                   ) -> tuple[int, int, str] | None:
+    """Apply the fills and releases of the block of ticks t+1 .. t+n, one
+    event at a time; returns the stop if the phase target is reached.
+
+    The fills before the next event go in bulk; the event goes through
+    base_fill or on_tick, so a fill and a release at one tick keep the
+    scalar engine's order."""
+    engine, draws, params = state.engine, state.delay_draws, config.dominance
+    quantity = config.strategy.quantity
+    n = len(prices)
+    raw = prices[fill_at]
+    # int64 guard: bulk sums are at most g * (den + the quantity left), and
+    # the delay and release tests add two such terms.
+    g = max(abs(config.price.grid_min), abs(config.price.grid_max)) + state.half_spread
+    i = pos = 0      # the next fill, the next tick to scan for releases
+    while True:
+        at, sg, p = fill_at[i:], signs[i:], raw[i:]
+        k = len(at)
+        num, den = engine.cloud
+        stage1 = min(engine.stage1_remaining if engine.stage == 1 else 0, k)
+        nums = dens = None
+        c = 0            # the first fill that is an event, or k
+        if g * (den + k * quantity) < 2 ** 62:
+            # the cloud after the first j fills, j = 0 .. k
+            nums = num + np.concatenate(([0], np.cumsum(p * quantity)))
+            dens = den + quantity * np.arange(k + 1)
+            c = k
+            if len(engine.queue) < params.queue_cap:
+                cand = (draws.peek(k - stage1) < draws.probability) & exceeds_tolerance(
+                    sg[stage1:], nums[stage1:k], dens[stage1:k], p[stage1:], params.tau)
+                if cand.any():
+                    c = stage1 + int(np.argmax(cand))
+        fill_tick = int(at[c]) if c < k else n
+        deadline = engine.backstop_deadline()
+        d = n if deadline is None else min(deadline - (t + 1), n)
+        r = (_first_release(engine, prices, pos, min(fill_tick, d), at[:c], nums, dens)
+             if engine.queue else None)
+        if r is None and d < n and d <= fill_tick:
+            engine.check_phase_backstop(t + 1 + d)   # raises
+        m = c if r is None else int(np.searchsorted(at[:c], r, side="right"))
+        state.mirror_fills(t + 1 + at[:m], p[:m], sg[:m], quantity)
+        draws.skip(max(m - stage1, 0))
+        i += m
+        if r is not None:
+            tick, price = t + 1 + r, int(prices[r])
+            records, phase_ended = engine.on_tick(tick, price)
+            state.apply_executions(records)
+            if phase_ended:
+                state.end_phase(tick, price)
+                if _stop_on_phase(config, state):
+                    return tick, price, "target_phases"
+            pos = r + 1
+        elif c < k:
+            # releases at the fill's tick are scanned on the next pass
+            state.base_fill(t + 1 + fill_tick, int(p[c]), int(sg[c]), quantity)
+            i += 1
+            pos = fill_tick
+        else:
+            return None
+
+
+def _first_release(engine: DominanceEngine, prices: np.ndarray, lo: int, hi: int,
+                   fill_at: np.ndarray, nums: np.ndarray | None,
+                   dens: np.ndarray | None) -> int | None:
+    """The first block offset in [lo, hi) at which on_tick releases
+    something, or None.  fill_at are the bulk fills before hi; a tick sees
+    the cloud (nums[j], dens[j]) after the j of them at or before it."""
+    seg = prices[lo:hi]
+    sides = [(sign, frozen) for sign, frozen in ((SELL, engine.frozen_sell_min),
+                                                  (BUY, engine.frozen_buy_max))
+             if frozen is not None]
+    # Short of the frozen bounds nothing releases, whatever the cloud does.
+    mask = np.zeros(len(seg), dtype=bool)
+    for sign, frozen in sides:
+        mask |= (seg >= frozen) if sign == SELL else (seg <= frozen)
+    ticks = lo + np.flatnonzero(mask)
+    if not len(ticks):
+        return None
+    now = dict(zip((SELL, BUY), engine.current_release_bounds()))
+    after = np.searchsorted(fill_at, ticks, side="right")
+    hit = np.zeros(len(ticks), dtype=bool)
+    for sign, frozen in sides:
+        # the bound after j bulk fills; the current one in exact ints
+        bound = np.full(len(fill_at) + 1, now[sign], dtype=np.int64)
+        if len(fill_at):
+            level = release_level(sign, nums[1:len(bound)], dens[1:len(bound)],
+                                  engine.params.gamma)
+            bound[1:] = sign * np.maximum(sign * level, sign * frozen)
+        hit |= sign * (prices[ticks] - bound[after]) >= 0
+    return int(ticks[np.argmax(hit)]) if hit.any() else None
 
 
 def replication_seed(master_seed: int, replication: int) -> int:

@@ -286,7 +286,7 @@ def _validate_threshold(config: PriceProcessConfig, start_price: int,
 
 def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
                         start: int, target: int, direction: str,
-                        cap: int, block: int = 1 << 15) -> int:
+                        cap: int) -> int:
     """First passage time to the target price for one replication, or 0
     if not reached within cap steps (times are >= 1 so 0 is free).
 
@@ -296,6 +296,10 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
     walk: position = boundary + |free walk - boundary|.  The passage
     time beyond the target is therefore the free walk's exit time from a
     symmetric interval, which needs no reflection handling at all.
+
+    Uniforms are drawn in blocks that double from 256 to 32,768, so a
+    short passage draws little more than it uses; the generator stream is
+    sequential, so the block sizes do not change the hitting time.
     """
     stay = float(config.stay_probability)
     up_threshold = stay + (1.0 - stay) * 0.5
@@ -306,8 +310,10 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
         x = config.grid_max - start
         tgt = config.grid_max - target
     done = 0
+    block = 1 << 8
     while done < cap:
         n = min(block, cap - done)
+        block = min(2 * block, 1 << 15)
         u = rng.random(n)
         steps = np.where(u < stay, 0, np.where(u < up_threshold, 1, -1))
         free = x + np.cumsum(steps)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .market import Side
+from .market import BUY, SELL, Side
 from .prices import STREAM_INTENT, STREAM_SIDE, substream
 
 BERNOULLI_TRADER = "bernoulli_trader"
@@ -85,22 +85,20 @@ def baseline_on_tick(config: BaselineConfig, price: int, time: int,
 
 
 def intent_block(config: BaselineConfig, start_time: int, n: int,
-                 streams: BaselineStreams) -> tuple[np.ndarray, list[Side]]:
+                 streams: BaselineStreams) -> tuple[np.ndarray, np.ndarray]:
     """Intent decisions for ticks start_time .. start_time+n-1 in bulk.
 
-    Returns (offsets, sides): offsets are block-relative tick indices with
-    an intent; sides[i] is the side of the i-th intent.  Stream
-    consumption matches baseline_on_tick called once per tick.
+    Returns (offsets, signs): offsets are block-relative tick indices with
+    an intent; signs[i] is the PnL sign of the i-th intent's side (+1 a
+    sell, -1 a buy; see market.side_sign).  Stream consumption matches
+    baseline_on_tick called once per tick.
     """
     if config.kind == BERNOULLI_TRADER:
         u = streams.intent.random(n)
         offsets = np.flatnonzero(u < float(config.order_probability))
-        side_u = streams.side.random(len(offsets)) if len(offsets) else ()
-        sides = [Side.BUY if v < 0.5 else Side.SELL for v in side_u]
-        return offsets, sides
+        side_u = streams.side.random(len(offsets))
+        return offsets, np.where(side_u < 0.5, BUY, SELL)
     times = np.arange(start_time, start_time + n)
     fire = (times > 0) & (times % config.period == 0)
     offsets = np.flatnonzero(fire)
-    sides = [Side.BUY if (int(times[k]) // config.period) % 2 == 1 else Side.SELL
-             for k in offsets]
-    return offsets, sides
+    return offsets, np.where((times[offsets] // config.period) % 2 == 1, BUY, SELL)

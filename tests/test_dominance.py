@@ -74,6 +74,19 @@ def test_release_level_matches_fraction(sign, num, den, gamma, price):
     assert (sign * (price - level) >= 0) == (sign * (price - anchor) > 0)
 
 
+@given(st.sampled_from([SELL, BUY]), st.integers(-10**9, 10**9),
+       st.integers(1, 10**6), st.integers(-10**9, 10**9),
+       st.integers(1, 10**6), st.integers(1, 1000))
+def test_level_of_the_extreme_anchor_is_the_extreme_level(sign, n1, d1, n2, d2,
+                                                          gamma):
+    # the identity behind current_release_bounds: the level of
+    # minmax_sign(C_now, C_frozen) is the max (sell) / min (buy) of the two
+    # single-anchor levels, so the queue's bound needs no pair per entry
+    level = release_level(sign, *pair_extreme(sign, n1, d1, n2, d2), gamma)
+    levels = (release_level(sign, n1, d1, gamma), release_level(sign, n2, d2, gamma))
+    assert level == (max(levels) if sign == SELL else min(levels))
+
+
 # -- delay event -------------------------------------------------------------------
 
 def candidate(sign, price, tau=50, gamma=40):
@@ -283,6 +296,20 @@ def test_stranded_backstop_raises_with_entries():
         engine.on_tick(200, 9900)
     assert err.value.entries[0].order_id == next_id
     assert f"order {next_id}" in str(err.value)
+
+
+def test_backstop_bounds_the_age_of_the_oldest_queued_order():
+    engine = make_engine(tau=50, gamma=40, stage1=2, max_phase_ticks=100)
+    next_id = seed_stage1(engine, 10000)
+    # a long phase with an empty queue strands nothing
+    assert engine.on_tick(5000, 10000) == ([], False)
+    engine.on_base_fill(next_id, SELL, 1, 5000, 9925, 9925)
+    engine.on_base_fill(next_id + 1, SELL, 1, 5050, 9920, 9920)
+    assert engine.backstop_deadline() == 5101
+    assert engine.on_tick(5100, 9900) == ([], False)
+    with pytest.raises(StrandedOrderError) as err:
+        engine.on_tick(5101, 9900)
+    assert [e.order_id for e in err.value.entries] == [next_id, next_id + 1]
 
 
 def test_half_spread_applies_to_release_fills():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgesim import cli
+from edgesim import cli, harness
 from edgesim.accounting import pnl_direct
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
@@ -54,6 +54,8 @@ def test_run_settings_validation():
         RunSettings(total_ticks=None, target_phases=None)
     with pytest.raises(ValueError):
         RunSettings(target_phases=5, half_spread=-1)
+    with pytest.raises(ValueError, match="no phase ends"):
+        RunSettings(target_phases=5, disable_delays=True)
 
 
 def test_grid_mismatch_rejected():
@@ -94,8 +96,9 @@ def test_engines_agree_on_default_profile():
 @st.composite
 def small_configs(draw):
     """Narrow grids just above 2(tau + gamma), spread, spacing, lots above
-    one unit, both baselines, both walks and both stopping rules.  Stay and
-    reversion 1/3 give thresholds that are not dyadic."""
+    one unit, both baselines, both walks, both stopping rules, delays off
+    and ticks recorded or not.  Stay and reversion 1/3 give thresholds
+    that are not dyadic."""
     tau, gamma = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     grid_min = draw(st.integers(0, 100))
     grid_max = grid_min + 2 * (tau + gamma) + draw(st.integers(1, 8))
@@ -128,7 +131,9 @@ def small_configs(draw):
     run = RunSettings(master_seed=draw(st.integers(0, 2 ** 16)),
                       half_spread=draw(st.integers(0, 2)),
                       commission_per_unit=draw(st.integers(0, 3)),
-                      keep_orders=True, **stop)
+                      disable_delays=(stop["target_phases"] is None
+                                      and draw(st.booleans())),
+                      record_ticks=draw(st.booleans()), keep_orders=True, **stop)
     return RunConfig(instrument, price, strategy, dominance, run)
 
 
@@ -230,6 +235,89 @@ def test_expense_independence_of_phase_diffs():
     assert r0.commissions_s == 0
     assert r1.commissions_s > 0
     assert r1.commissions_s == r1.commissions_sstar
+
+
+def edge_config(seed, grid_min=0):
+    """Grid width 40, dense fills, queue cap 2: phases of a few thousand
+    ticks with many enqueues and releases."""
+    return RunConfig(
+        Instrument("E", 1, Decimal("0.01"), grid_min, grid_min + 40),
+        PriceProcessConfig(grid_min=grid_min, grid_max=grid_min + 40,
+                           start_price=grid_min + 20,
+                           stay_probability=Fraction(1, 2)),
+        BaselineConfig(order_probability=Fraction(1, 4)),
+        DominanceParams(tau=3, gamma=3, queue_cap=2, stage1_fill_count=2),
+        RunSettings(master_seed=seed, target_phases=6, keep_orders=True))
+
+
+def _queue_full_at_a_block_end(rep, block):
+    return any(sum(r.delay_time <= end < r.execution_time for r in rep.records)
+               == rep.config.dominance.queue_cap
+               for end in range(block, rep.final_time, block))
+
+
+def _stage1_inside_a_block(rep, block):
+    # a phase ends, and the fills of the next Stage 1 and a Stage-2 fill
+    # after them come in the same block
+    times = [o.time for o in rep.orders_s]
+    stage1 = rep.config.dominance.stage1_fill_count
+    for phase in rep.phases:
+        later = [t for t in times if t > phase.end_time]
+        if (len(later) > stage1
+                and (later[stage1] - 1) // block == (phase.end_time - 1) // block):
+            return True
+    return False
+
+
+# A block covers ticks t+1 .. t+B, so tick T sits at offset (T - 1) % B.
+BLOCK_EDGES = {
+    # the fill at offset 0 is the carried-over intent of the block's last tick
+    "enqueue_at_offset_0": (1, lambda rep, b: any(
+        r.delay_time % b == 1 for r in rep.records)),
+    "release_at_offset_0": (2, lambda rep, b: any(
+        r.execution_time % b == 1 for r in rep.records)),
+    "release_at_a_fill_tick": (9, lambda rep, b: any(
+        r.execution_time in {o.time for o in rep.orders_s} for r in rep.records)),
+    "queue_full_through_a_block_end": (3, _queue_full_at_a_block_end),
+    "stage_1_inside_a_block": (5, _stage1_inside_a_block),
+    "enqueue_on_a_block_last_tick": (6, lambda rep, b: any(
+        r.delay_time % b == 0 for r in rep.records)),
+}
+
+
+@pytest.mark.parametrize("edge", BLOCK_EDGES)
+def test_engines_agree_at_block_edges(edge, monkeypatch):
+    seed, occurs = BLOCK_EDGES[edge]
+    monkeypatch.setattr(harness, "_BLOCK", 16)
+    cfg = edge_config(seed)
+    blocked = run_simulation(cfg, engine="blocked")
+    assert occurs(blocked, 16)
+    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+
+
+def test_engines_agree_where_the_int64_guard_fails():
+    # prices near 2**55: beyond 2**62 // g units of cloud quantity the
+    # blocked engine takes every fill as an event, in exact ints
+    cfg = edge_config(seed=7, grid_min=2 ** 55)
+    cfg = replace(cfg, run=replace(cfg.run, record_ticks=False))
+    blocked = run_simulation(cfg, engine="blocked")
+    assert len(blocked.orders_s) > 2 ** 62 // (2 ** 55 + 40)
+    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+
+
+def test_long_phase_with_an_empty_queue_is_not_stranded():
+    # the first delay comes more than max_phase_ticks after the run starts,
+    # but no order waits that long; the backstop used to bound the phase
+    cfg = RunConfig(
+        Instrument("F", 1, Decimal("0.01"), 0, 5),
+        PriceProcessConfig(grid_min=0, grid_max=5, start_price=0,
+                           stay_probability=Fraction(0)),
+        BaselineConfig(order_probability=Fraction(1, 8)),
+        DominanceParams(tau=1, gamma=1, stage1_fill_count=1, max_phase_ticks=100),
+        RunSettings(master_seed=0, target_phases=3, keep_orders=True))
+    scalar = run_simulation(cfg, engine="scalar")
+    assert scalar.phases[0].end_time > 100
+    assert_reports_equal(scalar, run_simulation(cfg, engine="blocked"))
 
 
 def test_stranded_backstop_aborts_run():

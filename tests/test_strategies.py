@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgesim.harness import default_config, run_simulation
-from edgesim.market import Side
+from edgesim.market import Side, side_sign
 from edgesim.strategies import (BERNOULLI_TRADER, PERIODIC_ALTERNATOR,
                                 BaselineConfig, baseline_on_tick,
                                 baseline_streams, intent_block)
@@ -59,21 +60,21 @@ def test_intent_block_matches_scalar(kind):
     for t in range(1, 5001):
         intent = baseline_on_tick(cfg, 10000, t, streams)
         if intent is not None:
-            scalar.append((t, intent.side))
-    offsets, sides = intent_block(cfg, 1, 5000, baseline_streams(23))
-    blocked = [(int(off) + 1, side) for off, side in zip(offsets, sides)]
+            scalar.append((t, side_sign(intent.side)))
+    offsets, signs = intent_block(cfg, 1, 5000, baseline_streams(23))
+    blocked = [(int(off) + 1, int(sign)) for off, sign in zip(offsets, signs)]
     assert blocked == scalar
 
 
 def test_intent_blocks_compose():
     cfg = BaselineConfig(kind=BERNOULLI_TRADER, order_probability=Fraction(1, 9))
-    whole_off, whole_sides = intent_block(cfg, 1, 4000, baseline_streams(31))
+    whole_off, whole_signs = intent_block(cfg, 1, 4000, baseline_streams(31))
     streams = baseline_streams(31)
-    a_off, a_sides = intent_block(cfg, 1, 2500, streams)
-    b_off, b_sides = intent_block(cfg, 2501, 1500, streams)
+    a_off, a_signs = intent_block(cfg, 1, 2500, streams)
+    b_off, b_signs = intent_block(cfg, 2501, 1500, streams)
     stitched = [int(x) for x in a_off] + [int(x) + 2500 for x in b_off]
     assert stitched == [int(x) for x in whole_off]
-    assert a_sides + b_sides == whole_sides
+    assert np.array_equal(np.concatenate((a_signs, b_signs)), whole_signs)
 
 
 def test_hti_blindness_replay():

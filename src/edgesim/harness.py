@@ -658,11 +658,6 @@ def replication_seed(master_seed: int, replication: int) -> int:
     return int(child.generate_state(1, np.uint64)[0])
 
 
-def run_replications(config: RunConfig) -> list[RunReport]:
-    return [run_simulation(config, master_seed=replication_seed(
-        config.run.master_seed, r)) for r in range(config.run.replications)]
-
-
 # -- parameter sweeps ---------------------------------------------------------
 
 _SWEEPABLE = ("tau", "gamma", "delay_probability", "queue_cap")

@@ -21,9 +21,20 @@ move is fixed and shared by every code path in the package:
 walk_block() produces the same path as repeated next_price() calls on the
 same generator, tick for tick, while drawing uniforms in bulk; the
 simulation harness relies on that equivalence for its vectorized engine.
-The vectorized paths compare u against a per-price table of the same
-float thresholds (up_thresholds), so a lookup reproduces the scalar move
-bit for bit.
+Every vectorized path turns uniforms into moves with one kernel, _steps,
+which compares u against the same floats next_price uses (up_thresholds
+holds them per price), so it reproduces the scalar move bit for bit.
+
+Reflection needs no stepping either.  If y is the free walk (the
+cumulative sum of the moves), M_t its running maximum and m_t its running
+minimum, the walk reflected at one edge alone is exactly
+
+    x_t = y_t - 2 * ceil((M_t - grid_max)^+ / 2)     (at grid_max)
+    x_t = y_t + 2 * ceil((grid_min - m_t)^+ / 2)     (at grid_min)
+
+(the one-sided discrete Skorokhod map).  walk_block applies both
+corrections at once, which gives the two-sided walk up to the first tick
+at which x leaves the grid, where the two edges interact.
 
 Deterministic substreams are derived from a master seed with
 numpy SeedSequence spawn keys; see substream().
@@ -52,8 +63,9 @@ STREAM_DELAY = 3
 STREAM_HITTING = 4
 STREAM_REPLICATION = 5
 
-# Scalar fallback near boundaries re-vectorizes at most this many times
-# per block before finishing the block step by step.
+# A reflecting block restarts the reflection identity at most this many
+# times before finishing step by step.  A restart needs a walk that crosses
+# the whole grid after reflecting, so only grids a few ticks wide use it.
 _MAX_BLOCK_RESTARTS = 8
 
 # The mean-reverting walk is speculated and verified this many ticks at a
@@ -152,54 +164,54 @@ def next_price(state: PricePathState, config: PriceProcessConfig) -> PricePathSt
     return replace(state, current_price=p, time=state.time + 1)
 
 
+def _steps(u: np.ndarray, stay: float, thr) -> np.ndarray:
+    """int8 moves for the uniforms u: 0 below stay, +1 below thr, else -1.
+
+    thr (a float, or one per uniform) is stay + (1 - stay) * p_up >= stay,
+    so these are exactly next_price's comparisons, also for p_up 0 or 1."""
+    return (u >= stay).view(np.int8) - 2 * (u >= thr).view(np.int8)
+
+
 def walk_block(price: int, rng: np.random.Generator, n: int,
                config: PriceProcessConfig) -> np.ndarray:
     """The next n prices, path-identical to n next_price() steps.
 
-    Consumes exactly n uniforms from rng.  Vectorized for both walks: the
-    reflecting walk with a scalar fallback around boundary reflections,
-    the mean-reverting walk by speculating on its path and verifying it
+    Consumes exactly n uniforms from rng.  The reflecting walk sums the
+    _steps moves and applies the reflection identity of the module
+    docstring, restarting it where the two edges interact; the
+    mean-reverting walk speculates on its path and verifies it
     (_walk_mean_reverting).
     """
     if n <= 0:
         return np.empty(0, dtype=np.int64)
-    u = rng.random(n)
     if config.kind == MEAN_REVERTING_WALK:
-        return _walk_mean_reverting(price, u, config)
+        return _walk_mean_reverting(price, rng.random(n), config)
     stay = float(config.stay_probability)
     gmin, gmax = config.grid_min, config.grid_max
-
-    up_threshold = stay + (1.0 - stay) * 0.5
-    steps = np.where(u < stay, 0, np.where(u < up_threshold, 1, -1)).astype(np.int64)
+    steps = _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5)
     out = np.empty(n, dtype=np.int64)
-    p = price
-    i = 0
-    restarts = 0
-    while i < n:
-        if restarts >= _MAX_BLOCK_RESTARTS:
-            for j in range(i, n):
-                p = _reflect(p + int(steps[j]), gmin, gmax)
-                out[j] = p
-            break
-        restarts += 1
-        free = p + np.cumsum(steps[i:])
-        bad = (free > gmax) | (free < gmin)
-        k = int(np.argmax(bad)) if bad.any() else -1
-        if k < 0:
-            out[i:] = free
-            p = int(free[-1])
-            break
-        if k > 0:
-            out[i:i + k] = free[:k]
-            p = int(free[k - 1])
-        j = i + k
-        while j < n:
-            p = _reflect(p + int(steps[j]), gmin, gmax)
-            out[j] = p
-            j += 1
-            if gmin + 1 < p < gmax - 1:
-                break
-        i = j
+    p, i = price, 0
+    for _ in range(_MAX_BLOCK_RESTARTS):
+        x = np.cumsum(steps[i:], dtype=np.int64)
+        x += p
+        k = n - i
+        if int(x.max()) > gmax or int(x.min()) < gmin:
+            # an overshoot d past an edge shifts the path by 2 * ceil(d / 2)
+            top = (np.maximum.accumulate(x) - (gmax - 1)) >> 1
+            bottom = ((gmin + 1) - np.minimum.accumulate(x)) >> 1
+            x += (np.maximum(bottom, 0) - np.maximum(top, 0)) << 1
+            # exact up to the first price off the grid; one step from a
+            # grid price reflects back onto the grid, so k >= 1
+            exits = np.flatnonzero((x < gmin) | (x > gmax))
+            k = int(exits[0]) if exits.size else k
+        out[i:i + k] = x[:k]
+        i += k
+        if i == n:
+            return out
+        p = int(x[k - 1])
+    for j in range(i, n):
+        p = _reflect(p + int(steps[j]), gmin, gmax)
+        out[j] = p
     return out
 
 
@@ -218,34 +230,28 @@ def _walk_mean_reverting(price: int, u: np.ndarray,
     stay = float(config.stay_probability)
     gmin, gmax = config.grid_min, config.grid_max
     n = len(u)
-    moves = u >= stay
     out = np.empty(n, dtype=np.int64)
-    p = price
-    i = 0
+    p, i = price, 0
     while i < n:
-        w = min(_SPECULATION_WINDOW, n - i)
-        uw, mw = u[i:i + w], moves[i:i + w]
-        up = uw < thr[p - gmin]
-        path = p + np.cumsum(np.where(mw, np.where(up, 1, -1), 0))
+        uw = u[i:i + _SPECULATION_WINDOW]
+        w = len(uw)
+        spec = _steps(uw, stay, thr[p - gmin])
+        path = np.cumsum(spec, dtype=np.int64) + p
         prev = np.empty(w, dtype=np.int64)
         prev[0] = p
         prev[1:] = path[:-1]
         # Past the first grid exit prev may leave the grid; clipping keeps
         # the lookup in range and the exit itself stops the prefix.
-        true_up = uw < thr.take(prev - gmin, mode="clip")
-        bad = (mw & (true_up != up)) | (path < gmin) | (path > gmax)
-        k = int(np.argmax(bad)) if bad.any() else w
-        out[i:i + k] = path[:k]
-        if k == w:
-            p = int(path[-1])
-            i += w
-            continue
-        if k > 0:
-            p = int(path[k - 1])
-        if mw[k]:
-            p = _reflect(p + (1 if uw[k] < thr[p - gmin] else -1), gmin, gmax)
-        out[i + k] = p
-        i += k + 1
+        true = _steps(uw, stay, thr.take(prev - gmin, mode="clip"))
+        bad = (true != spec) | (path < gmin) | (path > gmax)
+        k = int(np.argmax(bad))
+        if bad[k]:
+            # prev[k] is the true price before tick k, and true[k] its move
+            path[k] = _reflect(int(prev[k]) + int(true[k]), gmin, gmax)
+            w = k + 1
+        out[i:i + w] = path[:w]
+        i += w
+        p = int(path[w - 1])
     return out
 
 
@@ -314,9 +320,8 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
     while done < cap:
         n = min(block, cap - done)
         block = min(2 * block, 1 << 15)
-        u = rng.random(n)
-        steps = np.where(u < stay, 0, np.where(u < up_threshold, 1, -1))
-        free = x + np.cumsum(steps)
+        free = x + np.cumsum(_steps(rng.random(n), stay, up_threshold),
+                             dtype=np.int64)
         if int(free.max()) < tgt and int(free.min()) > -tgt:
             x = int(free[-1])
             done += n
@@ -342,12 +347,8 @@ def _hit_lockstep_mean_reverting(rng: np.random.Generator,
     t = 0
     while idx.size and t < cap:
         t += 1
-        u = rng.random(idx.size)
-        move = u >= stay
-        up = u < thr[pos - gmin]
-        pos = pos + np.where(move, np.where(up, 1, -1), 0)
-        pos = np.where(pos > gmax, 2 * gmax - pos, pos)
-        pos = np.where(pos < gmin, 2 * gmin - pos, pos)
+        pos = pos + _steps(rng.random(idx.size), stay, thr[pos - gmin])
+        pos = 2 * np.clip(pos, gmin, gmax) - pos  # reflect one tick off
         hit = pos >= target if above else pos <= target
         if hit.any():
             times[idx[hit]] = t

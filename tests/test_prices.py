@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim import cli
-from edgesim.prices import (_SPECULATION_WINDOW, ABOVE, BELOW,
-                            MEAN_REVERTING_WALK, REFLECTING_WALK,
+from edgesim import cli, prices
+from edgesim.prices import (_MAX_BLOCK_RESTARTS, _SPECULATION_WINDOW, ABOVE,
+                            BELOW, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, PriceProcessConfig,
-                            PricePathState, _up_probability,
+                            PricePathState, _reflect, _steps, _up_probability,
                             estimate_hitting_time, next_price, substream,
                             up_thresholds, walk_block)
 
@@ -113,6 +113,103 @@ def test_walk_block_chunks_compose():
         first = walk_block(config.start_price, rng, 2900, config)
         second = walk_block(int(first[-1]), rng, 2100, config)
         assert whole.tolist() == first.tolist() + second.tolist()
+
+
+class FixedUniform:
+    """Stands in for a generator whose next uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                  Fraction(9, 10)])
+def test_step_kernel_is_the_scalar_move_at_the_boundaries(stay):
+    # strength 1 on grid 0..4: p_up is 1 at price 0 (thr == 1.0) and 0 at
+    # price 4 (thr == stay); the reflecting walk's thr is the midpoint
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
+                                grid_max=4, start_price=2,
+                                stay_probability=stay,
+                                reversion_strength=Fraction(1))
+    s = float(stay)
+    thr = up_thresholds(config)
+    assert thr[0] == 1.0 and thr[4] == s
+    cases = [(p, float(thr[p]), config) for p in range(5)]
+    cases.append((2, s + (1.0 - s) * 0.5, PriceProcessConfig(
+        grid_min=0, grid_max=4, start_price=2, stay_probability=stay)))
+    for p, t, cfg in cases:
+        # u at, just below and just above stay and thr
+        us = sorted({x for v in (s, t)
+                     for x in (v, np.nextafter(v, 0.0), np.nextafter(v, 1.0))
+                     if 0.0 <= x < 1.0} | {0.0})
+        law = [0 if x < s else 1 if x < t else -1 for x in us]
+        u = np.array(us)
+        assert _steps(u, s, t).tolist() == law
+        assert _steps(u, s, np.full(len(u), t)).tolist() == law
+        scalar = [next_price(PricePathState(p, 0, FixedUniform(x)),
+                             cfg).current_price for x in us]
+        assert scalar == [_reflect(p + m, 0, 4) for m in law]
+
+
+@st.composite
+def reflecting_walks(draw):
+    """Widths 1 to 3,000, narrow ones often, starting at or next to either
+    edge."""
+    gmin = draw(st.integers(0, 100))
+    gmax = gmin + draw(st.one_of(st.integers(1, 5), st.integers(1, 3000)))
+    return PriceProcessConfig(
+        grid_min=gmin, grid_max=gmax,
+        start_price=draw(st.sampled_from([gmin, gmin + 1, gmax - 1, gmax])),
+        stay_probability=draw(st.sampled_from(
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(reflecting_walks(),
+       st.one_of(st.integers(1, 20_000), st.just(20_000)),
+       st.integers(0, 2 ** 32 - 1))
+def test_reflecting_walk_block_is_the_scalar_path(config, n, seed):
+    expected = scalar_path(config, substream(seed, STREAM_PRICE), n)
+    got = walk_block(config.start_price, substream(seed, STREAM_PRICE), n,
+                     config)
+    assert got.tolist() == expected
+
+
+def count_reflect_calls(monkeypatch):
+    calls = []
+
+    def counted(price, grid_min, grid_max):
+        calls.append(price)
+        return _reflect(price, grid_min, grid_max)
+    monkeypatch.setattr(prices, "_reflect", counted)
+    return calls
+
+
+def test_walk_block_does_not_step_at_a_wide_grid_edge(monkeypatch):
+    # the reflection identity covers the edge; per-tick stepping there
+    # would make thousands of _reflect calls
+    config = PriceProcessConfig(start_price=11000)
+    expected = scalar_path(config, substream(3, STREAM_PRICE), 8192)
+    calls = count_reflect_calls(monkeypatch)
+    got = walk_block(config.start_price, substream(3, STREAM_PRICE), 8192,
+                     config)
+    assert got.tolist() == expected
+    assert expected.count(11000) > 10
+    assert len(calls) <= _MAX_BLOCK_RESTARTS
+
+
+def test_one_tick_grid_finishes_the_block_step_by_step(monkeypatch):
+    config = PriceProcessConfig(grid_min=5, grid_max=6, start_price=5,
+                                stay_probability=Fraction(1, 3))
+    expected = scalar_path(config, substream(4, STREAM_PRICE), 20_000)
+    calls = count_reflect_calls(monkeypatch)
+    got = walk_block(config.start_price, substream(4, STREAM_PRICE), 20_000,
+                     config)
+    assert got.tolist() == expected
+    assert calls
 
 
 @pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
@@ -312,6 +409,73 @@ def test_hitting_time_mean_matches_gamblers_ruin(stay):
     mean, var = exit_time_moments(config, 12, 12 + xi + 1)
     assert s.count_finite == samples
     assert abs(s.mean - float(mean)) <= 4 * float(var / samples) ** 0.5
+
+
+def mean_reverting_passage_moments(config, start, target):
+    """Exact mean and variance of the first time the mean-reverting walk,
+    reflected at grid_min, reaches target > start, from the rational law.
+
+    It is a birth-death chain: from x it moves up with p_x = (1 - stay) *
+    p_up(x), down with q_x = (1 - stay) * (1 - p_up(x)), and at grid_min every
+    move goes up.  The time T_x from x to x + 1 has mean and second moment
+    m_x = (1 + q_x m_{x-1}) / p_x and
+    v_x = (1 + 2 stay m_x + 2 q_x (m_{x-1} + m_x) + q_x (v_{x-1} +
+    2 m_{x-1} m_x)) / p_x (first-step analysis; Karlin & Taylor, A First
+    Course in Stochastic Processes, ch. 4), and the passage is the sum of
+    the independent T_x for start <= x < target."""
+    s = Fraction(config.stay_probability)
+    gmin, gmax = config.grid_min, config.grid_max
+    m = v = mean = var = Fraction(0)
+    for x in range(gmin, target):
+        tilt = config.reversion_strength * Fraction(gmin + gmax - 2 * x,
+                                                    2 * (gmax - gmin))
+        up = 1 if x == gmin else min(1, max(0, Fraction(1, 2) + tilt))
+        p, q = (1 - s) * up, (1 - s) * (1 - up)
+        m_prev, v_prev = m, v
+        m = (1 + q * m_prev) / p
+        v = (1 + 2 * s * m + 2 * q * (m_prev + m)
+             + q * (v_prev + 2 * m_prev * m)) / p
+        if x >= start:
+            mean, var = mean + m, var + v - m * m
+    return mean, var
+
+
+@pytest.mark.parametrize("grid,start,xi,stay,strength", [
+    ((0, 20), 0, 6, Fraction(1, 3), Fraction(1, 4)),
+    ((0, 30), 2, 8, Fraction(1, 2), Fraction(1, 2)),
+    ((0, 40), 20, 6, Fraction(1, 3), Fraction(1, 3)),
+    ((9000, 11000), 9000, 30, Fraction(0), Fraction(1, 2)),
+    ((9000, 11000), 10000, 10, Fraction(1, 2), Fraction(1, 2)),
+])
+def test_mean_reverting_hitting_time_matches_the_birth_death_chain(
+        grid, start, xi, stay, strength):
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=grid[0],
+                                grid_max=grid[1], start_price=start,
+                                stay_probability=stay,
+                                reversion_strength=strength)
+    samples = 2000
+    s = estimate_hitting_time(config, start, xi, ABOVE, samples=samples,
+                              cap=10**7, master_seed=2025)
+    mean, var = mean_reverting_passage_moments(config, start, start + xi + 1)
+    assert s.count_finite == samples
+    assert abs(s.mean - float(mean)) <= 4 * float(var / samples) ** 0.5
+
+
+@pytest.mark.parametrize("grid,start,xi", [((0, 30), 2, 8),
+                                            ((9000, 11000), 9000, 30)])
+def test_mean_reverting_walk_block_passage_matches_the_birth_death_chain(
+        grid, start, xi):
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=grid[0],
+                                grid_max=grid[1], start_price=start,
+                                stay_probability=Fraction(1, 3),
+                                reversion_strength=Fraction(1, 4))
+    samples, target = 1000, start + xi + 1
+    times = []  # every one of these paths passes within its 1,500 ticks
+    for seed in range(samples):
+        path = walk_block(start, substream(seed, STREAM_PRICE), 1500, config)
+        times.append(int(np.flatnonzero(path >= target)[0]) + 1)
+    mean, var = mean_reverting_passage_moments(config, start, target)
+    assert abs(np.mean(times) - float(mean)) <= 4 * float(var / samples) ** 0.5
 
 
 def test_recurrence_cli_defaults_to_the_run_master_seed(tmp_path, capsys):

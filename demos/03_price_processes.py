@@ -9,30 +9,27 @@ from fractions import Fraction
 
 import numpy as np
 
-from edgesim import (PriceProcessConfig, PricePathState,
-                     estimate_hitting_time, next_price, substream, walk_block)
+from edgesim import (PriceProcessConfig, estimate_hitting_time, next_price,
+                     substream, walk_block)
 from edgesim.prices import STREAM_PRICE
 
 config = PriceProcessConfig(kind="reflecting_walk", grid_min=9000,
                             grid_max=11000, start_price=10000,
                             stay_probability=Fraction(1, 2))
 
-# Step literally, one tick at a time, on master seed 7's price substream.
-state = PricePathState(config.start_price, 0, substream(7, STREAM_PRICE))
+# Step literally, one tick at a time, on master seed 7's price substream:
+# next_price maps this tick's price to the next one.
+rng = substream(7, STREAM_PRICE)
+price = config.start_price
 path = []
 for _ in range(10):
-    state = next_price(state, config)
-    path.append(state.current_price)
+    price = next_price(price, rng, config)
+    path.append(price)
 print("first ten ticks:", path)
 
 # The block generator draws uniforms in bulk but walks the same path.
-again = walk_block(config.start_price, substream(7, 0), 10, config)
-scalar = []
-st = PricePathState(config.start_price, 0, substream(7, STREAM_PRICE))
-for _ in range(10):
-    st = next_price(st, config)
-    scalar.append(st.current_price)
-assert again.tolist() == scalar
+again = walk_block(config.start_price, substream(7, STREAM_PRICE), 10, config)
+assert again.tolist() == path
 print("bulk generator reproduces the scalar path exactly")
 
 long_path = walk_block(config.start_price, substream(7, 0), 200_000, config)

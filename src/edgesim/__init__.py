@@ -11,16 +11,14 @@ from .dominance import (DelayedOrderRecord, DelayQueueEntry, DominanceEngine,
                         phase_pnl_diff_check, release_level)
 from .harness import (RunConfig, RunReport, RunSettings, SweepRow, TickSeries,
                       default_config, run_simulation, sweep)
-from .market import (Instrument, Money, Order, Side, currency_to_price,
-                     fill_price, price_to_currency, quanta_to_currency,
-                     side_sign)
-from .prices import (HittingTimeSummary, PriceProcessConfig, PricePathState,
-                     estimate_hitting_time, next_price, substream,
-                     walk_block)
+from .market import (BUY, SELL, Instrument, Money, Order, currency_to_price,
+                     fill_price, price_to_currency, quanta_to_currency)
+from .prices import (HittingTimeSummary, PriceProcessConfig,
+                     estimate_hitting_time, next_price, substream, walk_block)
 from .runio import (load_config, read_summary, save_config, summary_dict,
                     write_run_artifacts, write_sweep_csv)
-from .strategies import (BaselineConfig, BaselineStreams, OrderIntent,
-                         baseline_on_tick, baseline_streams)
+from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
+                         baseline_streams)
 from .verify import Verdict, all_passed, verify_run
 
 __version__ = "0.1.0"

@@ -124,11 +124,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--engine", choices=["auto", "scalar", "blocked"],
-                   default="auto",
-                   help="scalar: the tick-by-tick reference; blocked: "
-                        "vectorized, identical reports; auto (default): "
-                        "blocked")
+    p.add_argument("--engine", choices=["blocked", "scalar"],
+                   default="blocked",
+                   help="blocked (default): vectorized; scalar: the "
+                        "tick-by-tick reference, identical reports")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="re-audit a run directory offline")

@@ -40,11 +40,10 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         PhaseReport, SimulationError, exceeds_tolerance,
                         phase_clause_failures, phase_pnl_diff_check,
                         release_level)
-from .market import (BUY, SELL, Instrument, Money, Order, fill_price,
-                     side_sign)
+from .market import BUY, SELL, Instrument, Money, Order, fill_price
 from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
-                     STREAM_REPLICATION, PriceProcessConfig, PricePathState,
-                     next_price, substream, walk_block)
+                     STREAM_REPLICATION, PriceProcessConfig, next_price,
+                     substream, walk_block)
 from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
                          baseline_streams, intent_block)
 
@@ -221,8 +220,6 @@ class _RunState:
         self.sq_s = 0
         self.w_star = 0
         self.sq_star = 0
-        self.qty_s = 0
-        self.qty_star = 0
         self.order_count = 0
         self.orders_s: list[Order] | None = [] if self.keep_orders else None
         self.orders_star: list[Order] | None = [] if self.keep_orders else None
@@ -231,7 +228,6 @@ class _RunState:
         self.prev_diff: Money = 0
         # How many times each phase-end check ran (the run's verdict counts).
         self.checked = dict.fromkeys((*_PHASE_CHECKS, ORACLE_CHECK), 0)
-        self.pending_intent: tuple[int, int] | None = None   # (sign, quantity)
 
         # Tick record: the price path (the start price and the scalar
         # engine's prices, then the blocked engine's blocks) and one mark
@@ -253,7 +249,6 @@ class _RunState:
         fill = fill_price(raw_price, sign, self.half_spread)
         self.w_s += sign * fill * quantity
         self.sq_s += sign * quantity
-        self.qty_s += quantity
         if self.orders_s is not None:
             self.orders_s.append(Order(self.order_count, time, sign, fill, quantity))
         action = self.engine.on_base_fill(self.order_count, sign, quantity,
@@ -261,7 +256,6 @@ class _RunState:
         if action != ENQUEUE:
             self.w_star += sign * fill * quantity
             self.sq_star += sign * quantity
-            self.qty_star += quantity
             if self.orders_star is not None:
                 self.orders_star.append(
                     Order(self.order_count, time, sign, fill, quantity))
@@ -292,14 +286,11 @@ class _RunState:
         self.w_star += flow
         self.sq_s += position
         self.sq_star += position
-        self.qty_s += len(times) * quantity
-        self.qty_star += len(times) * quantity
 
     def apply_executions(self, records: Sequence[DelayedOrderRecord]) -> None:
         for r in records:
             self.w_star += r.sign * r.execution_price * r.quantity
             self.sq_star += r.sign * r.quantity
-            self.qty_star += r.quantity
             if self.orders_star is not None:
                 self.orders_star.append(Order(r.order_id, r.execution_time,
                                               r.sign, r.execution_price,
@@ -431,6 +422,9 @@ class _RunState:
             dd_s, dd_star = None, None
             exact = False
         engine = self.engine
+        # S fills every intent; S* all but those still queued.
+        qty_s = self.order_count * self.config.strategy.quantity
+        qty_star = qty_s - sum(e.quantity for e in engine.queue)
         # A failed check raises, so a report exists only when every check
         # passed; each count is how often that check ran.
         verdicts = [{"clause": clause, "passed": True, "checked": checked}
@@ -444,8 +438,8 @@ class _RunState:
             q_delayed_total=engine.q_delayed_total,
             max_drawdown_s=dd_s, max_drawdown_sstar=dd_star,
             drawdown_exact=exact,
-            commissions_s=self.config.run.commission_per_unit * self.qty_s,
-            commissions_sstar=self.config.run.commission_per_unit * self.qty_star,
+            commissions_s=self.config.run.commission_per_unit * qty_s,
+            commissions_sstar=self.config.run.commission_per_unit * qty_star,
             stop_reason=stop_reason, verdicts=verdicts,
             ticks=series, orders_s=self.orders_s, orders_sstar=self.orders_star)
 
@@ -464,19 +458,16 @@ def _stop_on_phase(config: RunConfig, state: _RunState) -> bool:
 
 
 def run_simulation(config: RunConfig, master_seed: int | None = None,
-                   engine: str = "auto", per_tick_audit: bool = False) -> RunReport:
+                   engine: str = "blocked", per_tick_audit: bool = False) -> RunReport:
     """Run one replication to its stopping condition and return the report.
 
-    engine: "scalar" steps literally tick by tick, "blocked" vectorizes
-    event-free stretches, "auto" picks blocked for both price walks
-    (scalar under per_tick_audit).  Both produce identical reports for
-    identical seeds.  per_tick_audit additionally re-checks the
+    engine: "blocked" (the default) vectorizes event-free stretches,
+    "scalar" steps literally tick by tick.  Both produce identical reports
+    for identical seeds.  per_tick_audit additionally re-checks the
     PnL-difference reconciliation at every tick (scalar engine only; slow,
     meant for tests).
     """
     seed = config.run.master_seed if master_seed is None else master_seed
-    if engine == "auto":
-        engine = "scalar" if per_tick_audit else "blocked"
     if engine not in ("scalar", "blocked"):
         raise ValueError(f"unknown engine {engine!r}")
     if per_tick_audit and engine != "scalar":
@@ -495,21 +486,19 @@ def _run_scalar(config: RunConfig, state: _RunState, seed: int,
                 per_tick_audit: bool) -> tuple[int, int, str]:
     pcfg = config.price
     scfg = config.strategy
-    ps = PricePathState(pcfg.start_price, 0, substream(seed, STREAM_PRICE))
-    state.emit_initial_row(ps.current_price)
+    rng = substream(seed, STREAM_PRICE)
+    t, price = 0, pcfg.start_price
+    state.emit_initial_row(price)
     path = state.path_prices if state.record_ticks else None
     total = config.run.total_ticks
+    pending = None      # the sign of the intent that fills at this tick
 
     while True:
-        ps = next_price(ps, pcfg)
-        t, price = ps.time, ps.current_price
-        if state.pending_intent is not None:
-            sign, qty = state.pending_intent
-            state.pending_intent = None
-            state.base_fill(t, price, sign, qty)
-        intent = baseline_on_tick(scfg, price, t, state.streams)
-        if intent is not None:
-            state.pending_intent = (side_sign(intent.side), intent.quantity)
+        t += 1
+        price = next_price(price, rng, pcfg)
+        if pending is not None:
+            state.base_fill(t, price, pending, scfg.quantity)
+        pending = baseline_on_tick(scfg, t, state.streams)
         records, phase_ended = state.engine.on_tick(t, price)
         if records:
             state.apply_executions(records)

@@ -12,31 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 
 # Exact signed integer count of tick-value quanta.
 Money = int
 
+# PnL-contribution sign of an order's side.
 SELL = +1
 BUY = -1
-
-
-class Side(Enum):
-    BUY = "buy"
-    SELL = "sell"
-
-
-def side_sign(side: Side) -> int:
-    """PnL-contribution sign: +1 for a sell, -1 for a buy."""
-    return SELL if side is Side.SELL else BUY
-
-
-def sign_side(sign: int) -> Side:
-    if sign == SELL:
-        return Side.SELL
-    if sign == BUY:
-        return Side.BUY
-    raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +38,9 @@ class Instrument:
     def __post_init__(self) -> None:
         if self.multiplier < 1:
             raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-        if self.tick_size <= 0:
-            raise ValueError(f"tick_size must be > 0, got {self.tick_size}")
+        if not (Decimal(self.tick_size).is_finite() and self.tick_size > 0):
+            raise ValueError(f"tick_size must be finite and > 0, "
+                             f"got {self.tick_size}")
         if self.grid_min >= self.grid_max:
             raise ValueError(
                 f"grid_min must be < grid_max, got [{self.grid_min}, {self.grid_max}]")
@@ -87,10 +70,6 @@ class Order:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.quantity < 1:
             raise ValueError(f"quantity must be >= 1, got {self.quantity}")
-
-    @property
-    def side(self) -> Side:
-        return sign_side(self.sign)
 
 
 def price_to_currency(price_ticks: int, instrument: Instrument) -> Decimal:

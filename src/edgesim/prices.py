@@ -18,6 +18,10 @@ move is fixed and shared by every code path in the package:
     u < stay + (1-stay)*p_up  -> +1 tick
     otherwise                 -> -1 tick
 
+next_price(price, rng, config) is the literal one-tick step: an int price
+in, the next int price out.  The caller owns the generator and the tick
+clock, so the step carries no state of its own.
+
 walk_block() produces the same path as repeated next_price() calls on the
 same generator, tick for tick, while drawing uniforms in bulk; the
 simulation harness relies on that equivalence for its vectorized engine.
@@ -42,7 +46,7 @@ numpy SeedSequence spawn keys; see substream().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
@@ -110,14 +114,6 @@ class PriceProcessConfig:
         return self.grid_max - self.grid_min
 
 
-@dataclass
-class PricePathState:
-    """Current grid price, tick clock, and the owned generator state."""
-    current_price: int
-    time: int
-    rng: np.random.Generator
-
-
 def _up_probability(config: PriceProcessConfig, price: int) -> float:
     """0.5, tilted by strength * (center - price) / width for the
     mean-reverting walk and clamped to [0, 1].  The tilt is the float
@@ -152,16 +148,16 @@ def _reflect(price: int, grid_min: int, grid_max: int) -> int:
     return price
 
 
-def next_price(state: PricePathState, config: PriceProcessConfig) -> PricePathState:
-    """Advance one tick, consuming one uniform; reflects at the grid edges."""
-    u = state.rng.random()
+def next_price(price: int, rng: np.random.Generator,
+               config: PriceProcessConfig) -> int:
+    """The price one tick after price, consuming one uniform from rng;
+    reflects at the grid edges."""
+    u = rng.random()
     stay = float(config.stay_probability)
-    p = state.current_price
-    if u >= stay:
-        p_up = _up_probability(config, p)
-        step = 1 if u < stay + (1.0 - stay) * p_up else -1
-        p = _reflect(p + step, config.grid_min, config.grid_max)
-    return replace(state, current_price=p, time=state.time + 1)
+    if u < stay:
+        return price
+    step = 1 if u < stay + (1.0 - stay) * _up_probability(config, price) else -1
+    return _reflect(price + step, config.grid_min, config.grid_max)
 
 
 def _steps(u: np.ndarray, stay: float, thr) -> np.ndarray:
@@ -262,10 +258,6 @@ class HittingTimeSummary:
     count_finite: int
     mean: float
     max: int
-
-    @property
-    def capped(self) -> int:
-        return self.samples - self.count_finite
 
 
 def _validate_threshold(config: PriceProcessConfig, start_price: int,

@@ -1,9 +1,13 @@
 """Baseline strategies that never see their own fill history.
 
-A baseline's output is a pure function of (config, tick clock, price path
-prefix, own random substreams).  Nothing downstream of a fill feeds back:
-the replay test in the suite checks that a baseline's intent sequence is
-bit-identical whether or not an overlay strategy runs alongside it.
+A baseline's output is a pure function of (config, tick clock, own random
+substreams): neither the price path nor anything downstream of a fill
+feeds back.  The replay test in the suite checks that a baseline's intent
+sequence is bit-identical whether or not an overlay strategy runs
+alongside it.
+
+An intent is the PnL sign of its side (market.SELL = +1, market.BUY =
+-1); every intent is for config.quantity.
 
 The bernoulli trader consumes one uniform per tick from its intent stream
 and, only when an intent fires, one uniform from its side stream; keeping
@@ -18,21 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .market import BUY, SELL, Side
+from .market import BUY, SELL
 from .prices import STREAM_INTENT, STREAM_SIDE, substream
 
 BERNOULLI_TRADER = "bernoulli_trader"
 PERIODIC_ALTERNATOR = "periodic_alternator"
-
-
-@dataclass(frozen=True)
-class OrderIntent:
-    side: Side
-    quantity: int
-
-    def __post_init__(self) -> None:
-        if self.quantity < 1:
-            raise ValueError(f"quantity must be >= 1, got {self.quantity}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +59,9 @@ def baseline_streams(master_seed: int) -> BaselineStreams:
                            side=substream(master_seed, STREAM_SIDE))
 
 
-def baseline_on_tick(config: BaselineConfig, price: int, time: int,
-                     streams: BaselineStreams) -> OrderIntent | None:
-    """Possibly emit one order intent for this tick.
+def baseline_on_tick(config: BaselineConfig, time: int,
+                     streams: BaselineStreams) -> int | None:
+    """The sign of this tick's intent (BUY or SELL), or None.
 
     bernoulli_trader: with order_probability, an intent with a uniformly
     random side.  periodic_alternator: an intent every `period` ticks,
@@ -75,12 +69,10 @@ def baseline_on_tick(config: BaselineConfig, price: int, time: int,
     """
     if config.kind == BERNOULLI_TRADER:
         if streams.intent.random() < float(config.order_probability):
-            side = Side.BUY if streams.side.random() < 0.5 else Side.SELL
-            return OrderIntent(side, config.quantity)
+            return BUY if streams.side.random() < 0.5 else SELL
         return None
     if time > 0 and time % config.period == 0:
-        side = Side.BUY if (time // config.period) % 2 == 1 else Side.SELL
-        return OrderIntent(side, config.quantity)
+        return BUY if (time // config.period) % 2 == 1 else SELL
     return None
 
 
@@ -89,9 +81,9 @@ def intent_block(config: BaselineConfig, start_time: int, n: int,
     """Intent decisions for ticks start_time .. start_time+n-1 in bulk.
 
     Returns (offsets, signs): offsets are block-relative tick indices with
-    an intent; signs[i] is the PnL sign of the i-th intent's side (+1 a
-    sell, -1 a buy; see market.side_sign).  Stream consumption matches
-    baseline_on_tick called once per tick.
+    an intent; signs[i] is the i-th intent's sign, as baseline_on_tick
+    returns it.  Stream consumption matches baseline_on_tick called once
+    per tick.
     """
     if config.kind == BERNOULLI_TRADER:
         u = streams.intent.random(n)

@@ -237,6 +237,19 @@ def test_expense_independence_of_phase_diffs():
     assert r1.commissions_s == r1.commissions_sstar
 
 
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_commissions_match_the_order_lists_with_orders_still_queued(engine):
+    cfg = quick(seed=1, phases=None, total_ticks=3000, commission_per_unit=3,
+                record_ticks=False)
+    cfg = replace(cfg, strategy=replace(cfg.strategy, quantity=2))
+    rep = run_simulation(cfg, engine=engine)
+    assert rep.stop_reason == "total_ticks"
+    assert len(rep.orders_sstar) < len(rep.orders_s)     # some still queued
+    assert rep.commissions_s == 3 * sum(o.quantity for o in rep.orders_s)
+    assert rep.commissions_sstar == 3 * sum(o.quantity for o in rep.orders_sstar)
+    assert rep.commissions_sstar != rep.commissions_s
+
+
 def edge_config(seed, grid_min=0):
     """Grid width 40, dense fills, queue cap 2: phases of a few thousand
     ticks with many enqueues and releases."""
@@ -337,9 +350,10 @@ def test_mean_reverting_price_process_runs():
     assert rep.ticks.price.max() <= 11000
 
 
-def test_auto_engine_matches_scalar_on_mean_reverting_walk():
+def test_default_engine_matches_scalar_on_mean_reverting_walk():
     # spread, commission, spacing and the accounting oracle on the
-    # mean-reverting walk; auto must reproduce the reference engine
+    # mean-reverting walk; the default (blocked) engine must reproduce the
+    # reference engine
     cfg = default_config(master_seed=2, target_phases=2, record_ticks=False,
                          keep_orders=True, half_spread=1,
                          commission_per_unit=2)

@@ -4,23 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgesim.market import (BUY, SELL, Instrument, Order, Side,
-                            currency_to_price, fill_price, price_to_currency,
-                            quanta_to_currency, side_sign)
+from edgesim.market import (BUY, SELL, Instrument, Order, currency_to_price,
+                            fill_price, price_to_currency, quanta_to_currency)
 
 CENT = Instrument("SIM", 1, Decimal("0.01"), 9000, 11000)
 WIDE = Instrument("W", 1, Decimal("0.01"), 0, 20000)
 QUARTER = Instrument("Q", 1, Decimal("0.25"), 0, 1000)
-
-
-def test_side_sign():
-    assert side_sign(Side.SELL) == +1
-    assert side_sign(Side.BUY) == -1
-
-
-def test_side_sign_squares_to_one():
-    for side in Side:
-        assert side_sign(side) ** 2 == 1
 
 
 def test_price_to_currency():
@@ -66,7 +55,6 @@ def test_order_accepts_valid_fields(oid, time, sign, price, qty):
     o = Order(oid, time, sign, price, qty)
     assert o.sign in (SELL, BUY)
     assert o.quantity >= 1
-    assert o.side is (Side.SELL if sign == SELL else Side.BUY)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -88,6 +76,9 @@ def test_instrument_validation():
         Instrument("X", 1, Decimal("0"), 0, 10)
     with pytest.raises(ValueError):
         Instrument("X", 1, Decimal("0.01"), 10, 10)
+    for tick in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="tick_size"):
+            Instrument("X", 1, Decimal(tick), 0, 10)
 
 
 def test_fill_price_adjustment():

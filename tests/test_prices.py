@@ -9,21 +9,17 @@ from edgesim import cli, prices
 from edgesim.prices import (_MAX_BLOCK_RESTARTS, _SPECULATION_WINDOW, ABOVE,
                             BELOW, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, PriceProcessConfig,
-                            PricePathState, _reflect, _steps, _up_probability,
+                            _reflect, _steps, _up_probability,
                             estimate_hitting_time, next_price, substream,
                             up_thresholds, walk_block)
 
 
-def start_state(config, seed):
-    return PricePathState(config.start_price, 0, substream(seed, STREAM_PRICE))
-
-
 def scalar_path(config, rng, n):
-    state = PricePathState(config.start_price, 0, rng)
+    price = config.start_price
     out = []
     for _ in range(n):
-        state = next_price(state, config)
-        out.append(state.current_price)
+        price = next_price(price, rng, config)
+        out.append(price)
     return out
 
 
@@ -44,30 +40,28 @@ def test_reflection_at_grid_max_is_forced_inward():
     # from the top edge with stay 0, both step directions land one tick in
     config = PriceProcessConfig(grid_min=0, grid_max=2, start_price=2,
                                 stay_probability=Fraction(0))
-    state = start_state(config, 0)
+    rng, price = substream(0, STREAM_PRICE), config.start_price
     for _ in range(50):
-        prev = state.current_price
-        state = next_price(state, config)
-        assert 0 <= state.current_price <= 2
+        prev, price = price, next_price(price, rng, config)
+        assert 0 <= price <= 2
         if prev == 2:
-            assert state.current_price == 1
+            assert price == 1
         if prev == 0:
-            assert state.current_price == 1
+            assert price == 1
 
 
 def test_zero_stay_always_moves_one_tick():
     config = PriceProcessConfig(stay_probability=Fraction(0))
-    state = start_state(config, 3)
+    rng, price = substream(3, STREAM_PRICE), config.start_price
     for _ in range(1000):
-        prev = state.current_price
-        state = next_price(state, config)
-        assert abs(state.current_price - prev) == 1
+        prev, price = price, next_price(price, rng, config)
+        assert abs(price - prev) == 1
 
 
 def test_determinism_same_seed_same_path():
     config = PriceProcessConfig()
-    a = scalar_path(config, start_state(config, 77).rng, 2000)
-    b = scalar_path(config, start_state(config, 77).rng, 2000)
+    a = scalar_path(config, substream(77, STREAM_PRICE), 2000)
+    b = scalar_path(config, substream(77, STREAM_PRICE), 2000)
     assert a == b
 
 
@@ -149,8 +143,7 @@ def test_step_kernel_is_the_scalar_move_at_the_boundaries(stay):
         u = np.array(us)
         assert _steps(u, s, t).tolist() == law
         assert _steps(u, s, np.full(len(u), t)).tolist() == law
-        scalar = [next_price(PricePathState(p, 0, FixedUniform(x)),
-                             cfg).current_price for x in us]
+        scalar = [next_price(p, FixedUniform(x), cfg) for x in us]
         assert scalar == [_reflect(p + m, 0, 4) for m in law]
 
 
@@ -329,12 +322,12 @@ def test_hitting_time_folded_sampler_matches_direct_chain():
     direct = []
     root = np.random.SeedSequence(entropy=123, spawn_key=(9,))
     for child in root.spawn(n):
-        state = PricePathState(30, 0, np.random.default_rng(child))
+        rng, price = np.random.default_rng(child), 30
         t = 0
         while True:
-            state = next_price(state, config)
+            price = next_price(price, rng, config)
             t += 1
-            if state.current_price > 30 + xi:
+            if price > 30 + xi:
                 direct.append(t)
                 break
     direct = np.asarray(direct, dtype=float)
@@ -363,12 +356,13 @@ def test_mean_reverting_hitting_time_steps_the_scalar_law():
                                 stay_probability=Fraction(1, 3),
                                 reversion_strength=Fraction(1, 3))
     for seed in range(5):
-        state = PricePathState(20, 0, substream(seed, STREAM_HITTING))
-        while state.current_price <= 26:
-            state = next_price(state, config)
+        rng, price, t = substream(seed, STREAM_HITTING), 20, 0
+        while price <= 26:
+            price = next_price(price, rng, config)
+            t += 1
         s = estimate_hitting_time(config, 20, 6, ABOVE, samples=1,
                                   cap=10**6, master_seed=seed)
-        assert s.count_finite == 1 and s.max == state.time
+        assert s.count_finite == 1 and s.max == t
 
 
 def test_hitting_time_determinism():

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from edgesim.harness import default_config, run_simulation
-from edgesim.market import Side, side_sign
+from edgesim.market import BUY, SELL
 from edgesim.strategies import (BERNOULLI_TRADER, PERIODIC_ALTERNATOR,
                                 BaselineConfig, baseline_on_tick,
                                 baseline_streams, intent_block)
@@ -24,20 +25,24 @@ def test_config_validation():
 def test_alternator_schedule():
     cfg = BaselineConfig(kind=PERIODIC_ALTERNATOR, period=10, quantity=2)
     streams = baseline_streams(0)
-    assert baseline_on_tick(cfg, 10000, 0, streams) is None
-    assert baseline_on_tick(cfg, 10000, 10, streams).side is Side.BUY
-    assert baseline_on_tick(cfg, 10000, 15, streams) is None
-    assert baseline_on_tick(cfg, 10000, 20, streams).side is Side.SELL
-    assert baseline_on_tick(cfg, 10000, 30, streams).side is Side.BUY
-    intent = baseline_on_tick(cfg, 10000, 10, streams)
-    assert intent.quantity == 2
+    assert baseline_on_tick(cfg, 0, streams) is None
+    assert baseline_on_tick(cfg, 10, streams) == BUY
+    assert baseline_on_tick(cfg, 15, streams) is None
+    assert baseline_on_tick(cfg, 20, streams) == SELL
+    assert baseline_on_tick(cfg, 30, streams) == BUY
+    # each intent fills at the next tick for the configured quantity
+    run_cfg = replace(default_config(total_ticks=45, target_phases=None,
+                                     keep_orders=True), strategy=cfg)
+    rep = run_simulation(run_cfg, engine="scalar")
+    assert [(o.time, o.sign, o.quantity) for o in rep.orders_s] == [
+        (11, BUY, 2), (21, SELL, 2), (31, BUY, 2), (41, SELL, 2)]
 
 
 def test_bernoulli_probability_one_fires_every_tick():
     cfg = BaselineConfig(kind=BERNOULLI_TRADER, order_probability=Fraction(1))
     streams = baseline_streams(1)
     for t in range(200):
-        assert baseline_on_tick(cfg, 10000, t, streams) is not None
+        assert baseline_on_tick(cfg, t, streams) in (BUY, SELL)
 
 
 def test_bernoulli_rate_matches_probability():
@@ -58,9 +63,9 @@ def test_intent_block_matches_scalar(kind):
     scalar = []
     streams = baseline_streams(23)
     for t in range(1, 5001):
-        intent = baseline_on_tick(cfg, 10000, t, streams)
-        if intent is not None:
-            scalar.append((t, side_sign(intent.side)))
+        sign = baseline_on_tick(cfg, t, streams)
+        if sign is not None:
+            scalar.append((t, sign))
     offsets, signs = intent_block(cfg, 1, 5000, baseline_streams(23))
     blocked = [(int(off) + 1, int(sign)) for off, sign in zip(offsets, signs)]
     assert blocked == scalar

@@ -226,9 +226,13 @@ def test_config_defaults_from_empty_file(tmp_path):
     ("run:\n  keep_orders: 1\n", "run.keep_orders must be true or false"),
     ("dominance:\n  delay_probability: true\n",
      "dominance.delay_probability: cannot parse True as Fraction"),
+    *((f"instrument:\n  tick_size: \"{tick}\"\n",
+       f"tick_size must be finite and > 0, got {tick}")
+      for tick in ("NaN", "sNaN", "Infinity")),
 ], ids=["unknown_section", "unknown_key", "stale_price_seed", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
-        "bool_given_int", "fraction_given_bool"])
+        "bool_given_int", "fraction_given_bool", "tick_size_nan",
+        "tick_size_snan", "tick_size_infinity"])
 def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

@@ -11,8 +11,7 @@ from edgesim import (FIFO, LIFO, Instrument, Order, match_lots,
                      pnl_decomposed, pnl_direct, pnl_via_position,
                      quanta_to_currency, signed_open_position)
 
-inst = Instrument("DEMO", multiplier=1, tick_size=Decimal("0.01"),
-                  grid_min=9000, grid_max=11000)
+inst = Instrument("DEMO", multiplier=1, tick_size=Decimal("0.01"))
 
 # A small fill history: two buys, then a sell that closes one lot.
 orders = [

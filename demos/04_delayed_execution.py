@@ -8,6 +8,8 @@ telescoped sum of the delayed-order price improvements, each of which
 beats gamma + tau ticks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from edgesim import default_config, quanta_to_currency, run_simulation
@@ -38,9 +40,10 @@ final = report.final_diff
 print(f"\nfinal PnL advantage: {final} quanta "
       f"= {quanta_to_currency(final, config.instrument)} per unit multiplier")
 
-# The advantage is pure mechanism, not luck: force the delay variable to
+# The advantage is pure mechanism, not luck: set the delay probability to
 # zero and the overlay collapses onto the baseline, tick for tick.
-flat = run_simulation(default_config(master_seed=2024, total_ticks=50_000,
-                                     target_phases=None, disable_delays=True))
+flat = default_config(master_seed=2024, total_ticks=50_000, target_phases=None)
+flat = run_simulation(replace(flat, dominance=replace(flat.dominance,
+                                                      delay_probability=0)))
 assert np.all(flat.ticks.diff == 0)
 print("with delays forced off the difference is identically zero")

@@ -18,31 +18,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
+
+import yaml
 
 from .dominance import SimulationError
 from .harness import replication_seed, run_simulation, sweep
 from .prices import ABOVE, BELOW, estimate_hitting_time
-from .runio import load_config, write_run_artifacts, write_sweep_csv
+from .runio import (load_config, parse_field, write_run_artifacts,
+                    write_sweep_csv)
 from .verify import all_passed, verify_run
 
 
 def _parse_grid(spec: str) -> dict[str, list]:
-    parsers = {"tau": int, "gamma": int, "queue_cap": int,
-               "delay_probability": Fraction}
+    """name=v1,v2;... with each value read as YAML and parsed as the
+    dominance field it names; sweep() refuses names it cannot sweep."""
     grid: dict[str, list] = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"bad grid entry {part!r}; expected name=v1,v2,...")
-        name, values = part.split("=", 1)
+    for part in filter(None, (p.strip() for p in spec.split(";"))):
+        name, eq, values = part.partition("=")
         name = name.strip()
-        if name not in parsers:
-            raise ValueError(f"cannot sweep over {name!r}")
-        grid[name] = [parsers[name](v.strip()) for v in values.split(",")]
+        if not eq:
+            raise ValueError(f"bad grid entry {part!r}; expected name=v1,v2,...")
+        if name in grid:
+            raise ValueError(f"grid key {name!r} given twice")
+        grid[name] = [parse_field("dominance", name, yaml.safe_load(v))
+                      for v in values.split(",")]
     if not grid:
         raise ValueError("empty grid spec")
     return grid
@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimulationError, ValueError, OSError) as exc:
+    except (SimulationError, ValueError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,7 +101,7 @@ class InvariantViolation(SimulationError):
 class DominanceParams:
     tau: int = 25
     gamma: int = 25
-    delay_probability: Fraction = Fraction(1, 2)
+    delay_probability: Fraction = Fraction(1, 2)   # 0: the overlay is S
     queue_cap: int = 3
     min_distance: int = 0          # 0 disables the spacing filter
     stage1_fill_count: int = 5
@@ -112,8 +112,8 @@ class DominanceParams:
             raise ValueError("tau must be >= 1 tick")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1 tick")
-        if not 0 < self.delay_probability <= 1:
-            raise ValueError("delay_probability must be in (0, 1]")
+        if not 0 <= self.delay_probability <= 1:
+            raise ValueError("delay_probability must be in [0, 1]")
         if self.queue_cap < 1:
             raise ValueError("queue_cap must be >= 1")
         if self.min_distance < 0:

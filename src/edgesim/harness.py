@@ -67,7 +67,6 @@ class RunSettings:
     replications: int = 1
     record_ticks: bool = True
     keep_orders: bool = False
-    disable_delays: bool = False
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -77,9 +76,6 @@ class RunSettings:
             raise ValueError("total_ticks must be >= 1")
         if self.target_phases is not None and self.target_phases < 1:
             raise ValueError("target_phases must be >= 1")
-        if self.disable_delays and self.target_phases is not None:
-            raise ValueError("disable_delays needs total_ticks: without a "
-                             "delay no phase ends")
         if self.half_spread < 0:
             raise ValueError("half_spread must be >= 0")
         if self.commission_per_unit < 0:
@@ -97,9 +93,9 @@ class RunConfig:
     run: RunSettings
 
     def __post_init__(self) -> None:
-        if (self.instrument.grid_min != self.price.grid_min
-                or self.instrument.grid_max != self.price.grid_max):
-            raise ValueError("instrument and price process grids must agree")
+        if self.dominance.delay_probability == 0 and self.run.target_phases is not None:
+            raise ValueError("delay_probability 0 needs run.total_ticks: "
+                             "without a delay no phase ends")
         self.dominance.validate_for_grid(self.price.grid_min, self.price.grid_max)
 
 
@@ -107,9 +103,7 @@ def default_config(**run_overrides) -> RunConfig:
     """The desk-scale profile: cent ticks on a 90.00-110.00 grid, lazy
     reflecting walk, sparse unit-lot bernoulli baseline, tau = gamma = 25."""
     from decimal import Decimal
-    instrument = Instrument(symbol="SIM", multiplier=1,
-                            tick_size=Decimal("0.01"),
-                            grid_min=9000, grid_max=11000)
+    instrument = Instrument(symbol="SIM", multiplier=1, tick_size=Decimal("0.01"))
     price = PriceProcessConfig(kind=REFLECTING_WALK, grid_min=9000,
                                grid_max=11000, start_price=10000,
                                stay_probability=Fraction(1, 2))
@@ -147,7 +141,6 @@ class RunReport:
     q_delayed_total: int
     max_drawdown_s: Money | None
     max_drawdown_sstar: Money | None
-    drawdown_exact: bool
     commissions_s: Money
     commissions_sstar: Money
     stop_reason: str
@@ -207,9 +200,8 @@ class _RunState:
         self.keep_orders = config.run.keep_orders
         self.record_ticks = config.run.record_ticks
 
-        self.delay_draws = _DelayDraws(
-            substream(seed, STREAM_DELAY),
-            0 if config.run.disable_delays else config.dominance.delay_probability)
+        self.delay_draws = _DelayDraws(substream(seed, STREAM_DELAY),
+                                       config.dominance.delay_probability)
         self.engine = DominanceEngine(config.dominance, config.price.grid_min,
                                       config.price.grid_max, self.half_spread,
                                       self.delay_draws)
@@ -413,14 +405,11 @@ class _RunState:
     def build_report(self, seed: int, final_time: int, final_price: int,
                      stop_reason: str) -> RunReport:
         series = self.tick_series(final_time)
+        # Drawdowns need the per-tick series; None without it.
+        dd_s = dd_star = None
         if series is not None:
             dd_s = _max_drawdown(series.pnl_s)
             dd_star = _max_drawdown(series.pnl_sstar)
-            exact = True
-        else:
-            # Drawdowns need the per-tick series; not computed otherwise.
-            dd_s, dd_star = None, None
-            exact = False
         engine = self.engine
         # S fills every intent; S* all but those still queued.
         qty_s = self.order_count * self.config.strategy.quantity
@@ -437,7 +426,6 @@ class _RunState:
             phases=self.phases, records=list(engine.records),
             q_delayed_total=engine.q_delayed_total,
             max_drawdown_s=dd_s, max_drawdown_sstar=dd_star,
-            drawdown_exact=exact,
             commissions_s=self.config.run.commission_per_unit * qty_s,
             commissions_sstar=self.config.run.commission_per_unit * qty_star,
             stop_reason=stop_reason, verdicts=verdicts,

@@ -23,17 +23,15 @@ BUY = -1
 
 @dataclass(frozen=True)
 class Instrument:
-    """A tradable instrument on a finite tick grid.
+    """A tradable instrument.
 
     multiplier is the currency value of one full price point per unit of
-    quantity; tick_size is the price increment in currency.  grid_min and
-    grid_max bound the set of admissible tick indices.
+    quantity; tick_size is the price increment in currency.  The tick grid
+    belongs to the price process (PriceProcessConfig.grid_min/grid_max).
     """
     symbol: str
     multiplier: int
     tick_size: Decimal
-    grid_min: int
-    grid_max: int
 
     def __post_init__(self) -> None:
         if self.multiplier < 1:
@@ -41,12 +39,6 @@ class Instrument:
         if not (Decimal(self.tick_size).is_finite() and self.tick_size > 0):
             raise ValueError(f"tick_size must be finite and > 0, "
                              f"got {self.tick_size}")
-        if self.grid_min >= self.grid_max:
-            raise ValueError(
-                f"grid_min must be < grid_max, got [{self.grid_min}, {self.grid_max}]")
-
-    def contains(self, price_ticks: int) -> bool:
-        return self.grid_min <= price_ticks <= self.grid_max
 
 
 @dataclass(frozen=True)
@@ -70,27 +62,6 @@ class Order:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.quantity < 1:
             raise ValueError(f"quantity must be >= 1, got {self.quantity}")
-
-
-def price_to_currency(price_ticks: int, instrument: Instrument) -> Decimal:
-    """Render a grid price in currency: price_ticks * tick_size."""
-    if not instrument.contains(price_ticks):
-        raise ValueError(
-            f"price {price_ticks} outside grid "
-            f"[{instrument.grid_min}, {instrument.grid_max}]")
-    return price_ticks * instrument.tick_size
-
-
-def currency_to_price(value: Decimal, instrument: Instrument) -> int:
-    """Inverse of price_to_currency; rejects values not on the grid."""
-    ratio = value / instrument.tick_size
-    ticks = int(ratio)
-    if ticks != ratio:
-        raise ValueError(f"{value} is not a multiple of tick size "
-                         f"{instrument.tick_size}")
-    if not instrument.contains(ticks):
-        raise ValueError(f"{value} maps to off-grid tick index {ticks}")
-    return ticks
 
 
 def quanta_to_currency(quanta: Money, instrument: Instrument) -> Decimal:

@@ -323,31 +323,21 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
     return 0
 
 
-def _hit_lockstep_mean_reverting(rng: np.random.Generator,
-                                 config: PriceProcessConfig, start: int,
-                                 target: int, direction: str, samples: int,
-                                 cap: int) -> np.ndarray:
-    """Hitting times for all replications advanced in lockstep (0 = capped)."""
-    stay = float(config.stay_probability)
-    thr = up_thresholds(config)
-    gmin, gmax = config.grid_min, config.grid_max
-    above = direction == ABOVE
-
-    pos = np.full(samples, start, dtype=np.int64)
-    times = np.zeros(samples, dtype=np.int64)
-    idx = np.arange(samples)
-    t = 0
-    while idx.size and t < cap:
-        t += 1
-        pos = pos + _steps(rng.random(idx.size), stay, thr[pos - gmin])
-        pos = 2 * np.clip(pos, gmin, gmax) - pos  # reflect one tick off
-        hit = pos >= target if above else pos <= target
+def _hit_one_walk(rng: np.random.Generator, config: PriceProcessConfig,
+                  start: int, target: int, direction: str, cap: int) -> int:
+    """As _hit_one_reflecting, for any walk: the first passage of its
+    walk_block path, drawn in the same doubling blocks."""
+    price, done, block = start, 0, 1 << 8
+    while done < cap:
+        n = min(block, cap - done)
+        block = min(2 * block, 1 << 15)
+        path = walk_block(price, rng, n, config)
+        hit = path >= target if direction == ABOVE else path <= target
         if hit.any():
-            times[idx[hit]] = t
-            keep = ~hit
-            idx = idx[keep]
-            pos = pos[keep]
-    return times
+            return done + int(np.argmax(hit)) + 1
+        price = int(path[-1])
+        done += n
+    return 0
 
 
 def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
@@ -356,8 +346,8 @@ def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
     """Monte Carlo summary of the first time the price moves strictly
     beyond start_price +/- xi, over independent replications.
 
-    Replications use deterministic child streams of the master seed's
-    STREAM_HITTING substream in replication order, so the summary is
+    Replication w steps its own child stream, the w-th spawned child of
+    the master seed's STREAM_HITTING sequence, so the summary is
     reproducible for a given (config, master_seed, samples, cap).
     """
     if samples < 1:
@@ -366,19 +356,13 @@ def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
         raise ValueError("cap must be >= 1")
     target = _validate_threshold(config, start_price, xi, direction)
 
-    if config.kind == MEAN_REVERTING_WALK:
-        rng = substream(master_seed, STREAM_HITTING)
-        times = _hit_lockstep_mean_reverting(
-            rng, config, start_price, target, direction, samples, cap)
-    else:
-        root = np.random.SeedSequence(entropy=master_seed,
-                                      spawn_key=(STREAM_HITTING,))
-        children = root.spawn(samples)
-        times = np.empty(samples, dtype=np.int64)
-        for w in range(samples):
-            rng = np.random.default_rng(children[w])
-            times[w] = _hit_one_reflecting(
-                rng, config, start_price, target, direction, cap)
+    hit_one = (_hit_one_reflecting if config.kind == REFLECTING_WALK
+               else _hit_one_walk)
+    root = np.random.SeedSequence(entropy=master_seed,
+                                  spawn_key=(STREAM_HITTING,))
+    times = np.array([hit_one(np.random.default_rng(child), config,
+                              start_price, target, direction, cap)
+                      for child in root.spawn(samples)], dtype=np.int64)
 
     finite = times[times > 0]
     count = int(finite.size)

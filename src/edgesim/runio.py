@@ -2,12 +2,12 @@
 
 Config is YAML with five sections (instrument, price, strategy, dominance,
 run) holding the fields of the matching config classes; every key has a
-default, and the price grid defaults to the instrument grid.  An unknown
-section or key, an integer field given anything but an integer, and a
-bool field given anything but true/false are errors.  Exact rationals may
-be written as "1/2" strings, ints, or decimal floats (floats are parsed
-through their decimal string so 0.02 means 1/50, not its binary
-approximation).
+default, and configs/default.yaml lists them all.  The tick grid is
+price.grid_min/grid_max.  An unknown section or key, an integer field
+given anything but an integer, and a bool field given anything but
+true/false are errors.  Exact rationals may be written as "1/2" strings,
+ints, or decimal floats (floats are parsed through their decimal string
+so 0.02 means 1/50, not its binary approximation).
 
 A run directory contains:
 
@@ -23,12 +23,13 @@ n_delayed counts the phase's own delayed orders.  Prices in the
 delayed-order file are the side-adjusted fill prices; the half-spread
 cancels inside gap_ticks.  A quantum is the value of one tick on one unit
 of quantity, multiplier included; multiply by tick_size for currency.
-The verdicts of summary.json (schema edgesim-run-summary/2) name each
-in-run check and how many times it ran; a failed check aborts the run,
-so a written summary always reads passed.  phase_pnl_diff_check counts
-the phase ends re-derived from the kept order lists (0 unless
-run.keep_orders).  All files are written deterministically: same config
-and seed, same bytes.
+In summary.json (schema edgesim-run-summary/3) the max_drawdown_*
+results are null when the run recorded no tick series, and the verdicts
+name each in-run check and how many times it ran; a failed check aborts
+the run, so a written summary always reads passed.
+phase_pnl_diff_check counts the phase ends re-derived from the kept
+order lists (0 unless run.keep_orders).  All files are written
+deterministically: same config and seed, same bytes.
 
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
 the run keeps its price path and one aggregate mark (the signed cash and
@@ -103,6 +104,7 @@ def parse_decimal(value: Any) -> Decimal:
 _SECTIONS = {"instrument": Instrument, "price": PriceProcessConfig,
              "strategy": BaselineConfig, "dominance": DominanceParams,
              "run": RunSettings}
+_FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def _parse_value(where: str, kind: Any, value: Any) -> Any:
@@ -126,16 +128,20 @@ def _parse_value(where: str, kind: Any, value: Any) -> Any:
                          f"as {kind.__name__}") from None
 
 
+def parse_field(section: str, key: str, value: Any) -> Any:
+    """One value of config key section.key, of the field's type; an
+    unknown key is an error."""
+    kinds = _FIELD_TYPES[section]
+    if key not in kinds:
+        raise ValueError(f"unknown config key {section}.{key}")
+    return _parse_value(f"{section}.{key}", kinds[key], value)
+
+
 def _section(data: Mapping, name: str) -> dict:
     section = data.get(name) or {}
     if not isinstance(section, Mapping):
         raise ValueError(f"config section {name!r} must be a mapping")
-    kinds = get_type_hints(_SECTIONS[name])
-    for key in section:
-        if key not in kinds:
-            raise ValueError(f"unknown config key {name}.{key}")
-    return {key: _parse_value(f"{name}.{key}", kinds[key], value)
-            for key, value in section.items()}
+    return {key: parse_field(name, key, value) for key, value in section.items()}
 
 
 def config_from_dict(data: Mapping | None) -> RunConfig:
@@ -147,9 +153,6 @@ def config_from_dict(data: Mapping | None) -> RunConfig:
             raise ValueError(f"unknown config section {name!r}")
     base = default_config()
     sections = {name: _section(data, name) for name in _SECTIONS}
-    for key in ("grid_min", "grid_max"):
-        sections["price"].setdefault(
-            key, sections["instrument"].get(key, getattr(base.instrument, key)))
     run = sections["run"]
     if run.get("total_ticks") is not None:
         run.setdefault("target_phases", None)
@@ -180,13 +183,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        "instrument": _jsonable(asdict(config.instrument)),
-        "price": _jsonable(asdict(config.price)),
-        "strategy": _jsonable(asdict(config.strategy)),
-        "dominance": _jsonable(asdict(config.dominance)),
-        "run": _jsonable(asdict(config.run)),
-    }
+    return {name: _jsonable(asdict(getattr(config, name))) for name in _SECTIONS}
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
@@ -198,7 +195,7 @@ def summary_dict(report: RunReport) -> dict:
     instrument = report.config.instrument
     mean_gap = report.mean_order_gap
     summary = {
-        "schema": "edgesim-run-summary/2",
+        "schema": "edgesim-run-summary/3",
         "seed": report.master_seed,
         "config": config_to_dict(report.config),
         "results": {
@@ -215,7 +212,6 @@ def summary_dict(report: RunReport) -> dict:
             "mean_order_gap_ticks": None if mean_gap is None else str(mean_gap),
             "max_drawdown_s_quanta": report.max_drawdown_s,
             "max_drawdown_sstar_quanta": report.max_drawdown_sstar,
-            "drawdown_exact": report.drawdown_exact,
             "commissions_s_quanta": report.commissions_s,
             "commissions_sstar_quanta": report.commissions_sstar,
             "stop_reason": report.stop_reason,
@@ -261,14 +257,9 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
     return out
 
 
-def read_phases(run_dir: str | Path) -> list[dict]:
-    with open(Path(run_dir) / PHASES_CSV, "r", encoding="utf-8") as fh:
-        return [{k: int(v) for k, v in row.items()}
-                for row in csv.DictReader(fh)]
-
-
-def read_delayed(run_dir: str | Path) -> list[dict]:
-    with open(Path(run_dir) / DELAYED_CSV, "r", encoding="utf-8") as fh:
+def read_int_csv(run_dir: str | Path, name: str) -> list[dict]:
+    """The rows of an all-integer run file (PHASES_CSV, DELAYED_CSV)."""
+    with open(Path(run_dir) / name, "r", encoding="utf-8") as fh:
         return [{k: int(v) for k, v in row.items()}
                 for row in csv.DictReader(fh)]
 

@@ -19,7 +19,8 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                         CLAUSE_POSITIVITY, CLAUSE_QUEUE_CAP,
                         CLAUSE_TICK_CONSISTENCY)
-from .runio import read_delayed, read_phases, read_summary, read_ticks
+from .runio import (DELAYED_CSV, PHASES_CSV, read_int_csv, read_summary,
+                    read_ticks)
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,8 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
     tau = int(dominance["tau"])
     cap = int(dominance["queue_cap"])
     multiplier = int(summary["config"]["instrument"]["multiplier"])
-    phases = read_phases(run_dir)
-    records = read_delayed(run_dir)
+    phases = read_int_csv(run_dir, PHASES_CSV)
+    records = read_int_csv(run_dir, DELAYED_CSV)
 
     verdicts = [
         _check_per_order_gap(records, gamma, tau),

@@ -8,6 +8,7 @@ with `pytest tests/test_acceptance.py -v -s` to see them.
 
 import filecmp
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -214,8 +215,8 @@ def test_criterion_7_mutation_audit(tmp_path):
 
 def test_criterion_8_degenerate_delay():
     """Bernoulli substream forced to 0: the overlay is the baseline."""
-    cfg = default_config(master_seed=77, total_ticks=100_000,
-                         target_phases=None, disable_delays=True)
+    cfg = default_config(master_seed=77, total_ticks=100_000, target_phases=None)
+    cfg = replace(cfg, dominance=replace(cfg.dominance, delay_probability=0))
     rep = run_simulation(cfg)
     assert np.all(rep.ticks.diff == 0)
     assert np.array_equal(rep.ticks.pnl_s, rep.ticks.pnl_sstar)

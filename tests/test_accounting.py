@@ -9,7 +9,7 @@ from edgesim.accounting import (FIFO, LIFO, match_lots, pnl_decomposed,
                                 signed_open_position)
 from edgesim.market import BUY, SELL, Instrument, Order
 
-INST = Instrument("SIM", 1, Decimal("0.01"), 0, 1_000_000)
+INST = Instrument("SIM", 1, Decimal("0.01"))
 
 
 def o(id_, sign, price, qty, time=0):

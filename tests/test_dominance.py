@@ -12,7 +12,7 @@ from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                phase_pnl_diff_check, release_level)
 from edgesim.market import BUY, SELL, Instrument, Order
 
-INST = Instrument("SIM", 1, Decimal("0.01"), 9000, 11000)
+INST = Instrument("SIM", 1, Decimal("0.01"))
 
 
 def make_engine(tau=50, gamma=40, queue_cap=3, min_distance=0, stage1=2,
@@ -324,8 +324,10 @@ def test_half_spread_applies_to_release_fills():
 def test_params_validation():
     with pytest.raises(ValueError):
         DominanceParams(tau=0)
-    with pytest.raises(ValueError):
-        DominanceParams(delay_probability=Fraction(0))
+    for p in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match=r"delay_probability must be in \[0, 1\]"):
+            DominanceParams(delay_probability=p)
+    DominanceParams(delay_probability=Fraction(0))     # delays off
     with pytest.raises(ValueError):
         DominanceParams(tau=500, gamma=500).validate_for_grid(9000, 11000)
     DominanceParams(tau=499, gamma=500).validate_for_grid(9000, 11000)

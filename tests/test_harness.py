@@ -26,7 +26,7 @@ from edgesim.strategies import BaselineConfig
 def quick(seed=11, phases=2, **run_overrides):
     """A narrow-grid profile whose phases finish in a few thousand ticks,
     fast enough for the literal scalar engine."""
-    instrument = Instrument("T", 1, Decimal("0.01"), 9800, 10200)
+    instrument = Instrument("T", 1, Decimal("0.01"))
     price = PriceProcessConfig(kind=REFLECTING_WALK, grid_min=9800,
                                grid_max=10200, start_price=10000,
                                stay_probability=Fraction(1, 2))
@@ -54,17 +54,33 @@ def test_run_settings_validation():
         RunSettings(total_ticks=None, target_phases=None)
     with pytest.raises(ValueError):
         RunSettings(target_phases=5, half_spread=-1)
+
+
+def without_delays(cfg):
+    return replace(cfg, dominance=replace(cfg.dominance, delay_probability=0))
+
+
+def test_delay_probability_zero_needs_total_ticks():
+    # without a delay no phase ends, so a phase target would never be met
     with pytest.raises(ValueError, match="no phase ends"):
-        RunSettings(target_phases=5, disable_delays=True)
+        without_delays(default_config(target_phases=5))
+    cfg = without_delays(default_config(total_ticks=10, target_phases=None))
+    assert cfg.dominance.delay_probability == 0
 
 
-def test_grid_mismatch_rejected():
-    cfg = default_config()
-    with pytest.raises(ValueError):
-        RunConfig(cfg.instrument,
-                  PriceProcessConfig(grid_min=0, grid_max=2000,
-                                     start_price=1000),
-                  cfg.strategy, cfg.dominance, cfg.run)
+def test_price_grid_alone_configures_simulate_verify_and_recurrence(tmp_path):
+    # the tick grid is the price process's; nothing else states it
+    path = tmp_path / "cfg.yaml"
+    path.write_text("price:\n  grid_min: 0\n  grid_max: 60\n  start_price: 30\n"
+                    "dominance:\n  tau: 5\n  gamma: 5\n"
+                    "run:\n  target_phases: 2\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
+    assert cli.main(["recurrence", str(path), "--xi", "4", "--samples", "20"]) == 0
+    prices = np.loadtxt(out / "ticks.csv", delimiter=",", skiprows=1,
+                        dtype=np.int64)[:, 1]
+    assert prices.min() >= 0 and prices.max() <= 60
 
 
 def test_same_seed_same_report():
@@ -97,13 +113,12 @@ def test_engines_agree_on_default_profile():
 def small_configs(draw):
     """Narrow grids just above 2(tau + gamma), spread, spacing, lots above
     one unit, both baselines, both walks, both stopping rules, delays off
-    and ticks recorded or not.  Stay and reversion 1/3 give thresholds
-    that are not dyadic."""
+    (delay probability 0, total_ticks stops only) and ticks recorded or
+    not.  Stay and reversion 1/3 give thresholds that are not dyadic."""
     tau, gamma = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     grid_min = draw(st.integers(0, 100))
     grid_max = grid_min + 2 * (tau + gamma) + draw(st.integers(1, 8))
-    instrument = Instrument("F", draw(st.integers(1, 3)), Decimal("0.01"),
-                            grid_min, grid_max)
+    instrument = Instrument("F", draw(st.integers(1, 3)), Decimal("0.01"))
     price = PriceProcessConfig(
         kind=draw(st.sampled_from([REFLECTING_WALK, MEAN_REVERTING_WALK])),
         grid_min=grid_min, grid_max=grid_max,
@@ -118,21 +133,22 @@ def small_configs(draw):
         BaselineConfig(order_probability=Fraction(1, 8), quantity=quantity),
         BaselineConfig(kind="periodic_alternator",
                        period=draw(st.integers(1, 6)), quantity=quantity)]))
-    dominance = DominanceParams(
-        tau=tau, gamma=gamma,
-        delay_probability=draw(st.sampled_from([Fraction(1, 2), Fraction(1)])),
-        queue_cap=draw(st.integers(1, 5)), min_distance=draw(st.integers(0, 3)),
-        stage1_fill_count=draw(st.integers(1, 4)),
-        max_phase_ticks=draw(st.integers(100, 3000)))
     stop = draw(st.one_of(
         st.builds(lambda n: {"total_ticks": n, "target_phases": None},
                   st.integers(1, 3000)),
         st.builds(lambda n: {"target_phases": n}, st.integers(1, 3))))
+    probabilities = [Fraction(1, 2), Fraction(1)]
+    if stop["target_phases"] is None:
+        probabilities.append(Fraction(0))
+    dominance = DominanceParams(
+        tau=tau, gamma=gamma,
+        delay_probability=draw(st.sampled_from(probabilities)),
+        queue_cap=draw(st.integers(1, 5)), min_distance=draw(st.integers(0, 3)),
+        stage1_fill_count=draw(st.integers(1, 4)),
+        max_phase_ticks=draw(st.integers(100, 3000)))
     run = RunSettings(master_seed=draw(st.integers(0, 2 ** 16)),
                       half_spread=draw(st.integers(0, 2)),
                       commission_per_unit=draw(st.integers(0, 3)),
-                      disable_delays=(stop["target_phases"] is None
-                                      and draw(st.booleans())),
                       record_ticks=draw(st.booleans()), keep_orders=True, **stop)
     return RunConfig(instrument, price, strategy, dominance, run)
 
@@ -218,8 +234,8 @@ def test_diff_moves_only_while_positions_differ():
 
 
 def test_degenerate_delay_keeps_diff_zero():
-    cfg = default_config(master_seed=23, total_ticks=40_000,
-                         target_phases=None, disable_delays=True)
+    cfg = without_delays(default_config(master_seed=23, total_ticks=40_000,
+                                        target_phases=None))
     rep = run_simulation(cfg)
     assert np.all(rep.ticks.diff == 0)
     assert rep.q_delayed_total == 0
@@ -254,7 +270,7 @@ def edge_config(seed, grid_min=0):
     """Grid width 40, dense fills, queue cap 2: phases of a few thousand
     ticks with many enqueues and releases."""
     return RunConfig(
-        Instrument("E", 1, Decimal("0.01"), grid_min, grid_min + 40),
+        Instrument("E", 1, Decimal("0.01")),
         PriceProcessConfig(grid_min=grid_min, grid_max=grid_min + 40,
                            start_price=grid_min + 20,
                            stay_probability=Fraction(1, 2)),
@@ -322,7 +338,7 @@ def test_long_phase_with_an_empty_queue_is_not_stranded():
     # the first delay comes more than max_phase_ticks after the run starts,
     # but no order waits that long; the backstop used to bound the phase
     cfg = RunConfig(
-        Instrument("F", 1, Decimal("0.01"), 0, 5),
+        Instrument("F", 1, Decimal("0.01")),
         PriceProcessConfig(grid_min=0, grid_max=5, start_price=0,
                            stay_probability=Fraction(0)),
         BaselineConfig(order_probability=Fraction(1, 8)),
@@ -370,7 +386,6 @@ def test_total_ticks_mode_stops_exactly():
     assert rep.final_time == 12_345
     assert len(rep.ticks.time) == 12_346
     assert rep.stop_reason == "total_ticks"
-    assert rep.drawdown_exact
     assert rep.max_drawdown_s >= 0
 
 
@@ -458,3 +473,40 @@ def test_sweep_mean_gap_exceeds_threshold_per_cell():
 def test_sweep_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         sweep(quick(), {"stage1_fill_count": [1]})
+
+
+SWEEP_CONFIG = ("price:\n  grid_min: 0\n  grid_max: 60\n  start_price: 30\n"
+                "dominance:\n  tau: 5\n  gamma: 5\n"
+                "run:\n  target_phases: 1\n  record_ticks: false\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("tau=2.5", "config key dominance.tau must be an integer, got 2.5"),
+    ("tau=25;tau=10", "grid key 'tau' given twice"),
+    ("delay_probability=true",
+     "config key dominance.delay_probability: cannot parse True as Fraction"),
+    ("taux=5", "unknown config key dominance.taux"),
+    ("min_distance=5", "cannot sweep over 'min_distance'"),
+    ("tau=[5", "while parsing a flow sequence"),
+], ids=["int_given_float", "repeated_key", "fraction_given_bool",
+        "unknown_key", "not_sweepable", "not_yaml"])
+def test_sweep_cli_refuses_bad_grids(tmp_path, capsys, spec, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SWEEP_CONFIG)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", str(path), "--grid", spec, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_sweep_cli_parses_grid_values_as_config_fields(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(SWEEP_CONFIG)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", str(path), "--out", str(out), "--grid",
+                     "tau=4, 5; delay_probability=1/2,0.75,1"]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0].startswith("tau,delay_probability,replication")
+    assert [r.split(",")[:2] for r in rows[1:]] == [
+        [tau, p] for tau in ("4", "5") for p in ("1/2", "3/4", "1")]

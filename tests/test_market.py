@@ -4,40 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgesim.market import (BUY, SELL, Instrument, Order, currency_to_price,
-                            fill_price, price_to_currency, quanta_to_currency)
+from edgesim.market import (BUY, SELL, Instrument, Order, fill_price,
+                            quanta_to_currency)
 
-CENT = Instrument("SIM", 1, Decimal("0.01"), 9000, 11000)
-WIDE = Instrument("W", 1, Decimal("0.01"), 0, 20000)
-QUARTER = Instrument("Q", 1, Decimal("0.25"), 0, 1000)
-
-
-def test_price_to_currency():
-    assert price_to_currency(10000, CENT) == Decimal("100.00")
-    assert price_to_currency(0, WIDE) == Decimal("0.00")
-
-
-def test_price_to_currency_quarter_tick():
-    # independent oracle: plain Decimal arithmetic
-    assert price_to_currency(402, QUARTER) == Decimal("0.25") * 402
-    assert price_to_currency(402, QUARTER) == Decimal("100.50")
-
-
-def test_price_to_currency_rejects_off_grid():
-    with pytest.raises(ValueError):
-        price_to_currency(8999, CENT)
-    with pytest.raises(ValueError):
-        price_to_currency(11001, CENT)
-
-
-@given(st.integers(min_value=9000, max_value=11000))
-def test_currency_round_trip(ticks):
-    assert currency_to_price(price_to_currency(ticks, CENT), CENT) == ticks
-
-
-def test_currency_to_price_rejects_off_tick():
-    with pytest.raises(ValueError):
-        currency_to_price(Decimal("100.005"), CENT)
+CENT = Instrument("SIM", 1, Decimal("0.01"))
 
 
 def test_quanta_rendering_scales_by_tick_size_only():
@@ -71,14 +41,12 @@ def test_order_rejects_invalid_fields(kwargs):
 
 def test_instrument_validation():
     with pytest.raises(ValueError):
-        Instrument("X", 0, Decimal("0.01"), 0, 10)
+        Instrument("X", 0, Decimal("0.01"))
     with pytest.raises(ValueError):
-        Instrument("X", 1, Decimal("0"), 0, 10)
-    with pytest.raises(ValueError):
-        Instrument("X", 1, Decimal("0.01"), 10, 10)
+        Instrument("X", 1, Decimal("0"))
     for tick in ("NaN", "sNaN", "Infinity", "-Infinity"):
         with pytest.raises(ValueError, match="tick_size"):
-            Instrument("X", 1, Decimal(tick), 0, 10)
+            Instrument("X", 1, Decimal(tick))
 
 
 def test_fill_price_adjustment():

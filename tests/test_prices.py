@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from edgesim import cli, prices
 from edgesim.prices import (_MAX_BLOCK_RESTARTS, _SPECULATION_WINDOW, ABOVE,
                             BELOW, MEAN_REVERTING_WALK, REFLECTING_WALK,
-                            STREAM_HITTING, STREAM_PRICE, PriceProcessConfig,
+                            STREAM_HITTING, STREAM_PRICE, HittingTimeSummary,
+                            PriceProcessConfig,
                             _reflect, _steps, _up_probability,
                             estimate_hitting_time, next_price, substream,
                             up_thresholds, walk_block)
@@ -315,21 +316,22 @@ def test_hitting_time_finite_on_narrow_grid_both_directions():
 
 
 def test_hitting_time_folded_sampler_matches_direct_chain():
-    # law check: folded free-walk exit times vs literal next_price stepping
+    # law check: folded free-walk exit times vs the reflected chain itself,
+    # stepped in walk_block blocks (path-identical to next_price steps)
     config = PriceProcessConfig(grid_min=0, grid_max=60, start_price=30,
                                 stay_probability=Fraction(0))
     xi, cap, n = 8, 50000, 4000
     direct = []
     root = np.random.SeedSequence(entropy=123, spawn_key=(9,))
     for child in root.spawn(n):
-        rng, price = np.random.default_rng(child), 30
-        t = 0
+        rng, price, t = np.random.default_rng(child), 30, 0
         while True:
-            price = next_price(price, rng, config)
-            t += 1
-            if price > 30 + xi:
-                direct.append(t)
+            path = walk_block(price, rng, 1024, config)
+            hit = np.flatnonzero(path > 30 + xi)
+            if hit.size:
+                direct.append(t + int(hit[0]) + 1)
                 break
+            price, t = int(path[-1]), t + len(path)
     direct = np.asarray(direct, dtype=float)
     s = estimate_hitting_time(config, 30, xi, ABOVE, samples=n, cap=cap,
                               master_seed=321)
@@ -349,20 +351,31 @@ def test_hitting_time_mean_reverting_lockstep():
 
 
 def test_mean_reverting_hitting_time_steps_the_scalar_law():
-    # one sample draws one uniform per step from the hitting substream,
-    # so its passage time is that of literal next_price steps
-    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
-                                grid_max=40, start_price=20,
-                                stay_probability=Fraction(1, 3),
-                                reversion_strength=Fraction(1, 3))
-    for seed in range(5):
-        rng, price, t = substream(seed, STREAM_HITTING), 20, 0
-        while price <= 26:
-            price = next_price(price, rng, config)
-            t += 1
-        s = estimate_hitting_time(config, 20, 6, ABOVE, samples=1,
-                                  cap=10**6, master_seed=seed)
-        assert s.count_finite == 1 and s.max == t
+    # sample w steps the w-th child of the hitting sequence one uniform per
+    # tick, so its passage time is that of literal next_price steps; the
+    # last case has passages longer than the first block
+    samples, seed = 12, 7
+    for (gmin, gmax), start, xi, direction in [
+            ((0, 40), 20, 6, ABOVE), ((0, 40), 20, 6, BELOW),
+            ((0, 200), 100, 25, ABOVE)]:
+        config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=gmin,
+                                    grid_max=gmax, start_price=start,
+                                    stay_probability=Fraction(1, 3),
+                                    reversion_strength=Fraction(1, 3))
+        sign = 1 if direction == ABOVE else -1
+        root = np.random.SeedSequence(seed, spawn_key=(STREAM_HITTING,))
+        times = []
+        for child in root.spawn(samples):
+            rng, price, t = np.random.default_rng(child), start, 0
+            while sign * (price - start) <= xi:
+                price = next_price(price, rng, config)
+                t += 1
+            times.append(t)
+        s = estimate_hitting_time(config, start, xi, direction,
+                                  samples=samples, cap=10**6, master_seed=seed)
+        assert s == HittingTimeSummary(samples, 10**6, samples,
+                                       float(np.mean(times)), max(times))
+    assert max(times) > 256
 
 
 def test_hitting_time_determinism():
@@ -474,8 +487,7 @@ def test_mean_reverting_walk_block_passage_matches_the_birth_death_chain(
 
 def test_recurrence_cli_defaults_to_the_run_master_seed(tmp_path, capsys):
     path = tmp_path / "cfg.yaml"
-    path.write_text("instrument:\n  grid_min: 0\n  grid_max: 60\n"
-                    "price:\n  start_price: 30\n"
+    path.write_text("price:\n  grid_min: 0\n  grid_max: 60\n  start_price: 30\n"
                     "dominance:\n  tau: 5\n  gamma: 5\n"
                     "run:\n  master_seed: 5\n")
     outputs = []

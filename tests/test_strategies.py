@@ -88,6 +88,8 @@ def test_hti_blindness_replay():
     base = dict(total_ticks=40_000, target_phases=None, master_seed=55,
                 keep_orders=True, record_ticks=False)
     with_overlay = run_simulation(default_config(**base))
-    without = run_simulation(default_config(**base, disable_delays=True))
+    cfg = default_config(**base)
+    without = run_simulation(replace(cfg, dominance=replace(cfg.dominance,
+                                                            delay_probability=0)))
     assert with_overlay.orders_s == without.orders_s
     assert len(with_overlay.orders_s) > 0

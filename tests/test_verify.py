@@ -1,17 +1,19 @@
 import csv
 import io
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from edgesim import cli
 from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_QUEUE_CAP, CLAUSE_TICK_CONSISTENCY)
-from edgesim.harness import default_config, run_simulation
+from edgesim.harness import RunConfig, default_config, run_simulation
 from edgesim.runio import (DELAYED_CSV, PHASES_CSV, TICKS_CSV, TICKS_HEADER,
-                           load_config, read_delayed, read_phases, save_config,
+                           load_config, read_int_csv, save_config,
                            write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
@@ -82,7 +84,7 @@ def test_decreasing_phase_diffs_fail_monotonicity(run_dir, tmp_path):
 
 def test_queue_cap_breach_fails_queue_clause(run_dir, tmp_path):
     dst = _copy(run_dir, tmp_path)
-    records = read_delayed(dst)
+    records = read_int_csv(dst, DELAYED_CSV)
     assert len(records) >= 4, "need at least cap+1 records for this mutation"
 
     def mutate(body):
@@ -98,7 +100,7 @@ def test_queue_cap_breach_fails_queue_clause(run_dir, tmp_path):
 
 def test_tampered_tick_diff_fails_consistency(run_dir, tmp_path):
     dst = _copy(run_dir, tmp_path)
-    phases = read_phases(dst)
+    phases = read_int_csv(dst, PHASES_CSV)
     end = phases[0]["end_time"]
     path = dst / TICKS_CSV
     lines = path.read_text().splitlines()
@@ -159,7 +161,7 @@ def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
     dst = _copy(run_dir, tmp_path)
     path = dst / TICKS_CSV
     lines = path.read_text().splitlines(keepends=True)
-    last_end = read_phases(dst)[-1]["end_time"]
+    last_end = read_int_csv(dst, PHASES_CSV)[-1]["end_time"]
     path.write_text("".join(edit(lines, last_end)))
     assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
 
@@ -209,6 +211,18 @@ def test_config_yaml_round_trip(tmp_path):
     assert loaded == cfg
 
 
+def test_default_yaml_states_every_default():
+    # configs/default.yaml documents the defaults: it must load to
+    # default_config() and name every field of every section
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+    cfg = load_config(path)
+    assert cfg == default_config()
+    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    assert set(data) == {f.name for f in fields(RunConfig)}
+    for name, section in data.items():
+        assert set(section) == {f.name for f in fields(getattr(cfg, name))}, name
+
+
 def test_config_defaults_from_empty_file(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
@@ -219,6 +233,8 @@ def test_config_defaults_from_empty_file(tmp_path):
     ("model:\n  tau: 10\n", "unknown config section 'model'"),
     ("dominance:\n  tua: 10\n", "unknown config key dominance.tua"),
     ("price:\n  seed: 3\n", "unknown config key price.seed"),
+    ("instrument:\n  grid_min: 0\n", "unknown config key instrument.grid_min"),
+    ("run:\n  disable_delays: true\n", "unknown config key run.disable_delays"),
     ("dominance:\n  tau: true\n", "dominance.tau must be an integer"),
     ("dominance:\n  gamma: 25.9\n", "dominance.gamma must be an integer"),
     ("run:\n  master_seed: \"7\"\n", "run.master_seed must be an integer"),
@@ -229,7 +245,8 @@ def test_config_defaults_from_empty_file(tmp_path):
     *((f"instrument:\n  tick_size: \"{tick}\"\n",
        f"tick_size must be finite and > 0, got {tick}")
       for tick in ("NaN", "sNaN", "Infinity")),
-], ids=["unknown_section", "unknown_key", "stale_price_seed", "int_given_bool",
+], ids=["unknown_section", "unknown_key", "stale_price_seed",
+        "stale_instrument_grid", "stale_disable_delays", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
         "bool_given_int", "fraction_given_bool", "tick_size_nan",
         "tick_size_snan", "tick_size_infinity"])

@@ -1,13 +1,12 @@
 """Command line entry points.
 
-    edgesim simulate <config.yaml> [--seed N] [--out DIR] [--engine E]
+    edgesim simulate <config.yaml> [--seed N] [--out DIR]
     edgesim verify <run-dir>
     edgesim sweep <config.yaml> --grid "tau=10,25;gamma=25" [--out FILE] [--seed N]
     edgesim recurrence <config.yaml> --xi 100 --samples 10000 [--cap N]
                        [--direction above|below] [--start P] [--seed N]
 
-Without --seed, simulate, sweep and recurrence use the config's
-run.master_seed.
+--seed N sets run.master_seed for simulate, sweep and recurrence.
 
 Exit status is 0 only when every check passes; simulation aborts
 (invariant violations, stranded orders, bad configs) exit nonzero with a
@@ -18,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 from .dominance import SimulationError
-from .harness import replication_seed, run_simulation, sweep
+from .harness import RunConfig, replication_seed, run_simulation, sweep
 from .prices import ABOVE, BELOW, estimate_hitting_time
 from .runio import (load_config, parse_field, write_run_artifacts,
                     write_sweep_csv)
@@ -48,16 +48,23 @@ def _parse_grid(spec: str) -> dict[str, list]:
     return grid
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> RunConfig:
+    """The config file with --seed, if given, as its run.master_seed."""
     config = load_config(args.config)
-    seed = args.seed if args.seed is not None else config.run.master_seed
+    if args.seed is None:
+        return config
+    return replace(config, run=replace(config.run, master_seed=args.seed))
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load(args)
     out_base = Path(args.out or config.run.out_dir or "edgesim_run")
 
     reps = config.run.replications
     ok = True
     for rep in range(reps):
-        rep_seed = replication_seed(seed, rep)
-        report = run_simulation(config, master_seed=rep_seed, engine=args.engine)
+        rep_seed = replication_seed(config.run.master_seed, rep)
+        report = run_simulation(config, master_seed=rep_seed)
         out = out_base if reps == 1 else out_base / f"rep_{rep:03d}"
         write_run_artifacts(report, out)
         print(f"run seed={rep_seed}: {report.phases_completed} phases, "
@@ -82,10 +89,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        from dataclasses import replace
-        config = replace(config, run=replace(config.run, master_seed=args.seed))
+    config = _load(args)
     grid = _parse_grid(args.grid)
     rows = sweep(config, grid)
     out = Path(args.out or "sweep.csv")
@@ -102,13 +106,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_recurrence(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+    config = _load(args)
     price = config.price
     start = args.start if args.start is not None else price.start_price
-    seed = args.seed if args.seed is not None else config.run.master_seed
     summary = estimate_hitting_time(
         price, start, args.xi, args.direction, args.samples, args.cap,
-        master_seed=seed)
+        master_seed=config.run.master_seed)
     print(f"threshold {args.direction} {args.xi} ticks from {start}: "
           f"{summary.count_finite}/{summary.samples} hit within cap "
           f"{summary.cap}")
@@ -124,10 +127,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("config")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--engine", choices=["blocked", "scalar"],
-                   default="blocked",
-                   help="blocked (default): vectorized; scalar: the "
-                        "tick-by-tick reference, identical reports")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", help="re-audit a run directory offline")

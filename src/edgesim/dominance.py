@@ -230,20 +230,11 @@ class DominanceEngine:
         self._cloud_den = 0
 
         self.phase_index = 1
-        self.stage = 1
         self.stage1_remaining = params.stage1_fill_count
-        self.delays_this_phase = 0
         self.queue: list[DelayQueueEntry] = []
-        # Frozen conservative release levels over the current queue: no
-        # sell entry can release below frozen_sell_min and no buy entry
-        # above frozen_buy_max, regardless of later cloud movement.  They
-        # change only when the queue changes, so callers may use them to
-        # skip scans over price stretches that provably release nothing.
-        self.frozen_sell_min: int | None = None
-        self.frozen_buy_max: int | None = None
 
         self.records: list[DelayedOrderRecord] = []
-        self._phase_records: list[DelayedOrderRecord] = []
+        self._phase_start = 0         # records[_phase_start:] are this phase's
         self.last_phase_records: tuple[DelayedOrderRecord, ...] = ()
         self.q_delayed_total = 0      # cumulative quantity over delayed orders
         self.gap_weighted_total = 0   # cumulative sum sign*(p_exec - p_delay)*qty
@@ -269,6 +260,25 @@ class DominanceEngine:
 
     # -- phase bookkeeping ----------------------------------------------
 
+    @property
+    def stage(self) -> int:
+        return 1 if self.stage1_remaining else 2
+
+    # Frozen conservative release levels over the current queue: no sell
+    # entry can release below frozen_sell_min and no buy entry above
+    # frozen_buy_max, regardless of later cloud movement.  They change
+    # only when the queue changes, so callers may use them to skip scans
+    # over price stretches that provably release nothing.
+    @property
+    def frozen_sell_min(self) -> int | None:
+        return min((e.frozen_trigger for e in self.queue if e.sign == SELL),
+                   default=None)
+
+    @property
+    def frozen_buy_max(self) -> int | None:
+        return max((e.frozen_trigger for e in self.queue if e.sign != SELL),
+                   default=None)
+
     def backstop_deadline(self) -> int | None:
         """The first tick at which the oldest queued order has waited more
         than max_phase_ticks; None while the queue is empty."""
@@ -285,12 +295,10 @@ class DominanceEngine:
                                      self.params.max_phase_ticks, self.queue)
 
     def _roll_phase(self) -> None:
-        self.last_phase_records = tuple(self._phase_records)
-        self._phase_records = []
+        self.last_phase_records = tuple(self.records[self._phase_start:])
+        self._phase_start = len(self.records)
         self.phase_index += 1
-        self.stage = 1
         self.stage1_remaining = self.params.stage1_fill_count
-        self.delays_this_phase = 0
 
     # -- events ----------------------------------------------------------
 
@@ -299,9 +307,7 @@ class DominanceEngine:
         enqueues, their delay draws taken: add them to the cloud."""
         self._cloud_num += int(raw_prices.sum()) * quantity
         self._cloud_den += len(raw_prices) * quantity
-        if self.stage == 1:
-            self.stage1_remaining = max(self.stage1_remaining - len(raw_prices), 0)
-            self.stage = 1 if self.stage1_remaining else 2
+        self.stage1_remaining = max(self.stage1_remaining - len(raw_prices), 0)
 
     def on_base_fill(self, order_id: int, sign: int, quantity: int, time: int,
                      raw_price: int, base_fill_price: int) -> str:
@@ -314,11 +320,9 @@ class DominanceEngine:
         filter, or the grid reachability guard.
         """
         self.check_phase_backstop(time)
-        if self.stage == 1:
+        if self.stage1_remaining:
             self._cloud_add(quantity, raw_price)
             self.stage1_remaining -= 1
-            if self.stage1_remaining == 0:
-                self.stage = 2
             return MIRROR
 
         # Stage 2 follows at least one fill, so den >= 1.
@@ -356,8 +360,6 @@ class DominanceEngine:
                 CLAUSE_QUEUE_CAP,
                 f"order {order_id}: {len(self.queue)} queued orders exceed "
                 f"queue_cap = {self.params.queue_cap}")
-        self._refresh_frozen_bounds()
-        self.delays_this_phase += 1
         return ENQUEUE
 
     def on_tick(self, time: int,
@@ -399,7 +401,6 @@ class DominanceEngine:
                             f"{self.params.gamma + self.params.tau}")
                     self._cloud_add(entry.quantity, raw_price)
                     self.records.append(record)
-                    self._phase_records.append(record)
                     self.q_delayed_total += entry.quantity
                     self.gap_weighted_total += gap * entry.quantity
                     executed.append(record)
@@ -407,20 +408,13 @@ class DominanceEngine:
                     remaining.append(entry)
             if executed:
                 self.queue = remaining
-                self._refresh_frozen_bounds()
 
-        phase_ended = False
-        if self.delays_this_phase >= 1 and not self.queue:
+        # A phase starts with an empty queue and an entry leaves it only by
+        # release, so a release this phase and an empty queue end it.
+        phase_ended = len(self.records) > self._phase_start and not self.queue
+        if phase_ended:
             self._roll_phase()
-            phase_ended = True
         return executed, phase_ended
-
-    def _refresh_frozen_bounds(self) -> None:
-        """The lowest frozen trigger over queued sells, the highest over buys."""
-        self.frozen_sell_min = min((e.frozen_trigger for e in self.queue
-                                    if e.sign == SELL), default=None)
-        self.frozen_buy_max = max((e.frozen_trigger for e in self.queue
-                                   if e.sign != SELL), default=None)
 
     # -- block-engine support ---------------------------------------------
 

@@ -41,7 +41,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         phase_clause_failures, phase_pnl_diff_check,
                         release_level)
 from .market import BUY, SELL, Instrument, Money, Order, fill_price
-from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
+from .prices import (STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, next_price,
                      substream, walk_block)
 from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
@@ -72,6 +72,8 @@ class RunSettings:
     def __post_init__(self) -> None:
         if (self.total_ticks is None) == (self.target_phases is None):
             raise ValueError("exactly one of total_ticks/target_phases must be set")
+        if self.master_seed < 0:
+            raise ValueError(f"run.master_seed must be >= 0, got {self.master_seed}")
         if self.total_ticks is not None and self.total_ticks < 1:
             raise ValueError("total_ticks must be >= 1")
         if self.target_phases is not None and self.target_phases < 1:
@@ -101,19 +103,10 @@ class RunConfig:
 
 def default_config(**run_overrides) -> RunConfig:
     """The desk-scale profile: cent ticks on a 90.00-110.00 grid, lazy
-    reflecting walk, sparse unit-lot bernoulli baseline, tau = gamma = 25."""
-    from decimal import Decimal
-    instrument = Instrument(symbol="SIM", multiplier=1, tick_size=Decimal("0.01"))
-    price = PriceProcessConfig(kind=REFLECTING_WALK, grid_min=9000,
-                               grid_max=11000, start_price=10000,
-                               stay_probability=Fraction(1, 2))
-    strategy = BaselineConfig(kind="bernoulli_trader",
-                              order_probability=Fraction(1, 50), quantity=1)
-    dominance = DominanceParams(tau=25, gamma=25,
-                                delay_probability=Fraction(1, 2),
-                                queue_cap=3, stage1_fill_count=5)
-    run = RunSettings(**{"target_phases": 20, "master_seed": 1, **run_overrides})
-    return RunConfig(instrument, price, strategy, dominance, run)
+    reflecting walk, sparse unit-lot bernoulli baseline, tau = gamma = 25;
+    each section's defaults are its config class's."""
+    return RunConfig(Instrument(), PriceProcessConfig(), BaselineConfig(),
+                     DominanceParams(), RunSettings(**run_overrides))
 
 
 @dataclass
@@ -194,10 +187,8 @@ class _RunState:
 
     def __init__(self, config: RunConfig, seed: int):
         self.config = config
-        self.instrument = config.instrument
         self.m = config.instrument.multiplier
         self.half_spread = config.run.half_spread
-        self.keep_orders = config.run.keep_orders
         self.record_ticks = config.run.record_ticks
 
         self.delay_draws = _DelayDraws(substream(seed, STREAM_DELAY),
@@ -213,11 +204,10 @@ class _RunState:
         self.w_star = 0
         self.sq_star = 0
         self.order_count = 0
-        self.orders_s: list[Order] | None = [] if self.keep_orders else None
-        self.orders_star: list[Order] | None = [] if self.keep_orders else None
+        self.orders_s: list[Order] | None = [] if config.run.keep_orders else None
+        self.orders_star: list[Order] | None = [] if config.run.keep_orders else None
 
         self.phases: list[PhaseReport] = []
-        self.prev_diff: Money = 0
         # How many times each phase-end check ran (the run's verdict counts).
         self.checked = dict.fromkeys((*_PHASE_CHECKS, ORACLE_CHECK), 0)
 
@@ -309,21 +299,21 @@ class _RunState:
             lower_bound=self.m * engine.q_delayed_total * (params.gamma + params.tau),
             records=engine.last_phase_records)
         telescoping = self.m * engine.gap_weighted_total
-        failures = phase_clause_failures(diff, self.prev_diff, report, telescoping,
+        prev_diff = self.phases[-1].pnl_diff if self.phases else 0
+        failures = phase_clause_failures(diff, prev_diff, report, telescoping,
                                     self.m, params)
         if not failures and self.orders_s is not None:
             self.checked[ORACLE_CHECK] += 1
-            failures = phase_pnl_diff_check(report, self.prev_diff,
+            failures = phase_pnl_diff_check(report, prev_diff,
                                             engine.records, self.orders_s,
                                             self.orders_star, price,
-                                            self.instrument, params)
+                                            self.config.instrument, params)
         if failures:
             raise InvariantViolation(
                 failures[0], f"phase {report.phase_index} ended at t={time} "
                              f"with diff={diff}, bound={report.lower_bound}, "
-                             f"previous diff={self.prev_diff}")
+                             f"previous diff={prev_diff}")
         self.phases.append(report)
-        self.prev_diff = diff
 
     def audit_tick(self, price: int) -> None:
         """Mid-phase reconciliation: the diff equals the telescoping sum of
@@ -549,7 +539,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         at, sg, p = fill_at[i:], signs[i:], raw[i:]
         k = len(at)
         num, den = engine.cloud
-        stage1 = min(engine.stage1_remaining if engine.stage == 1 else 0, k)
+        stage1 = min(engine.stage1_remaining, k)
         nums = dens = None
         c = 0            # the first fill that is an event, or k
         if g * (den + k * quantity) < 2 ** 62:
@@ -671,10 +661,9 @@ def sweep(config: RunConfig, grid: Mapping[str, Sequence]) -> list[SweepRow]:
         for rep in range(config.run.replications):
             seed = replication_seed(config.run.master_seed, rep)
             try:
-                dom = replace(config.dominance, **cell)
-                cell_config = RunConfig(config.instrument, config.price,
-                                        config.strategy, dom,
-                                        replace(config.run, record_ticks=False))
+                cell_config = replace(
+                    config, dominance=replace(config.dominance, **cell),
+                    run=replace(config.run, record_ticks=False))
             except ValueError as exc:
                 rows.append(SweepRow(cell=cell, replication=rep, seed=seed,
                                      status="skipped", note=str(exc)))

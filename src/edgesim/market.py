@@ -29,9 +29,9 @@ class Instrument:
     quantity; tick_size is the price increment in currency.  The tick grid
     belongs to the price process (PriceProcessConfig.grid_min/grid_max).
     """
-    symbol: str
-    multiplier: int
-    tick_size: Decimal
+    symbol: str = "SIM"
+    multiplier: int = 1
+    tick_size: Decimal = Decimal("0.01")
 
     def __post_init__(self) -> None:
         if self.multiplier < 1:

@@ -79,10 +79,13 @@ _MAX_BLOCK_RESTARTS = 8
 _SPECULATION_WINDOW = 2048
 
 
-def substream(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic generator for the index-th substream of a master seed."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return np.random.default_rng(ss)
+def substream(master_seed: int, *key: int) -> np.random.Generator:
+    """Deterministic generator for the substream of a master seed that the
+    spawn key names, e.g. (STREAM_PRICE,) or (STREAM_HITTING, w)."""
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=master_seed, spawn_key=key))
 
 
 @dataclass(frozen=True)
@@ -346,9 +349,9 @@ def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
     """Monte Carlo summary of the first time the price moves strictly
     beyond start_price +/- xi, over independent replications.
 
-    Replication w steps its own child stream, the w-th spawned child of
-    the master seed's STREAM_HITTING sequence, so the summary is
-    reproducible for a given (config, master_seed, samples, cap).
+    Replication w steps its own substream (STREAM_HITTING, w) of the
+    master seed, so the summary is reproducible for a given (config,
+    master_seed, samples, cap).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -358,11 +361,9 @@ def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
 
     hit_one = (_hit_one_reflecting if config.kind == REFLECTING_WALK
                else _hit_one_walk)
-    root = np.random.SeedSequence(entropy=master_seed,
-                                  spawn_key=(STREAM_HITTING,))
-    times = np.array([hit_one(np.random.default_rng(child), config,
+    times = np.array([hit_one(substream(master_seed, STREAM_HITTING, w), config,
                               start_price, target, direction, cap)
-                      for child in root.spawn(samples)], dtype=np.int64)
+                      for w in range(samples)], dtype=np.int64)
 
     finite = times[times > 0]
     count = int(finite.size)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -58,7 +58,7 @@ import numpy as np
 import yaml
 
 from .dominance import DominanceParams
-from .harness import RunConfig, RunReport, RunSettings, SweepRow, default_config
+from .harness import RunConfig, RunReport, RunSettings, SweepRow
 from .market import Instrument, quanta_to_currency
 from .prices import PriceProcessConfig
 from .strategies import BaselineConfig
@@ -145,21 +145,18 @@ def _section(data: Mapping, name: str) -> dict:
 
 
 def config_from_dict(data: Mapping | None) -> RunConfig:
-    """A RunConfig from parsed YAML; omitted keys take default_config()'s
-    values, and an unknown section or key is an error."""
+    """A RunConfig from parsed YAML; omitted keys take their config
+    class's defaults (default_config()), and an unknown section or key is
+    an error."""
     data = data or {}
     for name in data:
         if name not in _SECTIONS:
             raise ValueError(f"unknown config section {name!r}")
-    base = default_config()
     sections = {name: _section(data, name) for name in _SECTIONS}
     run = sections["run"]
     if run.get("total_ticks") is not None:
         run.setdefault("target_phases", None)
-    elif run.get("target_phases") is None:
-        run["target_phases"] = base.run.target_phases
-    return RunConfig(*(replace(getattr(base, name), **sections[name])
-                       for name in _SECTIONS))
+    return RunConfig(*(cls(**sections[name]) for name, cls in _SECTIONS.items()))
 
 
 def load_config(path: str | Path) -> RunConfig:

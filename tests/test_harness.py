@@ -18,8 +18,8 @@ from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
                              default_config, replication_seed, run_simulation,
                              sweep)
 from edgesim.market import Instrument
-from edgesim.prices import (MEAN_REVERTING_WALK, REFLECTING_WALK,
-                            PriceProcessConfig)
+from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
+                            PriceProcessConfig, estimate_hitting_time)
 from edgesim.strategies import BaselineConfig
 
 
@@ -107,6 +107,33 @@ def test_engines_agree_on_default_profile():
     cfg = default_config(master_seed=92, target_phases=1, keep_orders=True)
     assert_reports_equal(run_simulation(cfg, engine="scalar"),
                          run_simulation(cfg, engine="blocked"))
+
+
+# -- phase records, read from the report alone ----------------------------------
+
+SPREAD_AND_SPACING = replace(
+    quick(seed=12, phases=None, total_ticks=30_000, half_spread=2),
+    dominance=DominanceParams(tau=10, gamma=10, queue_cap=3, min_distance=6,
+                              stage1_fill_count=3))
+
+
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+@pytest.mark.parametrize("cfg", [quick(seed=5, phases=4), SPREAD_AND_SPACING],
+                         ids=["phase_target", "spread_and_spacing"])
+def test_phase_records_split_the_run_records_at_phase_ends(cfg, engine):
+    rep = run_simulation(cfg, engine=engine)
+    assert len(rep.phases) >= 2
+    end = -1
+    for phase in rep.phases:
+        assert phase.records == tuple(r for r in rep.records
+                                      if end < r.execution_time <= phase.end_time)
+        assert phase.end_time == phase.records[-1].execution_time
+        end = phase.end_time
+    # records are kept in execution order: the phases' records, then the
+    # ones executed after the last phase end (two, in the total_ticks run)
+    unphased = [r for r in rep.records if r.execution_time > end]
+    assert [r for p in rep.phases for r in p.records] + unphased == rep.records
+    assert len(unphased) == (2 if cfg.run.total_ticks else 0)
 
 
 @st.composite
@@ -498,6 +525,29 @@ def test_sweep_cli_refuses_bad_grids(tmp_path, capsys, spec, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,args", [
+    ("simulate", ["--out", "run"]),
+    ("sweep", ["--grid", "tau=5", "--out", "sweep.csv"]),
+    ("recurrence", ["--xi", "4", "--samples", "2"]),
+])
+def test_cli_refuses_a_negative_seed_by_name(tmp_path, capsys, monkeypatch,
+                                             command, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.yaml").write_text(SWEEP_CONFIG)
+    assert cli.main([command, "cfg.yaml", *args, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "run.master_seed must be >= 0" in err
+    assert {p.name for p in tmp_path.iterdir()} == {"cfg.yaml"}
+
+
+def test_library_refuses_a_negative_master_seed():
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        run_simulation(quick(), master_seed=-1)
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -2"):
+        estimate_hitting_time(quick().price, 10000, 4, ABOVE, samples=2,
+                              cap=100, master_seed=-2)
 
 
 def test_sweep_cli_parses_grid_values_as_config_fields(tmp_path):

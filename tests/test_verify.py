@@ -240,6 +240,9 @@ def test_config_defaults_from_empty_file(tmp_path):
     ("run:\n  master_seed: \"7\"\n", "run.master_seed must be an integer"),
     ("run:\n  record_ticks: \"false\"\n", "run.record_ticks must be true or false"),
     ("run:\n  keep_orders: 1\n", "run.keep_orders must be true or false"),
+    ("run:\n  master_seed: -3\n", "run.master_seed must be >= 0, got -3"),
+    ("run:\n  target_phases: null\n",
+     "exactly one of total_ticks/target_phases must be set"),
     ("dominance:\n  delay_probability: true\n",
      "dominance.delay_probability: cannot parse True as Fraction"),
     *((f"instrument:\n  tick_size: \"{tick}\"\n",
@@ -248,7 +251,8 @@ def test_config_defaults_from_empty_file(tmp_path):
 ], ids=["unknown_section", "unknown_key", "stale_price_seed",
         "stale_instrument_grid", "stale_disable_delays", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
-        "bool_given_int", "fraction_given_bool", "tick_size_nan",
+        "bool_given_int", "negative_seed", "explicit_null_target_phases",
+        "fraction_given_bool", "tick_size_nan",
         "tick_size_snan", "tick_size_infinity"])
 def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.yaml"

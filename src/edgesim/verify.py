@@ -1,16 +1,27 @@
 """Offline re-audit of a completed run from its artifacts alone.
 
-verify_run re-derives every provable clause from phases.csv,
-delayed_orders.csv, summary.json and (when present) ticks.csv, without
-trusting any in-run bookkeeping.  Each clause yields one verdict; a
-violation names the first offending phase index or order id.  ticks.csv
-is streamed in chunks, so its check runs in bounded memory however long
-the run.
+verify_run replays the run's delay queue from delayed_orders.csv, without
+trusting any in-run bookkeeping.  Events run in (tick, kind, id) order: a
+tick's delays enter the queue (the queue-cap check runs on each), then
+its executions leave it (each checks its gap and adds to the running Q_D,
+the telescoping sum and the phase's n_delayed), then a phase of
+phases.csv that ends at the tick closes.  At each phase end the row's
+diff, q_delayed and n_delayed must equal the derived values and the
+queue must be empty; the bound, positivity and monotonicity are judged
+on the derived Q_D and n_delayed.  Executions after the last phase end
+are accepted only when summary.json's stop_reason is total_ticks, as the
+run itself accepts them.  summary.json's record totals must equal the
+replay's, and its final time and diff the last phase end's (for a
+total_ticks stop, the final time must be total_ticks).  Each clause
+yields one verdict; a violation names the first offending phase, order
+or tick.  ticks.csv, when present, is streamed in chunks, so its check
+runs in bounded memory however long the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,99 +46,81 @@ class Verdict:
         return f"{status}  {self.clause}{tail}"
 
 
-def _check_per_order_gap(records: list[dict], gamma: int, tau: int) -> Verdict:
-    threshold = gamma + tau
-    for r in records:
-        gap = r["sign"] * (r["p_exec_ticks"] - r["p_delay_ticks"])
-        if gap != r["gap_ticks"]:
-            return Verdict(CLAUSE_PER_ORDER_GAP, False,
-                           f"order {r['order_id']}: recorded gap "
-                           f"{r['gap_ticks']} != sign*(p_exec-p_delay) = {gap}")
-        if gap <= threshold:
-            return Verdict(CLAUSE_PER_ORDER_GAP, False,
-                           f"order {r['order_id']}: gap {gap} ticks does not "
-                           f"exceed gamma + tau = {threshold}")
-    return Verdict(CLAUSE_PER_ORDER_GAP, True, f"{len(records)} orders")
+def _replay(summary: dict, phases: list[dict],
+            records: list[dict]) -> dict[str, str]:
+    """The first offender of each violated clause, by clause name."""
+    config, results = summary["config"], summary["results"]
+    margin = int(config["dominance"]["gamma"]) + int(config["dominance"]["tau"])
+    cap = int(config["dominance"]["queue_cap"])
+    m = int(config["instrument"]["multiplier"])
+    fails: dict[str, str] = {}
+    fail = fails.setdefault
+    events = sorted([(r["t_delay"], 0, r["order_id"], r) for r in records]
+                    + [(r["t_exec"], 1, r["order_id"], r) for r in records]
+                    + [(p["end_time"], 2, k, p) for k, p in enumerate(phases)],
+                    key=lambda e: e[:3])
+    queued = q_delayed = telescoping = gap_sum = n_phase = end = prev = 0
+    for t, kind, _, row in events:
+        if kind == 0:
+            queued += 1
+            if queued > cap:
+                fail(CLAUSE_QUEUE_CAP, f"at t={t} queue occupancy {queued} "
+                     f"exceeds cap {cap} (order {row['order_id']})")
+        elif kind == 1:
+            queued -= 1
+            gap = row["sign"] * (row["p_exec_ticks"] - row["p_delay_ticks"])
+            if gap != row["gap_ticks"] or gap <= margin or t <= row["t_delay"]:
+                fail(CLAUSE_PER_ORDER_GAP,
+                     f"order {row['order_id']}: delayed at t={row['t_delay']}, "
+                     f"executed at t={t} with gap sign*(p_exec-p_delay) = "
+                     f"{gap} (recorded {row['gap_ticks']}); it must come "
+                     f"later and exceed gamma + tau = {margin}")
+            q_delayed += row["qty"]
+            telescoping += gap * row["qty"]
+            gap_sum += gap
+            n_phase += 1
+        else:
+            phase, diff = f"phase {row['phase']}", row["diff_quanta"]
+            _compare(fail, phase, row, {"diff_quanta": m * telescoping,
+                                        "q_delayed": q_delayed,
+                                        "n_delayed": n_phase})
+            if queued:
+                fail(CLAUSE_PHASE_IDENTITY,
+                     f"{phase}: {queued} delayed orders still queued at its end")
+            bound = m * q_delayed * margin
+            if row["lower_bound_quanta"] != bound or diff < bound:
+                fail(CLAUSE_LOWER_BOUND,
+                     f"{phase}: diff {diff}, recorded bound "
+                     f"{row['lower_bound_quanta']}, m*Q_D*(gamma+tau) = {bound}")
+            if q_delayed >= 1 and diff <= 0:
+                fail(CLAUSE_POSITIVITY, f"{phase}: diff {diff} not strictly "
+                     f"positive with Q_D = {q_delayed}")
+            if diff < prev or (n_phase >= 1 and diff <= prev):
+                fail(CLAUSE_MONOTONICITY, f"{phase}: diff {diff} after {prev}, "
+                     f"with {n_phase} delayed orders in between")
+            n_phase, end, prev = 0, t, diff
+    if results.get("stop_reason") == "total_ticks":
+        totals = {"final_time": config["run"]["total_ticks"]}
+    else:
+        totals = {"final_time": end, "final_diff_quanta": prev}
+        if n_phase:
+            fail(CLAUSE_PHASE_IDENTITY, f"{n_phase} delayed orders executed "
+                 f"after the last phase end")
+    mean_gap = str(Fraction(gap_sum, len(records))) if records else None
+    _compare(fail, "summary.json", results, {
+        **totals, "phases_completed": len(phases),
+        "n_delayed_orders": len(records), "q_delayed_total": q_delayed,
+        "mean_order_gap_ticks": mean_gap})
+    return fails
 
 
-def _check_phase_identity(phases: list[dict], records: list[dict],
-                          multiplier: int) -> Verdict:
-    events = sorted(records, key=lambda r: (r["t_exec"], r["order_id"]))
-    idx = 0
-    telescoping = 0
-    for p in phases:
-        while idx < len(events) and events[idx]["t_exec"] <= p["end_time"]:
-            r = events[idx]
-            telescoping += r["gap_ticks"] * r["qty"]
-            idx += 1
-        if p["diff_quanta"] != multiplier * telescoping:
-            return Verdict(CLAUSE_PHASE_IDENTITY, False,
-                           f"phase {p['phase']}: diff {p['diff_quanta']} != "
-                           f"telescoping sum {multiplier * telescoping}")
-    if idx != len(events):
-        return Verdict(CLAUSE_PHASE_IDENTITY, False,
-                       f"{len(events) - idx} delayed orders executed after "
-                       f"the last phase end")
-    return Verdict(CLAUSE_PHASE_IDENTITY, True, f"{len(phases)} phases")
-
-
-def _check_lower_bound(phases: list[dict], multiplier: int, gamma: int,
-                       tau: int) -> Verdict:
-    for p in phases:
-        expected = multiplier * p["q_delayed"] * (gamma + tau)
-        if p["lower_bound_quanta"] != expected:
-            return Verdict(CLAUSE_LOWER_BOUND, False,
-                           f"phase {p['phase']}: recorded bound "
-                           f"{p['lower_bound_quanta']} != m*Q_D*(gamma+tau) "
-                           f"= {expected}")
-        if p["diff_quanta"] < expected:
-            return Verdict(CLAUSE_LOWER_BOUND, False,
-                           f"phase {p['phase']}: diff {p['diff_quanta']} "
-                           f"below bound {expected}")
-    return Verdict(CLAUSE_LOWER_BOUND, True, f"{len(phases)} phases")
-
-
-def _check_positivity(phases: list[dict]) -> Verdict:
-    for p in phases:
-        if p["q_delayed"] >= 1 and p["diff_quanta"] <= 0:
-            return Verdict(CLAUSE_POSITIVITY, False,
-                           f"phase {p['phase']}: diff {p['diff_quanta']} "
-                           f"not strictly positive with Q_D = {p['q_delayed']}")
-    return Verdict(CLAUSE_POSITIVITY, True, f"{len(phases)} phases")
-
-
-def _check_monotonicity(phases: list[dict]) -> Verdict:
-    prev = 0
-    for p in phases:
-        if p["diff_quanta"] < prev:
-            return Verdict(CLAUSE_MONOTONICITY, False,
-                           f"phase {p['phase']}: diff {p['diff_quanta']} "
-                           f"decreased from {prev}")
-        if p["n_delayed"] >= 1 and p["diff_quanta"] <= prev:
-            return Verdict(CLAUSE_MONOTONICITY, False,
-                           f"phase {p['phase']}: diff {p['diff_quanta']} not "
-                           f"strictly above {prev} despite {p['n_delayed']} "
-                           f"delayed orders")
-        prev = p["diff_quanta"]
-    return Verdict(CLAUSE_MONOTONICITY, True, f"{len(phases)} phases")
-
-
-def _check_queue_cap(records: list[dict], cap: int) -> Verdict:
-    # An entry occupies a slot from its delay tick through its execution
-    # tick inclusive: a same-tick enqueue precedes the queue scan.
-    events: list[tuple[int, int, int]] = []
-    for r in records:
-        events.append((r["t_delay"], 1, r["order_id"]))
-        events.append((r["t_exec"] + 1, -1, r["order_id"]))
-    events.sort()
-    occupancy = 0
-    for time, delta, order_id in events:
-        occupancy += delta
-        if occupancy > cap:
-            return Verdict(CLAUSE_QUEUE_CAP, False,
-                           f"at t={time} queue occupancy {occupancy} exceeds "
-                           f"cap {cap} (order {order_id})")
-    return Verdict(CLAUSE_QUEUE_CAP, True, f"{len(records)} orders")
+def _compare(fail, where: str, row: dict, derived: dict) -> None:
+    """Fail the phase identity on each value of row that differs from the
+    one the replay derived."""
+    for key, value in derived.items():
+        if row.get(key) != value:
+            fail(CLAUSE_PHASE_IDENTITY, f"{where}: {key} {row.get(key)} "
+                 f"!= {value} from the records")
 
 
 def _check_tick_consistency(run_dir: Path, phases: list[dict],
@@ -192,22 +185,17 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
     """Re-check every provable invariant of a recorded run offline."""
     run_dir = Path(run_dir)
     summary = read_summary(run_dir)
-    dominance = summary["config"]["dominance"]
-    gamma = int(dominance["gamma"])
-    tau = int(dominance["tau"])
-    cap = int(dominance["queue_cap"])
-    multiplier = int(summary["config"]["instrument"]["multiplier"])
     phases = read_int_csv(run_dir, PHASES_CSV)
     records = read_int_csv(run_dir, DELAYED_CSV)
-
-    verdicts = [
-        _check_per_order_gap(records, gamma, tau),
-        _check_phase_identity(phases, records, multiplier),
-        _check_lower_bound(phases, multiplier, gamma, tau),
-        _check_positivity(phases),
-        _check_monotonicity(phases),
-        _check_queue_cap(records, cap),
-    ]
+    fails = _replay(summary, phases, records)
+    orders, phase_ends = f"{len(records)} orders", f"{len(phases)} phases"
+    verdicts = [Verdict(clause, clause not in fails, fails.get(clause, passed))
+                for clause, passed in ((CLAUSE_PER_ORDER_GAP, orders),
+                                       (CLAUSE_PHASE_IDENTITY, phase_ends),
+                                       (CLAUSE_LOWER_BOUND, phase_ends),
+                                       (CLAUSE_POSITIVITY, phase_ends),
+                                       (CLAUSE_MONOTONICITY, phase_ends),
+                                       (CLAUSE_QUEUE_CAP, orders))]
     tick_verdict = _check_tick_consistency(run_dir, phases,
                                            int(summary["results"]["final_time"]))
     if tick_verdict is not None:

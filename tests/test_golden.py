@@ -1,0 +1,97 @@
+"""Golden digests: the determinism contract (config + seed -> the same
+bytes) checked against SHA-256 digests stored in tests/golden.json, not
+only against a second run of the same code.
+
+The set-ups are the benchmark's workloads plus a spread-and-commission
+run, on both engines where the scalar reference is fast enough.  The
+digests also depend on numpy's generators and number formatting, so
+golden.json records the numpy version that made it.
+
+A change that alters these bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists each changed digest, and why it changed, in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from edgesim.dominance import DominanceParams
+from edgesim.harness import RunConfig, default_config, run_simulation
+from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
+                            PriceProcessConfig, estimate_hitting_time)
+from edgesim.runio import write_run_artifacts
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _mean_reverting_audit(seed: int) -> RunConfig:
+    cfg = default_config(master_seed=seed, target_phases=5, keep_orders=True,
+                         half_spread=1, commission_per_unit=2)
+    price = replace(cfg.price, kind=MEAN_REVERTING_WALK,
+                    reversion_strength=Fraction(1, 2))
+    return replace(cfg, price=price,
+                   dominance=DominanceParams(min_distance=5))
+
+
+def _file_setups():
+    """(name, config, engines) of the runs whose four files are pinned."""
+    for seed in (99, 584):
+        yield f"desk_artifacts/seed{seed}", default_config(master_seed=seed), ("blocked",)
+    for seed in (2, 3):
+        yield (f"mean_reverting_audit/seed{seed}", _mean_reverting_audit(seed),
+               ("scalar", "blocked"))
+    yield ("spread_commission/seed7",
+           default_config(master_seed=7, total_ticks=30_000, target_phases=None,
+                          half_spread=2, commission_per_unit=1),
+           ("scalar", "blocked"))
+
+
+def compute_digests(tmp: Path) -> dict[str, str]:
+    digests = {}
+    for name, cfg, engines in _file_setups():
+        for engine in engines:
+            out = tmp / name / engine
+            write_run_artifacts(run_simulation(cfg, engine=engine), out)
+            for path in sorted(out.iterdir()):
+                digests[f"{name}/{engine}/{path.name}"] = _sha(path.read_bytes())
+    for seed in (1000, 1001, 1003):
+        report = run_simulation(default_config(master_seed=seed, record_ticks=False))
+        digests[f"desk_core/seed{seed}/RunReport"] = _sha(repr(report).encode())
+    price = PriceProcessConfig(kind=REFLECTING_WALK, start_price=10000,
+                               stay_probability=Fraction(0))
+    for seed in (1, 2, 3, 4):
+        summary = estimate_hitting_time(price, 10000, 100, ABOVE, 25, 10_000_000,
+                                        master_seed=seed)
+        digests[f"recurrence/seed{seed}/HittingTimeSummary"] = _sha(repr(summary).encode())
+    return digests
+
+
+def test_artifacts_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    digests = compute_digests(tmp_path)
+    changed = sorted(k for k in golden["digests"].keys() | digests.keys()
+                     if golden["digests"].get(k) != digests.get(k))
+    assert not changed, (
+        f"digests changed for {changed}; golden.json was made with numpy "
+        f"{golden['numpy']}, this is numpy {np.__version__}")
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"numpy": np.__version__, "digests": compute_digests(Path(tmp))}
+    GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    print(f"wrote {len(record['digests'])} digests to {GOLDEN}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import tempfile
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,9 @@ from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
 from edgesim.market import Instrument
 from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             PriceProcessConfig, estimate_hitting_time)
+from edgesim.runio import write_run_artifacts
 from edgesim.strategies import BaselineConfig
+from edgesim.verify import all_passed, verify_run
 
 
 def quick(seed=11, phases=2, **run_overrides):
@@ -136,6 +139,14 @@ def test_phase_records_split_the_run_records_at_phase_ends(cfg, engine):
     assert len(unphased) == (2 if cfg.run.total_ticks else 0)
 
 
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_records_after_the_last_phase_end_verify(engine, tmp_path):
+    # a total_ticks stop may come mid-phase, after some releases
+    write_run_artifacts(run_simulation(SPREAD_AND_SPACING, engine=engine),
+                        tmp_path)
+    assert all_passed(verify_run(tmp_path))
+
+
 @st.composite
 def small_configs(draw):
     """Narrow grids just above 2(tau + gamma), spread, spacing, lots above
@@ -196,6 +207,10 @@ def test_engines_agree_on_fuzzed_configs(cfg):
         assert scalar == blocked
     else:
         assert_reports_equal(scalar, blocked)
+        with tempfile.TemporaryDirectory() as out:
+            write_run_artifacts(blocked, out)
+            verdicts = verify_run(out)
+        assert all_passed(verdicts), verdicts
 
 
 @pytest.mark.parametrize("keep_orders", [True, False])

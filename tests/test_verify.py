@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -10,11 +11,12 @@ import yaml
 
 from edgesim import cli
 from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
-                               CLAUSE_QUEUE_CAP, CLAUSE_TICK_CONSISTENCY)
+                               CLAUSE_PHASE_IDENTITY, CLAUSE_QUEUE_CAP,
+                               CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import RunConfig, default_config, run_simulation
-from edgesim.runio import (DELAYED_CSV, PHASES_CSV, TICKS_CSV, TICKS_HEADER,
-                           load_config, read_int_csv, save_config,
-                           write_run_artifacts)
+from edgesim.runio import (DELAYED_CSV, PHASES_CSV, SUMMARY_JSON, TICKS_CSV,
+                           TICKS_HEADER, load_config, read_int_csv,
+                           read_summary, save_config, write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
 
@@ -96,6 +98,91 @@ def test_queue_cap_breach_fails_queue_clause(run_dir, tmp_path):
             body[k][5] = str(latest + 10)    # t_exec
     _rewrite_csv(dst / DELAYED_CSV, mutate)
     assert CLAUSE_QUEUE_CAP in failed_clauses(verify_run(dst))
+
+
+# phases.csv columns: phase, end_time, q_delayed, diff_quanta,
+# lower_bound_quanta, n_delayed.  Each mutation below keeps every other
+# file as written, so only the replay's derived values can catch it.
+def _zero_q_delayed_and_bound(body):
+    body[1][2] = body[1][4] = "0"
+
+
+def _edit_n_delayed(body):
+    body[2][5] = str(int(body[2][5]) - 1)
+
+
+@pytest.mark.parametrize("mutate", [_zero_q_delayed_and_bound, _edit_n_delayed])
+def test_phase_row_disagreeing_with_the_records_fails_identity(run_dir, tmp_path,
+                                                               mutate):
+    dst = _copy(run_dir, tmp_path)
+    _rewrite_csv(dst / PHASES_CSV, mutate)
+    assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
+
+
+# delayed_orders.csv column 5 is t_exec.
+def _first_order_past_first_phase_end(body, phases):
+    body[0][5] = str(phases[0]["end_time"] + 1)
+
+
+def _last_order_past_last_phase_end(body, phases):
+    body[-1][5] = str(phases[-1]["end_time"] + 1)
+
+
+@pytest.mark.parametrize("mutate", [_first_order_past_first_phase_end,
+                                    _last_order_past_last_phase_end])
+def test_execution_moved_past_its_phase_end_fails_identity(run_dir, tmp_path,
+                                                           mutate):
+    # the queue is not empty at that phase end; after the last one, a
+    # target_phases run has no execution to accept
+    dst = _copy(run_dir, tmp_path)
+    phases = read_int_csv(dst, PHASES_CSV)
+    _rewrite_csv(dst / DELAYED_CSV, lambda body: mutate(body, phases))
+    assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
+
+
+def _edit_result(run_dir: Path, key: str, edit) -> None:
+    summary = read_summary(run_dir)
+    summary["results"][key] = edit(summary["results"][key])
+    (run_dir / SUMMARY_JSON).write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("key,edit", [
+    ("phases_completed", lambda v: v + 1),
+    ("n_delayed_orders", lambda v: v - 1),
+    ("q_delayed_total", lambda v: v + 1),
+    ("mean_order_gap_ticks", lambda v: v + "1"),
+    ("final_time", lambda v: v + 1),
+    ("final_diff_quanta", lambda v: v - 1),
+])
+def test_summary_total_disagreeing_with_the_records_fails_identity(
+        run_dir, tmp_path, key, edit):
+    dst = _copy(run_dir, tmp_path)
+    _edit_result(dst, key, edit)
+    assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
+
+
+def test_total_ticks_final_time_is_checked(tmp_path):
+    cfg = default_config(master_seed=3, total_ticks=20_000, target_phases=None,
+                         record_ticks=False)
+    write_run_artifacts(run_simulation(cfg), tmp_path)
+    assert all_passed(verify_run(tmp_path))
+    _edit_result(tmp_path, "final_time", lambda v: v - 1)
+    assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(tmp_path))
+
+
+@pytest.mark.parametrize("seed", [4, 14, 15])
+def test_total_ticks_run_stopped_mid_phase_verifies(tmp_path, capsys, seed):
+    # Each of these seeds stops with delayed orders executed after the
+    # last phase end, which the run itself accepts.
+    path = tmp_path / "cfg.yaml"
+    path.write_text("run:\n  total_ticks: 300000\n")
+    out = tmp_path / "run"
+    status = cli.main(["simulate", str(path), "--seed", str(seed),
+                       "--out", str(out)])
+    assert status == 0, capsys.readouterr().out
+    phases = read_int_csv(out, PHASES_CSV)
+    last_end = phases[-1]["end_time"] if phases else 0
+    assert any(r["t_exec"] > last_end for r in read_int_csv(out, DELAYED_CSV))
 
 
 def test_tampered_tick_diff_fails_consistency(run_dir, tmp_path):

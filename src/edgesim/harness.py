@@ -352,7 +352,17 @@ class _RunState:
         at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
-        self._check_int64_range()
+        try:
+            marks = np.array(self._marks, dtype=np.int64)
+        except OverflowError:   # the scalar engine's exact ints
+            marks = np.array(self._marks, dtype=object)
+        grid = self.config.price
+        bound = pnl_bound(marks, self.m, max(abs(grid.grid_min), abs(grid.grid_max)))
+        if bound >= 2 ** 63:
+            raise SimulationError(
+                f"the tick series would overflow int64 (PnL bound {bound} "
+                f"with instrument.multiplier {self.m}); use a smaller "
+                f"multiplier or set run.record_ticks: false")
         n = final_time + 1
         # One allocation holds the five columns, filled a block of ticks at
         # a time: no temporary is series-sized, so the run's peak memory
@@ -363,7 +373,6 @@ class _RunState:
             k = min(len(piece), n - pos)
             price[pos:pos + k] = piece[:k]
             pos += k
-        marks = np.array(self._marks, dtype=np.int64)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             time[lo:hi] = np.arange(lo, hi)
@@ -373,22 +382,6 @@ class _RunState:
             pnl_star[lo:hi] = self.m * (w_star - price[lo:hi] * sq_star)
         np.subtract(pnl_star, pnl_s, out=diff)
         return TickSeries(time, price, pnl_s, pnl_star, diff)
-
-    def _check_int64_range(self) -> None:
-        """Refuse a series whose int64 arithmetic could wrap.
-
-        m * (|W| + g * |SQ|) bounds each strategy's PnL for every grid
-        price (g the largest grid magnitude); twice the larger bound also
-        covers the diff column and the drawdowns."""
-        g = max(abs(self.config.price.grid_min), abs(self.config.price.grid_max))
-        bound = 2 * self.m * max(
-            max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
-            for _, w_s, sq_s, w_star, sq_star in self._marks)
-        if bound >= 2 ** 63:
-            raise SimulationError(
-                f"the tick series would overflow int64 (PnL bound {bound} "
-                f"with instrument.multiplier {self.m}); use a smaller "
-                f"multiplier or set run.record_ticks: false")
 
     # -- report --------------------------------------------------------------
 
@@ -420,6 +413,23 @@ class _RunState:
             commissions_sstar=self.config.run.commission_per_unit * qty_star,
             stop_reason=stop_reason, verdicts=verdicts,
             ticks=series, orders_s=self.orders_s, orders_sstar=self.orders_star)
+
+
+def pnl_bound(marks: np.ndarray, multiplier: int, g: int) -> int:
+    """2 * m * max(|W| + g * |SQ|) over int64 or object marks (t, W_s, SQ_s,
+    W*, SQ*), exactly.  With g the largest grid magnitude, half of it bounds
+    each PnL at every grid price, so it covers the diff and drawdowns."""
+    w, sq = np.abs(marks[:, 1::2]), np.abs(marks[:, 2::2])
+    if marks.dtype == np.int64:
+        # uint64 holds |-2**63|; w + g * sq wraps only where sq > limit // g
+        w, sq = w.view(np.uint64), sq.view(np.uint64)
+        limit = (2 ** 63 - 1) // (2 * multiplier)
+        total = w + g * sq
+        over = (sq > limit // g) | (total > limit)
+        if not over.any():
+            return 2 * multiplier * int(total.max())
+        w, sq = w[over].astype(object), sq[over].astype(object)
+    return 2 * multiplier * int((w + g * sq).max())
 
 
 def _max_drawdown(pnl: np.ndarray) -> Money:

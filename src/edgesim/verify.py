@@ -124,15 +124,18 @@ def _compare(fail, where: str, row: dict, derived: dict) -> None:
 
 
 def _check_tick_consistency(run_dir: Path, phases: list[dict],
-                            final_time: int) -> Verdict | None:
+                            results: dict) -> Verdict | None:
     """Stream ticks.csv: five integer columns, rows t = 0 .. final_time in
-    order, pnl_sstar = pnl_s + diff on every row, and each phase end's diff
-    as in phases.csv.  An unreadable file fails the clause."""
+    order, pnl_sstar = pnl_s + diff on every row, each phase end's diff as
+    in phases.csv, and summary.json's final price, final diff and max
+    drawdowns as in the file.  An unreadable file fails the clause."""
     chunks = read_ticks(run_dir)
     if chunks is None:
         return None
     ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
-    n_rows = 0
+    peaks = np.full(2, np.iinfo(np.int64).min)
+    drawdowns = np.zeros(2, np.uint64)
+    n_rows, last = 0, np.zeros(5, np.int64)
     while True:
         try:
             rows = next(chunks, None)
@@ -145,7 +148,7 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict],
             return Verdict(CLAUSE_TICK_CONSISTENCY, False,
                            f"ticks.csv rows have {rows.shape[1]} columns, "
                            f"expected 5")
-        times, pnl_s, pnl_star, diff = rows[:, [0, 2, 3, 4]].T
+        times, _, pnl_s, pnl_star, diff = rows.T
         bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
         if len(bad):
             return Verdict(CLAUSE_TICK_CONSISTENCY, False,
@@ -167,16 +170,25 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict],
                                f"phase {phases[k]['phase']}: ticks.csv diff "
                                f"{got} != phases.csv diff "
                                f"{phases[k]['diff_quanta']}")
-        n_rows += len(rows)
+        # Running peaks of both PnL columns; peak - pnl is in [0, 2**64).
+        peak = np.maximum(np.maximum.accumulate(rows[:, 2:4]), peaks)
+        drop = peak.view(np.uint64) - rows[:, 2:4].view(np.uint64)
+        peaks, drawdowns = peak[-1], np.maximum(drawdowns, drop.max(axis=0))
+        n_rows, last = n_rows + len(rows), rows[-1]
     for p in phases:
         if not 0 <= p["end_time"] < n_rows:
             return Verdict(CLAUSE_TICK_CONSISTENCY, False,
                            f"phase {p['phase']}: end tick {p['end_time']} "
                            f"missing from ticks.csv")
-    if n_rows != final_time + 1:
-        return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                       f"ticks.csv has {n_rows} rows, summary.json's "
-                       f"final_time + 1 is {final_time + 1}")
+    derived = {"final_time": n_rows - 1, "final_price_ticks": int(last[1]),
+               "final_diff_quanta": int(last[4]),
+               "max_drawdown_s_quanta": int(drawdowns[0]),
+               "max_drawdown_sstar_quanta": int(drawdowns[1])}
+    for key, value in derived.items():
+        if results.get(key) != value:
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
+                           f"summary.json: {key} {results.get(key)} != "
+                           f"{value} from ticks.csv")
     return Verdict(CLAUSE_TICK_CONSISTENCY, True,
                    f"{n_rows} ticks, {len(phases)} phase ends")
 
@@ -196,8 +208,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
                                        (CLAUSE_POSITIVITY, phase_ends),
                                        (CLAUSE_MONOTONICITY, phase_ends),
                                        (CLAUSE_QUEUE_CAP, orders))]
-    tick_verdict = _check_tick_consistency(run_dir, phases,
-                                           int(summary["results"]["final_time"]))
+    tick_verdict = _check_tick_consistency(run_dir, phases, summary["results"])
     if tick_verdict is not None:
         verdicts.append(tick_verdict)
     return verdicts

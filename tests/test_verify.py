@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim import cli
 from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
@@ -15,8 +17,9 @@ from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import RunConfig, default_config, run_simulation
 from edgesim.runio import (DELAYED_CSV, PHASES_CSV, SUMMARY_JSON, TICKS_CSV,
-                           TICKS_HEADER, load_config, read_int_csv,
-                           read_summary, save_config, write_run_artifacts)
+                           TICKS_HEADER, format_rows, load_config,
+                           read_int_csv, read_summary, save_config,
+                           write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
 
@@ -185,6 +188,28 @@ def test_total_ticks_run_stopped_mid_phase_verifies(tmp_path, capsys, seed):
     assert any(r["t_exec"] > last_end for r in read_int_csv(out, DELAYED_CSV))
 
 
+@pytest.fixture(scope="module")
+def total_ticks_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("total_ticks_run")
+    cfg = default_config(master_seed=4, total_ticks=20_000, target_phases=None)
+    write_run_artifacts(run_simulation(cfg), out)
+    return out
+
+
+# Only ticks.csv holds these: its last row (price, diff) and its PnL
+# columns (the drawdowns).
+@pytest.mark.parametrize("key", ["final_price_ticks", "final_diff_quanta",
+                                 "max_drawdown_s_quanta",
+                                 "max_drawdown_sstar_quanta"])
+@pytest.mark.parametrize("stop", ["run_dir", "total_ticks_run_dir"])
+def test_summary_result_disagreeing_with_ticks_fails_consistency(
+        request, tmp_path, stop, key):
+    dst = _copy(request.getfixturevalue(stop), tmp_path)
+    assert all_passed(verify_run(dst))
+    _edit_result(dst, key, lambda v: v + 1)
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
 def test_tampered_tick_diff_fails_consistency(run_dir, tmp_path):
     dst = _copy(run_dir, tmp_path)
     phases = read_int_csv(dst, PHASES_CSV)
@@ -278,6 +303,43 @@ def test_ticks_csv_equals_savetxt_of_the_series(tmp_path):
                fmt="%d", delimiter=",")
     assert (tmp_path / TICKS_CSV).read_bytes() == expected.getvalue()
     assert all_passed(verify_run(tmp_path))
+
+
+_EDGES = [0, 1, 9, 10, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1] + [
+    10 ** k + e for k in range(1, 19) for e in (-1, 1)]
+_EDGES += [-v for v in _EDGES if v]
+
+
+def _percent_format(rows):
+    return ("%d,%d,%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())).encode()
+
+
+def test_format_rows_edge_values():
+    # each edge first in its row and beside short values, then all together
+    for v in _EDGES:
+        rows = np.array([[v, 0, v, -7, v]], dtype=np.int64)
+        assert format_rows(rows) == _percent_format(rows)
+    values = _EDGES + _EDGES[::-1]
+    rows = np.array(values + [0] * (-len(values) % 5), dtype=np.int64)
+    assert format_rows(rows.reshape(-1, 5)) == _percent_format(rows.reshape(-1, 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8193), digits=st.integers(1, 19),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_format_rows_matches_percent_format(n, digits, seed):
+    rng = np.random.default_rng(seed)
+    top = min(10 ** digits, 2 ** 63 - 1)
+    rows = rng.integers(-top, top, size=(n, 5), dtype=np.int64, endpoint=True)
+    rows.ravel()[rng.integers(0, rows.size, size=min(rows.size, 25))] = (
+        rng.choice(_EDGES, size=min(rows.size, 25)))
+    assert format_rows(rows) == _percent_format(rows)
+
+
+def test_format_rows_refuses_int64_min():
+    # |-2**63| does not fit int64; the range check keeps runs from it.
+    with pytest.raises(AssertionError):
+        format_rows(np.array([[0, 1, -2 ** 63, 3, 4]], dtype=np.int64))
 
 
 def test_verify_without_ticks_file(run_dir, tmp_path):

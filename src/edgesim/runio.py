@@ -38,17 +38,20 @@ the two, the last event at a tick winning.  format_rows writes it in
 blocks of rows, as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
 ticks needs every PnL to fit in a signed 64-bit integer; a run that could
 exceed it stops with an error naming the multiplier (set run.record_ticks:
-false for such instruments).  read_ticks streams the file back in chunks
-of rows, so verify checks it in bounded memory: the rows run from t = 0
-to summary.json's final_time, pnl_sstar = pnl_s + diff on every row, each
-phase end matches phases.csv, and the last row's price and diff and the
-PnL columns' max drawdowns match summary.json.
+false for such instruments).  read_ticks streams the file back in blocks
+and accepts only what format_rows writes: the header line, then rows of
+five fields 0 or -?[1-9][0-9]* joined by ',', each row ended by '\n',
+with int64 values other than -2**63.  So verify checks it in bounded
+memory: the rows run from t = 0 to summary.json's final_time, the price
+starts at start_price and moves at most one tick a row inside the grid,
+pnl_sstar = pnl_s + diff on every row, each phase end matches phases.csv,
+and the last row's price and diff and the PnL columns' max drawdowns
+match summary.json.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import asdict
 from decimal import Decimal
@@ -76,10 +79,17 @@ PHASES_HEADER = ["phase", "end_time", "q_delayed", "diff_quanta",
 DELAYED_HEADER = ["order_id", "sign", "qty", "t_delay", "p_delay_ticks",
                   "t_exec", "p_exec_ticks", "gap_ticks"]
 
-# ticks.csv is formatted and read back _CHUNK_ROWS rows (about 230 kB of
-# text) at a time: per-chunk overhead stays negligible, and no temporary
-# comes near the size of the series.
+# ticks.csv is formatted _CHUNK_ROWS rows (about 230 kB of text) and read
+# back _BLOCK_BYTES bytes at a time: per-chunk overhead stays negligible,
+# and no temporary comes near the size of the series.
 _CHUNK_ROWS = 8192
+_BLOCK_BYTES = 1 << 17
+_SEPARATORS = np.frombuffer(b",,,,\n", np.uint8)
+# _NIBBLES[k] keeps the digits of the last k bytes (up to 8) of a
+# little-endian word; _LEAST[k] is the least value written with k digits.
+_NIBBLES = np.array([0x0F0F0F0F0F0F0F0F << 8 * max(8 - k, 0) & 2 ** 64 - 1
+                     for k in range(20)], np.uint64)
+_LEAST = np.array([0, 0] + [10 ** (k - 1) for k in range(2, 20)], np.int64)
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -246,8 +256,62 @@ def format_rows(rows: np.ndarray) -> bytes:
     for d in range(width - 1, -1, -1):
         buf[width - d:][last] = digits[d]
     buf[width:][last - n_digits] = ord("-")
-    buf[width + 1:][last] = np.tile(np.frombuffer(b",,,,\n", np.uint8), len(rows))
+    buf[width + 1:][last] = np.tile(_SEPARATORS, len(rows))
     return buf[width:].tobytes()
+
+
+def _eight_digits(v: np.ndarray, nibbles: np.ndarray) -> np.ndarray:
+    """The numbers written by the digits that nibbles keeps of the words v
+    (overwritten), first digit lowest, joined by SWAR in pairs, fours, eights."""
+    for mask, shift in ((nibbles, 8), (0x00FF00FF00FF00FF, 16),
+                        (0x0000FFFF0000FFFF, 32)):
+        v &= mask
+        v *= 10 ** (shift // 8) << shift | 1
+        v >>= shift
+    return v
+
+
+def parse_rows(data: bytes, line: int = 1) -> np.ndarray:
+    """The (n, 5) int64 rows of data, the exact inverse of format_rows:
+    rows of five fields joined by ',' and ended by '\n', each field 0 or
+    -?[1-9][0-9]* in int64 but not -2**63; otherwise ValueError names the
+    line, counting data's first row as line `line`.  A field's last eight
+    digits are one unaligned word; 9 to 19 digits take two or three."""
+    buf = np.concatenate((np.zeros(8, np.uint8), np.frombuffer(data, np.uint8)))
+    raw = buf[8:]                               # 8 zero bytes before the first word
+    sep = np.flatnonzero(raw <= 44)             # ',', '\n' and any other byte below '-'
+    pattern = np.tile(_SEPARATORS, len(sep) // 5 + 1)[:len(sep)]
+    bad = np.flatnonzero(raw.take(sep) != pattern)
+    if len(bad) or (raw[-1:] != 10).any():
+        k = bad[0] if len(bad) else len(sep)    # else the last row lacks its '\n'
+        raise ValueError(f"line {line + k // 5}: not five comma-separated fields "
+                         f"ending in a newline")
+    start = np.concatenate(([-1], sep))[:-1] + 1
+    neg = raw.take(start) == 45
+    ndig = sep - start - neg
+    bad = (ndig - 1).view(np.uint64) > 18       # 1 to 19 digits
+    digits = (raw - np.uint8(48)) < 10
+    if np.count_nonzero(digits) != ndig.sum():  # a byte that no field may hold
+        bad |= np.diff(np.cumsum(digits)[sep], prepend=0) != ndig
+    if not bad.any():
+        # words[i] is raw[i-8:i]; take copies it whole, fancy indexing does not.
+        words = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))
+        value = _eight_digits(words.take(sep), _NIBBLES[ndig])
+        long, lane = np.flatnonzero(ndig > 8), 1
+        while len(long):                        # digits 9-16, then 17-19, from the end
+            value[long] += 10 ** (8 * lane) * _eight_digits(
+                words[sep[long] - 8 * lane], _NIBBLES[ndig[long] - 8 * lane])
+            long, lane = long[ndig[long] > 8 * lane + 8], lane + 1
+        # A leading zero, -0 and (negative as int64) 2**63 and up each fall
+        # below the least value of their digits and sign.
+        value = value.view(np.int64)
+        bad = value < np.maximum(_LEAST[ndig], neg)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"line {line + k // 5}: field {k % 5 + 1} is not 0 or "
+                         f"-?[1-9][0-9]* within int64")
+    value *= 1 - 2 * neg.view(np.int8)
+    return value.reshape(-1, 5)
 
 
 def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
@@ -294,20 +358,25 @@ def read_int_csv(run_dir: str | Path, name: str) -> list[dict]:
 
 
 def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray] | None:
-    """The rows of ticks.csv as consecutive int64 chunks of up to
-    _CHUNK_ROWS rows, or None when the run recorded no tick series."""
+    """The rows of ticks.csv as consecutive (n, 5) int64 chunks, or None
+    when the run recorded no tick series.  A first line other than
+    TICKS_HEADER, or rows parse_rows refuses, raise ValueError."""
     path = Path(run_dir) / TICKS_CSV
-    if not path.exists():
-        return None
-    return _tick_chunks(path)
+    return _tick_chunks(path) if path.exists() else None
 
 
 def _tick_chunks(path: Path) -> Iterator[np.ndarray]:
     with open(path, "rb") as fh:
-        fh.readline()
-        while fh.peek(1):
-            yield np.loadtxt(itertools.islice(fh, _CHUNK_ROWS), dtype=np.int64,
-                             delimiter=",", ndmin=2)
+        if fh.readline(len(TICKS_HEADER) + 1) != TICKS_HEADER.encode() + b"\n":
+            raise ValueError(f"line 1: the header is not {TICKS_HEADER}")
+        line, tail = 2, b""
+        while block := fh.read(_BLOCK_BYTES):
+            data = tail + block
+            cut = data.rfind(b"\n") + 1 or len(data)    # no newline: refused whole
+            rows = parse_rows(memoryview(data)[:cut], line)
+            line, tail = line + len(rows), data[cut:]
+            yield rows
+        parse_rows(tail, line)      # refuses a last row with no newline
 
 
 def read_summary(run_dir: str | Path) -> dict:

@@ -14,8 +14,12 @@ run itself accepts them.  summary.json's record totals must equal the
 replay's, and its final time and diff the last phase end's (for a
 total_ticks stop, the final time must be total_ticks).  Each clause
 yields one verdict; a violation names the first offending phase, order
-or tick.  ticks.csv, when present, is streamed in chunks, so its check
-runs in bounded memory however long the run.
+or tick.  ticks.csv, when present, is streamed in blocks, so its check
+runs in bounded memory however long the run.  Its first line must be the
+header and the rest rows as format_rows writes them (five fields 0 or
+-?[1-9][0-9]* joined by ',', each row ended by '\n', int64 values other
+than -2**63), and its price path must start at start_price and move at
+most one tick a row inside the grid.
 """
 
 from __future__ import annotations
@@ -124,36 +128,46 @@ def _compare(fail, where: str, row: dict, derived: dict) -> None:
 
 
 def _check_tick_consistency(run_dir: Path, phases: list[dict],
-                            results: dict) -> Verdict | None:
-    """Stream ticks.csv: five integer columns, rows t = 0 .. final_time in
-    order, pnl_sstar = pnl_s + diff on every row, each phase end's diff as
-    in phases.csv, and summary.json's final price, final diff and max
-    drawdowns as in the file.  An unreadable file fails the clause."""
+                            summary: dict) -> Verdict | None:
+    """Stream ticks.csv: the header, then rows t = 0 .. final_time in
+    order, the price path starting at start_price and moving at most one
+    tick a row inside the grid, pnl_sstar = pnl_s + diff on every row,
+    each phase end's diff as in phases.csv, and summary.json's final
+    price, final diff and max drawdowns as in the file.  A file that
+    read_ticks refuses fails the clause."""
     chunks = read_ticks(run_dir)
     if chunks is None:
         return None
+    results, grid = summary["results"], summary["config"]["price"]
+    lo, hi = grid["grid_min"], grid["grid_max"]
     ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
     peaks = np.full(2, np.iinfo(np.int64).min)
     drawdowns = np.zeros(2, np.uint64)
-    n_rows, last = 0, np.zeros(5, np.int64)
+    n_rows, last = 0, np.array([0, grid["start_price"], 0, 0, 0], np.int64)
     while True:
         try:
             rows = next(chunks, None)
         except ValueError as exc:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"ticks.csv unreadable after {n_rows} rows: {exc}")
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"ticks.csv {exc}")
         if rows is None:
             break
-        if rows.shape[1] != 5:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"ticks.csv rows have {rows.shape[1]} columns, "
-                           f"expected 5")
-        times, _, pnl_s, pnl_star, diff = rows.T
+        times, price, pnl_s, pnl_star, diff = rows.T
         bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
         if len(bad):
             return Verdict(CLAUSE_TICK_CONSISTENCY, False,
                            f"ticks.csv row {n_rows + bad[0]} has t="
                            f"{times[bad[0]]}; rows must run t = 0, 1, ...")
+        if n_rows == 0 and price[0] != last[1]:
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"t=0: price "
+                           f"{price[0]} != start_price {last[1]}")
+        # An int64 step wraps into {-1, 0, 1} only from -2**63, which
+        # read_ticks refuses.
+        step = (np.diff(price, prepend=last[1]) + 1).view(np.uint64)
+        bad = np.flatnonzero((price < lo) | (price > hi) | (step > 2))
+        if len(bad):
+            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"t={times[bad[0]]}: "
+                           f"price {price[bad[0]]} is outside [{lo}, {hi}] "
+                           f"or more than one tick from the last")
         total = pnl_s + diff
         # int64 addition wraps; a wrapped sum is never a match.
         wrapped = ((pnl_s ^ total) & (diff ^ total)) < 0
@@ -208,7 +222,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
                                        (CLAUSE_POSITIVITY, phase_ends),
                                        (CLAUSE_MONOTONICITY, phase_ends),
                                        (CLAUSE_QUEUE_CAP, orders))]
-    tick_verdict = _check_tick_consistency(run_dir, phases, summary["results"])
+    tick_verdict = _check_tick_consistency(run_dir, phases, summary)
     if tick_verdict is not None:
         verdicts.append(tick_verdict)
     return verdicts

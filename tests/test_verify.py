@@ -16,10 +16,10 @@ from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_PHASE_IDENTITY, CLAUSE_QUEUE_CAP,
                                CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import RunConfig, default_config, run_simulation
-from edgesim.runio import (DELAYED_CSV, PHASES_CSV, SUMMARY_JSON, TICKS_CSV,
-                           TICKS_HEADER, format_rows, load_config,
-                           read_int_csv, read_summary, save_config,
-                           write_run_artifacts)
+from edgesim.runio import (_BLOCK_BYTES, DELAYED_CSV, PHASES_CSV, SUMMARY_JSON,
+                           TICKS_CSV, TICKS_HEADER, format_rows, load_config,
+                           parse_rows, read_int_csv, read_summary, read_ticks,
+                           save_config, write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
 
@@ -237,6 +237,12 @@ def _set_row(lines, t, **values):
             + lines[t + 2:])
 
 
+def _edit_field(lines, t, col, edit):
+    fields = lines[t + 1].rstrip("\n").split(",")
+    fields[col] = edit(fields[col])
+    return lines[:t + 1] + [",".join(fields) + "\n"] + lines[t + 2:]
+
+
 def _shift_row_diff(lines, t):
     # pnl_sstar and diff moved together, so the row stays consistent
     cols = [int(v) for v in lines[t + 1].split(",")]
@@ -268,6 +274,28 @@ def _shift_row_diff(lines, t):
                  id="sixth_column"),
     pytest.param(lambda lines, end: lines[:100] + ["99,x,0,0,0\n"] + lines[101:],
                  id="not_an_integer"),
+    # Bytes that format_rows never writes, though they read as the same
+    # integers.
+    pytest.param(lambda lines, end: ["time,price,a,b,c\n"] + lines[1:],
+                 id="header"),
+    pytest.param(lambda lines, end: _edit_field(lines, 99, 0, "+".__add__),
+                 id="plus_sign"),
+    pytest.param(lambda lines, end: _edit_field(lines, 99, 0, " ".__add__),
+                 id="space"),
+    pytest.param(lambda lines, end: (lines[:100] + [lines[100][:-1] + "\r\n"]
+                                     + lines[101:]), id="crlf"),
+    pytest.param(lambda lines, end: _edit_field(lines, 99, 0, "0".__add__),
+                 id="leading_zero"),
+    pytest.param(lambda lines, end: _edit_field(lines, 0, 0, lambda v: "-0"),
+                 id="minus_zero"),
+    pytest.param(lambda lines, end: lines[:-1] + [lines[-1][:-1]],
+                 id="no_final_newline"),
+    pytest.param(lambda lines, end: _edit_field(lines, 99, 2,
+                                                lambda v: str(2 ** 63)),
+                 id="two_to_the_63"),
+    pytest.param(lambda lines, end: _edit_field(lines, 99, 2,
+                                                lambda v: "1" + "0" * 19),
+                 id="twenty_digits"),
 ])
 def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
     dst = _copy(run_dir, tmp_path)
@@ -275,6 +303,52 @@ def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
     lines = path.read_text().splitlines(keepends=True)
     last_end = read_int_csv(dst, PHASES_CSV)[-1]["end_time"]
     path.write_text("".join(edit(lines, last_end)))
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+def _rewrite_prices(run_dir: Path, t: int, step: int) -> None:
+    # The path steps by `step` into tick t (from start_price at t = 0) and
+    # then moves as before; the final price follows.
+    rows = np.concatenate(list(read_ticks(run_dir)))
+    start = read_summary(run_dir)["config"]["price"]["start_price"]
+    before = rows[t - 1, 1] if t else start
+    by = step - int(rows[t, 1] - before)
+    rows[t:, 1] += by
+    (run_dir / TICKS_CSV).write_bytes((TICKS_HEADER + "\n").encode()
+                                      + format_rows(rows))
+    _edit_result(run_dir, "final_price_ticks", lambda v: v + by)
+
+
+def _first_tick_of_second_block(run_dir: Path) -> int:
+    head = (run_dir / TICKS_CSV).read_bytes()[:len(TICKS_HEADER) + 1 + _BLOCK_BYTES]
+    return head.count(b"\n") - 1
+
+
+def test_price_path_not_from_start_price_fails_consistency(run_dir, tmp_path):
+    dst = _copy(run_dir, tmp_path)
+    _rewrite_prices(dst, 0, 1)
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+@pytest.mark.parametrize("offset", [0, 1000], ids=["block_boundary", "mid_block"])
+def test_price_jump_fails_consistency(run_dir, tmp_path, offset):
+    dst = _copy(run_dir, tmp_path)
+    t = _first_tick_of_second_block(dst) + offset
+    _rewrite_prices(dst, t, 2)
+    # the rows before the jump are unchanged, so the second block still
+    # starts at the same tick
+    assert len(next(read_ticks(dst))) == _first_tick_of_second_block(dst)
+    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+
+
+@pytest.mark.parametrize("key", ["grid_min", "grid_max"])
+def test_price_outside_the_grid_fails_consistency(run_dir, tmp_path, key):
+    dst = _copy(run_dir, tmp_path)
+    prices = np.concatenate(list(read_ticks(dst)))[:, 1]
+    summary = read_summary(dst)
+    summary["config"]["price"][key] = (int(prices.min()) + 1 if key == "grid_min"
+                                       else int(prices.max()) - 1)
+    (dst / SUMMARY_JSON).write_text(json.dumps(summary))
     assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
 
 
@@ -303,6 +377,12 @@ def test_ticks_csv_equals_savetxt_of_the_series(tmp_path):
                fmt="%d", delimiter=",")
     assert (tmp_path / TICKS_CSV).read_bytes() == expected.getvalue()
     assert all_passed(verify_run(tmp_path))
+    # read back in several blocks, as np.loadtxt reads the whole file
+    chunks = list(read_ticks(tmp_path))
+    assert len(chunks) > 1
+    assert np.array_equal(np.concatenate(chunks),
+                          np.loadtxt(tmp_path / TICKS_CSV, dtype=np.int64,
+                                     delimiter=",", skiprows=1))
 
 
 _EDGES = [0, 1, 9, 10, 2 ** 31 - 1, 2 ** 31, 2 ** 63 - 1] + [
@@ -324,16 +404,65 @@ def test_format_rows_edge_values():
     assert format_rows(rows.reshape(-1, 5)) == _percent_format(rows.reshape(-1, 5))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8193), digits=st.integers(1, 19),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_format_rows_matches_percent_format(n, digits, seed):
+def _random_rows(n, digits, seed):
+    # up to `digits` digits, mixed signs, edge values sprinkled in
     rng = np.random.default_rng(seed)
     top = min(10 ** digits, 2 ** 63 - 1)
     rows = rng.integers(-top, top, size=(n, 5), dtype=np.int64, endpoint=True)
     rows.ravel()[rng.integers(0, rows.size, size=min(rows.size, 25))] = (
         rng.choice(_EDGES, size=min(rows.size, 25)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8193), digits=st.integers(1, 19),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_format_rows_matches_percent_format(n, digits, seed):
+    rows = _random_rows(n, digits, seed)
     assert format_rows(rows) == _percent_format(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8193), digits=st.integers(1, 19),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_parse_rows_inverts_format_rows(n, digits, seed):
+    rows = _random_rows(n, digits, seed)
+    assert np.array_equal(parse_rows(format_rows(rows)), rows)
+
+
+def test_parse_rows_edge_values():
+    values = _EDGES + _EDGES[::-1]
+    rows = np.array(values + [0] * (-len(values) % 5), dtype=np.int64).reshape(-1, 5)
+    assert np.array_equal(parse_rows(format_rows(rows)), rows)
+    assert parse_rows(b"").shape == (0, 5)
+
+
+_GOOD_ROW = "1,-22,333,-4444,0\n"
+
+
+# Each bad row sits between two good ones, on line 2 of the block.
+@pytest.mark.parametrize("row", [
+    "1,2,3,4\n", "1,2,3,4,5,6\n", "1,,3,4,5\n", "1,2,-,4,5\n",
+    "1,2,--1,4,5\n", "1,2,1-2,4,5\n", "1,2,4.5,4,5\n", "1,2, 3,4,5\n",
+    "1,2,3,4,5\r\n", "1,2,+3,4,5\n", "1,2,03,4,5\n", "1,2,-0,4,5\n",
+    "\n", f"1,2,{2 ** 63},4,5\n", f"1,2,{-2 ** 63},4,5\n",
+    f"1,2,{10 ** 19},4,5\n", "1,2,3,4,5x\n", "1,2,3,4,\u00e9\n",
+], ids=["four_fields", "six_fields", "empty_field", "lone_minus",
+        "double_minus", "inner_minus", "decimal_point", "space", "cr",
+        "plus_sign", "leading_zero", "minus_zero", "blank_line",
+        "two_to_the_63", "minus_two_to_the_63", "twenty_digits", "letter",
+        "non_ascii"])
+def test_parse_rows_refuses_what_format_rows_never_writes(row):
+    with pytest.raises(ValueError, match="^line 2: "):
+        parse_rows((_GOOD_ROW + row + _GOOD_ROW).encode())
+
+
+@pytest.mark.parametrize("data,line", [
+    ("1,2,3,4,5", 1), (_GOOD_ROW + "1,2,3,4,5", 2), ("\n" + _GOOD_ROW, 1)],
+    ids=["no_final_newline", "last_row_no_final_newline", "leading_blank_line"])
+def test_parse_rows_names_the_line(data, line):
+    with pytest.raises(ValueError, match=f"^line {line + 10}: "):
+        parse_rows(data.encode(), 11)
 
 
 def test_format_rows_refuses_int64_min():

@@ -4,6 +4,8 @@ only against a second run of the same code.
 
 The set-ups are the benchmark's workloads plus a spread-and-commission
 run, on both engines where the scalar reference is fast enough.  The
+mean-reverting runs also pin their kept order lists, as the
+(id, time, sign, price, quantity) tuples of orders_s and orders_sstar.  The
 digests also depend on numpy's generators and number formatting, so
 golden.json records the numpy version that made it.
 
@@ -59,14 +61,24 @@ def _file_setups():
            ("scalar", "blocked"))
 
 
+def _orders_sha(orders) -> str:
+    return _sha(repr([(o.id, o.time, o.sign, o.price, o.quantity)
+                      for o in orders]).encode())
+
+
 def compute_digests(tmp: Path) -> dict[str, str]:
     digests = {}
     for name, cfg, engines in _file_setups():
         for engine in engines:
             out = tmp / name / engine
-            write_run_artifacts(run_simulation(cfg, engine=engine), out)
+            report = run_simulation(cfg, engine=engine)
+            write_run_artifacts(report, out)
             for path in sorted(out.iterdir()):
                 digests[f"{name}/{engine}/{path.name}"] = _sha(path.read_bytes())
+            if cfg.run.keep_orders:
+                digests[f"{name}/{engine}/orders_s"] = _orders_sha(report.orders_s)
+                digests[f"{name}/{engine}/orders_sstar"] = _orders_sha(
+                    report.orders_sstar)
     for seed in (1000, 1001, 1003):
         report = run_simulation(default_config(master_seed=seed, record_ticks=False))
         digests[f"desk_core/seed{seed}/RunReport"] = _sha(repr(report).encode())
@@ -76,6 +88,16 @@ def compute_digests(tmp: Path) -> dict[str, str]:
         summary = estimate_hitting_time(price, 10000, 100, ABOVE, 25, 10_000_000,
                                         master_seed=seed)
         digests[f"recurrence/seed{seed}/HittingTimeSummary"] = _sha(repr(summary).encode())
+    # The mean-reverting walk's hitting times, through its speculation
+    # windows and their restarts.
+    price = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0, grid_max=30,
+                               start_price=15, stay_probability=Fraction(1, 3),
+                               reversion_strength=Fraction(1, 4))
+    for seed in (1, 2):
+        summary = estimate_hitting_time(price, 15, 10, ABOVE, 25, 10_000_000,
+                                        master_seed=seed)
+        digests[f"mean_reverting_walk/seed{seed}/HittingTimeSummary"] = _sha(
+            repr(summary).encode())
     return digests
 
 

@@ -11,8 +11,8 @@ from .dominance import (DelayedOrderRecord, DelayQueueEntry, DominanceEngine,
                         phase_pnl_diff_check, release_level)
 from .harness import (RunConfig, RunReport, RunSettings, SweepRow, TickSeries,
                       default_config, run_simulation, sweep)
-from .market import (BUY, SELL, Instrument, Money, Order, fill_price,
-                     quanta_to_currency)
+from .market import (BUY, SELL, Instrument, Money, Order, OrderLog,
+                     fill_price, quanta_to_currency)
 from .prices import (HittingTimeSummary, PriceProcessConfig,
                      estimate_hitting_time, next_price, substream, walk_block)
 from .runio import (load_config, read_summary, save_config, summary_dict,

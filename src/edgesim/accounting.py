@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .market import BUY, SELL, Instrument, Money, Order
+import numpy as np
+
+from .market import BUY, SELL, Instrument, Money, Order, OrderLog
 
 FIFO = "fifo"
 LIFO = "lifo"
@@ -72,9 +74,19 @@ def position_value(pos: int, price: int, instrument: Instrument) -> Money:
 
 def pnl_direct(orders: Iterable[Order], price: int,
                instrument: Instrument) -> Money:
-    """PnL as the sum of signed weighted price differences, order by order."""
+    """PnL as the sum of signed weighted price differences, order by order,
+    over an OrderLog's columns (other orders are made one): in int64 where
+    m * max|p - P| * n * max q < 2**63 proves every partial sum exact (as
+    signs are +-1 and quantities >= 1), else in Python ints."""
+    log = orders if isinstance(orders, OrderLog) else OrderLog(orders)
+    _, _, sign, p, q = log.columns()
     m = instrument.multiplier
-    return m * sum(o.sign * (o.price - price) * o.quantity for o in orders)
+    if len(q) and q.dtype == np.int64 and -2 ** 63 <= price < 2 ** 63:
+        spread = max(int(p.max()) - price, price - int(p.min()))
+        if m * spread * len(q) * int(q.max()) < 2 ** 63:
+            return m * int((sign * (p - price) * q).sum())
+    return m * sum(s * (x - price) * n
+                   for s, x, n in zip(sign.tolist(), p.tolist(), q.tolist()))
 
 
 def pnl_via_position(orders: Iterable[Order], price: int,

@@ -44,15 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .accounting import pnl_direct
 from .market import BUY, SELL, Instrument, Money, Order, fill_price
-
-# numpy only for annotations: importing it this early in the package
-# raised the peak RSS of an import by 0.5 MB.
-if TYPE_CHECKING:
-    import numpy as np
 
 MIRROR = "mirror"
 ENQUEUE = "enqueue"
@@ -453,8 +450,8 @@ def phase_pnl_diff_check(report: PhaseReport, previous_diff: Money,
                          params: DominanceParams) -> list[str]:
     """Re-derive the end-of-phase obligations from full order histories.
 
-    Recomputes the PnL difference with the accounting module (independent
-    of the engine's bookkeeping) and checks: exact equality with the
+    Recomputes the PnL difference with accounting.pnl_direct over the
+    two histories (independent of the engine's bookkeeping) and checks: exact equality with the
     delayed-order telescoping sum, the lower bound
     multiplier * Q_D * (gamma + tau), strict positivity once anything was
     delayed, and monotonicity against the previous phase end.  Returns
@@ -462,8 +459,7 @@ def phase_pnl_diff_check(report: PhaseReport, previous_diff: Money,
     """
     diff = (pnl_direct(orders_sstar, price, instrument)
             - pnl_direct(orders_s, price, instrument))
-    telescoping = instrument.multiplier * sum(
-        r.sign * (r.execution_price - r.base_fill_price) * r.quantity
-        for r in cumulative_records)
+    telescoping = instrument.multiplier * sum(r.gap * r.quantity
+                                              for r in cumulative_records)
     return phase_clause_failures(diff, previous_diff, report, telescoping,
                             instrument.multiplier, params)

@@ -40,7 +40,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         PhaseReport, SimulationError, exceeds_tolerance,
                         phase_clause_failures, phase_pnl_diff_check,
                         release_level)
-from .market import BUY, SELL, Instrument, Money, Order, fill_price
+from .market import BUY, SELL, Instrument, Money, OrderLog, fill_price, int64_array
 from .prices import (STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, next_price,
                      substream, walk_block)
@@ -139,8 +139,8 @@ class RunReport:
     stop_reason: str
     verdicts: list[dict]
     ticks: TickSeries | None = None
-    orders_s: list[Order] | None = None
-    orders_sstar: list[Order] | None = None
+    orders_s: OrderLog | None = None
+    orders_sstar: OrderLog | None = None
 
     @property
     def phases_completed(self) -> int:
@@ -204,8 +204,8 @@ class _RunState:
         self.w_star = 0
         self.sq_star = 0
         self.order_count = 0
-        self.orders_s: list[Order] | None = [] if config.run.keep_orders else None
-        self.orders_star: list[Order] | None = [] if config.run.keep_orders else None
+        self.orders_s = OrderLog() if config.run.keep_orders else None
+        self.orders_star = OrderLog() if config.run.keep_orders else None
 
         self.phases: list[PhaseReport] = []
         # How many times each phase-end check ran (the run's verdict counts).
@@ -232,15 +232,14 @@ class _RunState:
         self.w_s += sign * fill * quantity
         self.sq_s += sign * quantity
         if self.orders_s is not None:
-            self.orders_s.append(Order(self.order_count, time, sign, fill, quantity))
+            self.orders_s.append(self.order_count, time, sign, fill, quantity)
         action = self.engine.on_base_fill(self.order_count, sign, quantity,
                                           time, raw_price, fill)
         if action != ENQUEUE:
             self.w_star += sign * fill * quantity
             self.sq_star += sign * quantity
             if self.orders_star is not None:
-                self.orders_star.append(
-                    Order(self.order_count, time, sign, fill, quantity))
+                self.orders_star.append(self.order_count, time, sign, fill, quantity)
         if self.record_ticks:
             self.emit_row(time)
 
@@ -251,12 +250,11 @@ class _RunState:
         self.engine.mirror_fills(raw_prices, quantity)
         fills = raw_prices - signs * self.half_spread
         flows = signs * fills * quantity
-        ids = range(self.order_count + 1, self.order_count + len(times) + 1)
-        if self.orders_s is not None:
-            orders = [Order(*o, quantity) for o in zip(
-                ids, times.tolist(), signs.tolist(), fills.tolist())]
-            self.orders_s += orders
-            self.orders_star += orders
+        if self.orders_s is not None and len(times):
+            ids = np.arange(self.order_count + 1, self.order_count + len(times) + 1)
+            block = np.array((ids, times, signs, fills, np.full_like(ids, quantity)))
+            self.orders_s.extend(block)
+            self.orders_star.extend(block)
         if self.record_ticks:
             self._marks += [(time, self.w_s + w, self.sq_s + sq, self.w_star + w,
                              self.sq_star + sq) for time, w, sq in zip(
@@ -274,9 +272,8 @@ class _RunState:
             self.w_star += r.sign * r.execution_price * r.quantity
             self.sq_star += r.sign * r.quantity
             if self.orders_star is not None:
-                self.orders_star.append(Order(r.order_id, r.execution_time,
-                                              r.sign, r.execution_price,
-                                              r.quantity))
+                self.orders_star.append(r.order_id, r.execution_time, r.sign,
+                                        r.execution_price, r.quantity)
         if records and self.record_ticks:
             self.emit_row(records[-1].execution_time)
 
@@ -352,10 +349,7 @@ class _RunState:
         at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
-        try:
-            marks = np.array(self._marks, dtype=np.int64)
-        except OverflowError:   # the scalar engine's exact ints
-            marks = np.array(self._marks, dtype=object)
+        marks = int64_array(self._marks)   # object: the scalar engine's exact ints
         grid = self.config.price
         bound = pnl_bound(marks, self.m, max(abs(grid.grid_min), abs(grid.grid_max)))
         if bound >= 2 ** 63:

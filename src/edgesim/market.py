@@ -10,8 +10,11 @@ can be checked with exact integer equality.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+
+import numpy as np
 
 # Exact signed integer count of tick-value quanta.
 Money = int
@@ -62,6 +65,63 @@ class Order:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.quantity < 1:
             raise ValueError(f"quantity must be >= 1, got {self.quantity}")
+
+
+class OrderLog(Sequence[Order]):
+    """Append-only fills as (5, n) columns id, time, sign, price, quantity.
+    Single rows are buffered and go in as one block before the next block,
+    so fill order is kept.  Read as a Sequence[Order], each Order is built,
+    and validated, on access; a log equals a log or list of the same rows."""
+
+    def __init__(self, orders: Iterable[Order] = ()):
+        self._blocks = [np.empty((5, 0), dtype=np.int64)]
+        self._rows = [(o.id, o.time, o.sign, o.price, o.quantity) for o in orders]
+
+    def append(self, *row: int) -> None:
+        self._rows.append(row)
+
+    def extend(self, block: np.ndarray) -> None:
+        """Append a (5, k) block of rows after the buffered ones."""
+        self._flush()
+        self._blocks.append(block)
+
+    def columns(self) -> np.ndarray:
+        """Every row so far, joined once and kept."""
+        self._flush()
+        if len(self._blocks) > 1:
+            self._blocks = [np.concatenate(self._blocks, axis=1)]
+        return self._blocks[0]
+
+    def _flush(self) -> None:
+        if self._rows:
+            self._blocks.append(int64_array(self._rows).T)
+            self._rows = []
+
+    def __len__(self) -> int:
+        return self.columns().shape[1]
+
+    def __getitem__(self, index):
+        rows = self.columns()[:, index].T.tolist()
+        return [Order(*row) for row in rows] if isinstance(index, slice) else Order(*rows)
+
+    def __iter__(self):
+        return (Order(*row) for row in self.columns().T.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OrderLog):
+            return bool(np.array_equal(self.columns(), other.columns()))
+        return list(self) == list(other) if isinstance(other, (list, tuple)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"OrderLog({list(self)!r})"
+
+
+def int64_array(values) -> np.ndarray:
+    """values as an int64 array, or as an object array where one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def quanta_to_currency(quanta: Money, instrument: Instrument) -> Decimal:

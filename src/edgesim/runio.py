@@ -27,8 +27,9 @@ In summary.json (schema edgesim-run-summary/3) the max_drawdown_*
 results are null when the run recorded no tick series, and the verdicts
 name each in-run check and how many times it ran; a failed check aborts
 the run, so a written summary always reads passed.
-phase_pnl_diff_check counts the phase ends re-derived from the kept
-order lists (0 unless run.keep_orders).  All files are written
+phase_pnl_diff_check counts the phase ends at which the PnL difference
+was re-summed from the two kept order logs by accounting.pnl_direct
+(0 unless run.keep_orders).  All files are written
 deterministically: same config and seed, same bytes.
 
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:

@@ -1,13 +1,15 @@
+import builtins
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesim import accounting
 from edgesim.accounting import (FIFO, LIFO, match_lots, pnl_decomposed,
                                 pnl_direct, pnl_via_position, position_value,
                                 signed_open_position)
-from edgesim.market import BUY, SELL, Instrument, Order
+from edgesim.market import BUY, SELL, Instrument, Order, OrderLog
 
 INST = Instrument("SIM", 1, Decimal("0.01"))
 
@@ -67,6 +69,71 @@ def test_pnl_direct_offsetting_pair_is_flat():
     orders = [o(1, SELL, 10200, 2), o(2, BUY, 10200, 2)]
     for price in (9000, 10200, 11000):
         assert pnl_direct(orders, price, INST) == 0
+
+
+# -- direct PnL over int64 columns ------------------------------------------------
+
+@st.composite
+def wide_orders(draw):
+    """Orders with prices up to +-2**62 and quantities up to 2**62, at
+    magnitudes drawn per example so that the sums land on both sides of
+    2**63, and a mark price of the same magnitude."""
+    price = st.integers(-2 ** draw(st.integers(0, 62)), 2 ** draw(st.integers(0, 62)))
+    quantity = st.integers(1, 2 ** draw(st.integers(0, 62)))
+    rows = draw(st.lists(st.tuples(st.sampled_from([SELL, BUY]), price, quantity),
+                         max_size=30))
+    return [o(i + 1, s, p, q) for i, (s, p, q) in enumerate(rows)], draw(price)
+
+
+@settings(max_examples=500)
+@given(wide_orders(), st.sampled_from([1, 7, 2 ** 20]))
+def test_pnl_direct_equals_the_python_int_sum(orders_and_price, multiplier):
+    orders, price = orders_and_price
+    inst = Instrument("W", multiplier, Decimal("0.01"))
+    expected = multiplier * sum(x.sign * (x.price - price) * x.quantity
+                                for x in orders)
+    assert pnl_direct(OrderLog(orders), price, inst) == expected
+    assert pnl_direct(orders, price, inst) == expected
+
+
+# (rows of (sign, price, quantity), mark price, multiplier, summed in int64):
+# int64 exactly while m * max|p - P| * n * max q < 2**63.
+INT64_EDGES = {
+    "bound 2**63-1": ([(SELL, 2 ** 63 - 1, 1)], 0, 1, True),
+    "bound 2**63-1 via m": ([(BUY, -7, 1)], 0, (2 ** 63 - 1) // 7, True),
+    "bound 2**63": ([(SELL, 2 ** 62, 2)], 0, 1, False),
+    "bound 2**63 via n": ([(BUY, -2 ** 62, 1), (BUY, -2 ** 62, 1)], 0, 1, False),
+    "bound 2**63 via m": ([(BUY, -2 ** 62, 1)], 0, 2, False),
+    "p - P beyond int64": ([(SELL, 2 ** 62, 1)], -2 ** 62, 1, False),
+    "P beyond int64": ([(SELL, 3, 1)], 2 ** 63, 1, False),
+    # prices near 2**55, as where the blocked engine's int64 guard fails
+    "2**55 narrow spread": ([(SELL, 2 ** 55 + 40, 1), (BUY, 2 ** 55, 1)] * 50,
+                            2 ** 55 + 20, 1, True),
+    "2**55 under the bound": ([(SELL, 2 ** 55, 2 ** 8 - 1)], 0, 1, True),
+    "2**55 at the bound": ([(SELL, 2 ** 55, 2 ** 8)], 0, 1, False),
+    "2**55 sum passes 2**63": ([(SELL, 2 ** 55, 2 ** 7)] * 2, 0, 1, False),
+}
+
+
+@pytest.mark.parametrize("edge", INT64_EDGES)
+def test_pnl_direct_sums_in_int64_exactly_up_to_the_bound(edge, monkeypatch):
+    rows, price, multiplier, in_int64 = INT64_EDGES[edge]
+    # Only the Python-int sum calls sum().
+    python_sums = []
+    monkeypatch.setattr(accounting, "sum", lambda terms: python_sums.append(1)
+                        or builtins.sum(terms), raising=False)
+    orders = [o(i + 1, s, p, q) for i, (s, p, q) in enumerate(rows)]
+    expected = multiplier * builtins.sum(s * (p - price) * q for s, p, q in rows)
+    inst = Instrument("W", multiplier, Decimal("0.01"))
+    assert pnl_direct(OrderLog(orders), price, inst) == expected
+    assert bool(python_sums) is not in_int64
+
+
+def test_pnl_direct_over_object_columns():
+    log = OrderLog([o(1, BUY, 5, 1)])
+    log.append(2, 1, SELL, 2 ** 63, 2)
+    assert log.columns().dtype == object
+    assert pnl_direct(log, 10, INST) == 5 + (2 ** 63 - 10) * 2
 
 
 # -- position form ------------------------------------------------------------

@@ -14,11 +14,12 @@ from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                                CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
                                CLAUSE_QUEUE_CAP, DominanceParams,
-                               SimulationError, StrandedOrderError)
+                               InvariantViolation, SimulationError,
+                               StrandedOrderError)
 from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
                              default_config, replication_seed, run_simulation,
                              sweep)
-from edgesim.market import Instrument
+from edgesim.market import Instrument, Order
 from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             PriceProcessConfig, estimate_hitting_time)
 from edgesim.runio import write_run_artifacts
@@ -247,6 +248,37 @@ def test_report_diff_matches_accounting_oracle():
         diff = (pnl_direct(star_hist, price, inst)
                 - pnl_direct(s_hist, price, inst))
         assert diff == phase.pnl_diff
+
+
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_the_accounting_oracle_sees_a_buffered_execution(engine, monkeypatch):
+    # one tick off in the S* execution that ends phase 1, while it is
+    # still a buffered row (not yet in a column block): only the oracle,
+    # which re-sums the kept orders, can see it
+    apply_executions = harness._RunState.apply_executions
+
+    def shift_the_phase_ending_execution(state, records):
+        apply_executions(state, records)
+        if state.engine.phase_index == 2 and not state.phases:
+            *head, price, quantity = state.orders_star._rows[-1]
+            state.orders_star._rows[-1] = (*head, price + 1, quantity)
+
+    monkeypatch.setattr(harness._RunState, "apply_executions",
+                        shift_the_phase_ending_execution)
+    with pytest.raises(InvariantViolation, match="phase 1 ended") as exc:
+        run_simulation(quick(seed=13, phases=3), engine=engine)
+    assert exc.value.clause == CLAUSE_PHASE_IDENTITY
+
+
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_kept_orders_build_no_order_while_running(engine, monkeypatch):
+    built = []
+    post_init = Order.__post_init__
+    monkeypatch.setattr(Order, "__post_init__",
+                        lambda order: built.append(order) or post_init(order))
+    rep = run_simulation(quick(seed=13, phases=3), engine=engine)
+    assert built == []
+    assert rep.orders_s[0] == built[0]      # reading builds them
 
 
 def test_positions_match_at_phase_ends():

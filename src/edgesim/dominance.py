@@ -450,16 +450,17 @@ def phase_pnl_diff_check(report: PhaseReport, previous_diff: Money,
                          params: DominanceParams) -> list[str]:
     """Re-derive the end-of-phase obligations from full order histories.
 
-    Recomputes the PnL difference with accounting.pnl_direct over the
-    two histories (independent of the engine's bookkeeping) and checks: exact equality with the
-    delayed-order telescoping sum, the lower bound
+    Recomputes the PnL difference with accounting.pnl_direct over the two
+    histories (independent of the engine's bookkeeping) and checks: exact
+    equality with the delayed-order telescoping sum, the lower bound
     multiplier * Q_D * (gamma + tau), strict positivity once anything was
     delayed, and monotonicity against the previous phase end.  Returns
     the violated clause names (empty means the phase passes).
     """
     diff = (pnl_direct(orders_sstar, price, instrument)
             - pnl_direct(orders_s, price, instrument))
-    telescoping = instrument.multiplier * sum(r.gap * r.quantity
-                                              for r in cumulative_records)
+    telescoping = instrument.multiplier * sum(
+        r.sign * (r.execution_price - r.base_fill_price) * r.quantity
+        for r in cumulative_records)
     return phase_clause_failures(diff, previous_diff, report, telescoping,
                             instrument.multiplier, params)

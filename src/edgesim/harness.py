@@ -253,8 +253,8 @@ class _RunState:
         if self.orders_s is not None and len(times):
             ids = np.arange(self.order_count + 1, self.order_count + len(times) + 1)
             block = np.array((ids, times, signs, fills, np.full_like(ids, quantity)))
-            self.orders_s.extend(block)
-            self.orders_star.extend(block)
+            self.orders_s.append_block(block)
+            self.orders_star.append_block(block)
         if self.record_ticks:
             self._marks += [(time, self.w_s + w, self.sq_s + sq, self.w_star + w,
                              self.sq_star + sq) for time, w, sq in zip(

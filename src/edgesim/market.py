@@ -78,9 +78,10 @@ class OrderLog(Sequence[Order]):
         self._rows = [(o.id, o.time, o.sign, o.price, o.quantity) for o in orders]
 
     def append(self, *row: int) -> None:
+        """Buffer one row: id, time, sign, price, quantity."""
         self._rows.append(row)
 
-    def extend(self, block: np.ndarray) -> None:
+    def append_block(self, block: np.ndarray) -> None:
         """Append a (5, k) block of rows after the buffered ones."""
         self._flush()
         self._blocks.append(block)

@@ -67,11 +67,11 @@ def _block(*rows):
 def test_order_log_keeps_append_order_across_rows_and_blocks():
     log = OrderLog()
     log.append(1, 1, SELL, 100, 1)
-    log.extend(_block((2, 2, BUY, 101, 1), (3, 2, SELL, 99, 1)))
+    log.append_block(_block((2, 2, BUY, 101, 1), (3, 2, SELL, 99, 1)))
     log.append(4, 3, BUY, 100, 2)
     log.append(5, 4, SELL, 102, 1)
     assert [o.id for o in log] == [1, 2, 3, 4, 5]    # joins and keeps
-    log.extend(_block((6, 5, BUY, 98, 1)))
+    log.append_block(_block((6, 5, BUY, 98, 1)))
     log.append(7, 6, SELL, 97, 3)
     assert [o.id for o in log] == [1, 2, 3, 4, 5, 6, 7]
     assert len(log) == 7
@@ -86,7 +86,7 @@ def test_order_log_keeps_append_order_across_rows_and_blocks():
 def test_order_log_equals_by_value():
     orders = [Order(1, 0, SELL, 100, 1), Order(2, 3, BUY, 101, 2)]
     log = OrderLog()
-    log.extend(_block((1, 0, SELL, 100, 1)))
+    log.append_block(_block((1, 0, SELL, 100, 1)))
     log.append(2, 3, BUY, 101, 2)
     assert log == OrderLog(orders) == orders
     assert orders == log and tuple(orders) == log
@@ -97,7 +97,7 @@ def test_order_log_equals_by_value():
 
 def test_order_log_holds_values_beyond_int64_as_object_columns():
     log = OrderLog()
-    log.extend(_block((1, 0, BUY, 5, 1)))
+    log.append_block(_block((1, 0, BUY, 5, 1)))
     log.append(2, 1, SELL, 2 ** 63, 2)
     assert log.columns().dtype == object
     assert list(log) == [Order(1, 0, BUY, 5, 1), Order(2, 1, SELL, 2 ** 63, 2)]

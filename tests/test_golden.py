@@ -28,8 +28,9 @@ import numpy as np
 
 from edgesim.dominance import DominanceParams
 from edgesim.harness import RunConfig, default_config, run_simulation
-from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
-                            PriceProcessConfig, estimate_hitting_time)
+from edgesim.prices import (ABOVE, BELOW, MEAN_REVERTING_WALK,
+                            REFLECTING_WALK, PriceProcessConfig,
+                            estimate_hitting_time)
 from edgesim.runio import write_run_artifacts
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -61,6 +62,23 @@ def _file_setups():
            ("scalar", "blocked"))
 
 
+def _reflecting_hitting_setups():
+    """(name, config, start, xi, direction, cap) of the reflecting hitting
+    times pinned beside the recurrence set-up: the other direction, a lazy
+    walk, a cap that leaves misses, a cap that is not a multiple of 64 on a
+    short passage, and a threshold within 64 ticks of the start."""
+    wide = PriceProcessConfig(kind=REFLECTING_WALK, start_price=10000,
+                              stay_probability=Fraction(0))
+    narrow = PriceProcessConfig(kind=REFLECTING_WALK, grid_min=0, grid_max=60,
+                                start_price=30, stay_probability=Fraction(0))
+    yield "below", wide, 10000, 100, BELOW, 10_000_000
+    yield ("stay_half", replace(wide, stay_probability=Fraction(1, 2)), 10000,
+           100, ABOVE, 10_000_000)
+    yield "misses", wide, 10000, 100, ABOVE, 6_400
+    yield "ragged_cap", narrow, 30, 8, ABOVE, 1_000
+    yield "near_start", wide, 10000, 10, ABOVE, 10_000_000
+
+
 def _orders_sha(orders) -> str:
     return _sha(repr([(o.id, o.time, o.sign, o.price, o.quantity)
                       for o in orders]).encode())
@@ -88,6 +106,12 @@ def compute_digests(tmp: Path) -> dict[str, str]:
         summary = estimate_hitting_time(price, 10000, 100, ABOVE, 25, 10_000_000,
                                         master_seed=seed)
         digests[f"recurrence/seed{seed}/HittingTimeSummary"] = _sha(repr(summary).encode())
+    for name, price, start, xi, direction, cap in _reflecting_hitting_setups():
+        for seed in (1, 2):
+            summary = estimate_hitting_time(price, start, xi, direction, 25, cap,
+                                            master_seed=seed)
+            digests[f"reflecting_walk/{name}/seed{seed}/HittingTimeSummary"] = _sha(
+                repr(summary).encode())
     # The mean-reverting walk's hitting times, through its speculation
     # windows and their restarts.
     price = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0, grid_max=30,

@@ -408,6 +408,17 @@ def test_engines_agree_where_the_int64_guard_fails():
     assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
 
 
+@pytest.mark.parametrize("grid_min", [2 ** 61 - 40, -2 ** 61])
+def test_engines_agree_at_the_int64_grid_bound(grid_min):
+    # the grid may reach +/-2**61 (PriceProcessConfig); beyond, the config
+    # is refused, and both engines run a grid at either end of the bound
+    cfg = edge_config(seed=7, grid_min=grid_min)
+    cfg = replace(cfg, run=replace(cfg.run, record_ticks=False))
+    blocked = run_simulation(cfg, engine="blocked")
+    assert blocked.phases_completed == cfg.run.target_phases
+    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+
+
 def test_long_phase_with_an_empty_queue_is_not_stranded():
     # the first delay comes more than max_phase_ticks after the run starts,
     # but no order waits that long; the backstop used to bound the phase

@@ -9,7 +9,7 @@ from edgesim import cli, prices
 from edgesim.prices import (_MAX_BLOCK_RESTARTS, _SPECULATION_WINDOW, ABOVE,
                             BELOW, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, HittingTimeSummary,
-                            PriceProcessConfig,
+                            PriceProcessConfig, _hit_one_reflecting,
                             _reflect, _steps, _up_probability,
                             estimate_hitting_time, next_price, substream,
                             up_thresholds, walk_block)
@@ -35,6 +35,48 @@ def test_config_validation():
         PriceProcessConfig(reversion_strength=Fraction(3, 2))
     with pytest.raises(ValueError):
         PriceProcessConfig(reversion_strength=0.5)
+
+
+def test_config_refuses_a_grid_beyond_the_int64_bound():
+    bound = 2 ** 61
+    with pytest.raises(ValueError, match="grid_min"):
+        PriceProcessConfig(grid_min=-bound - 1, grid_max=0, start_price=0)
+    with pytest.raises(ValueError, match="grid_max"):
+        PriceProcessConfig(grid_min=0, grid_max=bound + 1, start_price=0)
+    with pytest.raises(ValueError, match="grid_max 100000000000000010000"):
+        PriceProcessConfig(grid_min=10 ** 20, grid_max=10 ** 20 + 10_000,
+                           start_price=10 ** 20)
+    assert PriceProcessConfig(grid_min=-bound, grid_max=bound,
+                              start_price=0).width == 2 ** 62
+
+
+@pytest.mark.parametrize("kind", [REFLECTING_WALK, MEAN_REVERTING_WALK])
+@pytest.mark.parametrize("direction", [ABOVE, BELOW])
+def test_hitting_time_at_the_int64_grid_bound(kind, direction):
+    # the walk's law does not depend on where the grid lies, so a grid at
+    # either end of [-2**61, 2**61] gives the summary of the same grid at 0
+    def summary(gmin):
+        config = PriceProcessConfig(kind=kind, grid_min=gmin, grid_max=gmin + 60,
+                                    start_price=gmin + 30,
+                                    stay_probability=Fraction(1, 3),
+                                    reversion_strength=Fraction(1, 4))
+        return estimate_hitting_time(config, gmin + 30, 8, direction,
+                                     samples=20, cap=10**6, master_seed=3)
+    expected = summary(0)
+    assert expected.count_finite == 20
+    assert summary(2 ** 61 - 60) == summary(-2 ** 61) == expected
+
+
+def test_recurrence_cli_refuses_a_grid_beyond_the_int64_bound(tmp_path,
+                                                              capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("price:\n  grid_min: 100000000000000000000\n"
+                    "  grid_max: 100000000000000010000\n"
+                    "  start_price: 100000000000000005000\n")
+    assert cli.main(["recurrence", str(path), "--xi", "4",
+                     "--samples", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid_max" in err
 
 
 def test_reflection_at_grid_max_is_forced_inward():
@@ -376,6 +418,180 @@ def test_mean_reverting_hitting_time_steps_the_scalar_law():
         assert s == HittingTimeSummary(samples, 10**6, samples,
                                        float(np.mean(times)), max(times))
     assert max(times) > 256
+
+
+def folded_offsets(config, start, target, direction):
+    """(x, tgt): the start and the target as offsets from the edge the
+    reflecting sampler folds at, grid_min above and grid_max below."""
+    if direction == ABOVE:
+        return start - config.grid_min, target - config.grid_min
+    return config.grid_max - start, config.grid_max - target
+
+
+def test_reflecting_hitting_time_steps_the_scalar_law():
+    # The sampler's passage is the exit of the free walk from (-tgt, tgt),
+    # in offsets from the edge it folds at.  Sample w steps that free walk
+    # with literal next_price on the grid [-tgt, tgt], where it exits
+    # before it can reflect, drawing from the w-th child of the hitting
+    # sequence.  (The reflected chain on the real grid agrees with it in
+    # law only: test_hitting_time_folded_sampler_matches_direct_chain.)
+    samples, seed, times = 12, 7, []
+    for (gmin, gmax), start, xi, direction, stay in [
+            ((0, 40), 20, 6, ABOVE, Fraction(1, 3)),
+            ((0, 40), 20, 6, BELOW, Fraction(1, 3)),
+            ((0, 40), 2, 1, ABOVE, Fraction(0)),
+            ((0, 40), 38, 1, BELOW, Fraction(1, 2)),
+            ((0, 200), 100, 25, ABOVE, Fraction(1, 2)),
+            ((0, 200), 150, 25, BELOW, Fraction(0))]:
+        config = PriceProcessConfig(grid_min=gmin, grid_max=gmax,
+                                    start_price=start, stay_probability=stay)
+        target = start + xi + 1 if direction == ABOVE else start - xi - 1
+        x, tgt = folded_offsets(config, start, target, direction)
+        free = PriceProcessConfig(grid_min=-tgt, grid_max=tgt, start_price=x,
+                                  stay_probability=stay)
+        root = np.random.SeedSequence(seed, spawn_key=(STREAM_HITTING,))
+        case = []
+        for child in root.spawn(samples):
+            rng, y, t = np.random.default_rng(child), x, 0
+            while abs(y) < tgt:
+                y = next_price(y, rng, free)
+                t += 1
+            case.append(t)
+        s = estimate_hitting_time(config, start, xi, direction,
+                                  samples=samples, cap=10**6, master_seed=seed)
+        assert s == HittingTimeSummary(samples, 10**6, samples,
+                                       float(np.mean(case)), max(case))
+        times += case
+    # hits in the first row, and passages longer than the first block
+    assert min(times) <= 64 and max(times) > 256
+
+
+def full_prefix_hitting_time(rng, config, start, target, direction, cap):
+    """The reflecting sampler without its row screen: every block of the
+    folded free walk is prefix-summed in full."""
+    stay = float(config.stay_probability)
+    up_threshold = stay + (1.0 - stay) * 0.5
+    x, tgt = folded_offsets(config, start, target, direction)
+    done, block = 0, 1 << 8
+    while done < cap:
+        n = min(block, cap - done)
+        block = min(2 * block, 1 << 15)
+        walk = x + np.cumsum(_steps(rng.random(n), stay, up_threshold),
+                             dtype=np.int64)
+        hits = np.flatnonzero(np.abs(walk) >= tgt)
+        if hits.size:
+            return done + int(hits[0]) + 1
+        x, done = int(walk[-1]), done + n
+    return 0
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator: random() hands out a fixed script of
+    uniforms, as a new array or into out."""
+
+    def __init__(self, u):
+        self.u, self.used = np.asarray(u, dtype=float), 0
+
+    def random(self, size=None, out=None):
+        n = size if out is None else len(out)
+        u = self.u[self.used:self.used + n]
+        assert len(u) == n, "the script ran out"
+        self.used += n
+        if out is None:
+            return u.copy()
+        out[:] = u
+        return out
+
+
+# uniforms that make a hold, an up-move and a down-move at stay 1/3
+SCRIPT_STAY = Fraction(1, 3)
+HOLD, UP, DOWN = 0.2, 0.5, 0.9
+
+
+def scripted_hitting_times(config, start, target, direction, cap, u):
+    """(sampler, reference, uniforms each drew) for one script."""
+    rng, ref = ScriptedUniforms(u), ScriptedUniforms(u)
+    got = _hit_one_reflecting(rng, config, start, target, direction, cap)
+    return got, full_prefix_hitting_time(ref, config, start, target, direction,
+                                         cap), (rng.used, ref.used)
+
+
+@st.composite
+def scripted_passages(draw):
+    """A reflecting walk, a threshold, a cap (under 64, not a multiple of
+    64, or whole rows) and a script of moves in runs of one kind, so rows
+    start anywhere near the target and a passage can fall on any tick."""
+    gmax = draw(st.integers(3, 400))
+    direction = draw(st.sampled_from([ABOVE, BELOW]))
+    start = draw(st.integers(0, gmax - 2) if direction == ABOVE
+                 else st.integers(2, gmax))
+    xi = draw(st.integers(1, gmax - start - 1 if direction == ABOVE
+                          else start - 1))
+    target = start + xi + 1 if direction == ABOVE else start - xi - 1
+    cap = draw(st.one_of(st.integers(1, 63), st.integers(64, 3000),
+                         st.integers(1, 47).map(lambda k: 64 * k)))
+    runs = draw(st.lists(st.tuples(st.sampled_from([HOLD, UP, DOWN]),
+                                   st.integers(1, 150)), max_size=30))
+    u = np.concatenate([np.full(k, v) for v, k in runs] + [np.full(cap, HOLD)])
+    config = PriceProcessConfig(grid_min=0, grid_max=gmax, start_price=start,
+                                stay_probability=SCRIPT_STAY)
+    return config, start, target, direction, cap, u[:cap]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scripted_passages())
+def test_row_screen_is_the_full_prefix_sum_on_scripted_moves(case):
+    got, expected, (used, ref_used) = scripted_hitting_times(*case)
+    assert got == expected
+    assert used == ref_used
+
+
+@pytest.mark.parametrize("start,xi,cap,script,expected", [
+    # a row that starts exactly tgt - 64 away reaches it on its last tick
+    (0, 63, 256, [UP] * 64, 64),
+    (0, 63, 256, [HOLD] * 64 + [UP] * 64, 128),
+    (0, 63, 256, [DOWN] * 64, 64),
+    # one tick short of the screen: no row can reach the target
+    (0, 64, 256, [UP] * 64, 0),
+    # the ragged last block of 300 - 256 = 44 moves holds the passage
+    (0, 39, 300, [HOLD] * 256 + [UP] * 40, 296),
+    # ... or the cap ends it one tick short, a miss
+    (0, 39, 295, [HOLD] * 256 + [UP] * 40, 0),
+    # a cap under one row
+    (0, 3, 5, [UP] * 4, 4),
+    (0, 3, 3, [UP] * 4, 0),
+])
+def test_row_screen_edges_are_the_full_prefix_sum(start, xi, cap, script,
+                                                  expected):
+    config = PriceProcessConfig(grid_min=0, grid_max=100, start_price=start,
+                                stay_probability=SCRIPT_STAY)
+    u = (script + [HOLD] * cap)[:cap]
+    got, reference, _ = scripted_hitting_times(config, start, start + xi + 1,
+                                               ABOVE, cap, u)
+    assert got == reference == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(reflecting_walks(), st.sampled_from([ABOVE, BELOW]),
+       st.integers(1, 200),
+       st.one_of(st.integers(1, 63), st.integers(1, 100_000)),
+       st.integers(0, 2 ** 32 - 1))
+def test_row_screen_is_the_full_prefix_sum(config, direction, xi, cap, seed):
+    # the real generator: random(out=...) draws the same stream as
+    # random(n), and the screen gives the full prefix sum's passage
+    room = (config.grid_max - config.start_price if direction == ABOVE
+            else config.start_price - config.grid_min) - 1
+    if room < 1:
+        return
+    xi = min(xi, room)
+    start = config.start_price
+    target = start + xi + 1 if direction == ABOVE else start - xi - 1
+    for w in range(3):
+        got = _hit_one_reflecting(substream(seed, STREAM_HITTING, w), config,
+                                  start, target, direction, cap)
+        assert got == full_prefix_hitting_time(
+            substream(seed, STREAM_HITTING, w), config, start, target,
+            direction, cap)
 
 
 def test_hitting_time_determinism():

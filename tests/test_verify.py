@@ -526,12 +526,19 @@ def test_config_defaults_from_empty_file(tmp_path):
     *((f"instrument:\n  tick_size: \"{tick}\"\n",
        f"tick_size must be finite and > 0, got {tick}")
       for tick in ("NaN", "sNaN", "Infinity")),
+    ("price:\n  grid_min: 100000000000000000000\n"
+     "  grid_max: 100000000000000010000\n  start_price: 100000000000000005000\n",
+     "grid_max 100000000000000010000 is beyond the int64-safe grid"),
+    ("price:\n  grid_min: -2305843009213693953\n  grid_max: 0\n"
+     "  start_price: 0\n",
+     "grid_min -2305843009213693953 is beyond the int64-safe grid"),
 ], ids=["unknown_section", "unknown_key", "stale_price_seed",
         "stale_instrument_grid", "stale_disable_delays", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
         "bool_given_int", "negative_seed", "explicit_null_target_phases",
         "fraction_given_bool", "tick_size_nan",
-        "tick_size_snan", "tick_size_infinity"])
+        "tick_size_snan", "tick_size_infinity", "grid_beyond_int64",
+        "grid_below_int64"])
 def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)

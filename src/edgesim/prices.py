@@ -40,8 +40,8 @@ minimum, the walk reflected at one edge alone is exactly
 corrections at once, which gives the two-sided walk up to the first tick
 at which x leaves the grid, where the two edges interact.
 
-estimate_hitting_time samples first passages.  For the reflecting walk
-that is the exit time of a free walk from an interval, and one move
+estimate_hitting_time samples first passages, the reflecting walk's as
+the exit time of a free walk from an interval (the same law).  One move
 changes a walk by at most a tick, so a row of 64 moves can hold the exit
 only if it starts within 64 ticks of the interval's ends: the sampler
 takes the walk at each row start from the row sums and prefix-sums only
@@ -312,9 +312,9 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
 
     Only one boundary can be touched before the hit (the target lies
     strictly inside the grid and the walk moves one tick at a time), and
-    a symmetric walk reflected at a single boundary is the folded free
-    walk: position = boundary + |free walk - boundary|.  The passage
-    time beyond the target is therefore the free walk's exit time from a
+    a symmetric walk reflected at a single boundary has the law (not the
+    path) of the folded free walk, boundary + |free walk - boundary|, so
+    the passage time is distributed as the free walk's exit time from a
     symmetric interval, which needs no reflection handling at all.
 
     Uniforms are drawn into one buffer in blocks that double from 256 to

@@ -35,9 +35,7 @@ def test_config_validation():
         PriceProcessConfig(reversion_strength=Fraction(3, 2))
     with pytest.raises(ValueError):
         PriceProcessConfig(reversion_strength=0.5)
-
-
-def test_config_refuses_a_grid_beyond_the_int64_bound():
+    # the grid must lie within [-2**61, 2**61], so its values fit int64
     bound = 2 ** 61
     with pytest.raises(ValueError, match="grid_min"):
         PriceProcessConfig(grid_min=-bound - 1, grid_max=0, start_price=0)

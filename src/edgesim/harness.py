@@ -18,6 +18,10 @@ Two execution engines produce bit-identical results:
     arrays (cumulative sums give the cloud before each fill); where those
     sums could pass 2**62 every fill is an event, in exact ints.
 
+Both engines hand each tick's releases and phase end to one _RunState
+step, settle, once the tick's fills are booked; the run set-up (the price
+substream and the t = 0 record row) is _RunState's too.
+
 A run consumes four of the documented substreams of the master seed
 (price steps, baseline intents, baseline sides, delay draws); see
 edgesim.prices.substream.  All run state is integer; seeds plus config
@@ -40,7 +44,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         PhaseReport, SimulationError, exceeds_tolerance,
                         phase_clause_failures, phase_pnl_diff_check,
                         release_level)
-from .market import BUY, SELL, Instrument, Money, OrderLog, fill_price, int64_array
+from .market import BUY, SELL, Instrument, Money, OrderLog, fill_price
 from .prices import (STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, next_price,
                      substream, walk_block)
@@ -197,13 +201,10 @@ class _RunState:
                                       config.price.grid_max, self.half_spread,
                                       self.delay_draws)
         self.streams: BaselineStreams = baseline_streams(seed)
+        self.price_rng = substream(seed, STREAM_PRICE)
 
         # Running integer aggregates: W = sum sign*price*qty, SQ = sum sign*qty.
-        self.w_s = 0
-        self.sq_s = 0
-        self.w_star = 0
-        self.sq_star = 0
-        self.order_count = 0
+        self.w_s = self.sq_s = self.w_star = self.sq_star = self.order_count = 0
         self.orders_s = OrderLog() if config.run.keep_orders else None
         self.orders_star = OrderLog() if config.run.keep_orders else None
 
@@ -218,6 +219,7 @@ class _RunState:
         self.path_prices: list[int] = []
         self._path_blocks: list[np.ndarray] = []
         self._marks: list[tuple[int, int, int, int, int]] = []
+        self.emit_initial_row(config.price.start_price)
 
     # -- PnL ------------------------------------------------------------
 
@@ -248,7 +250,7 @@ class _RunState:
         """base_fill in bulk for fills that the overlay takes at once too
         (int64 sums, bounded by the blocked engine's guard)."""
         self.engine.mirror_fills(raw_prices, quantity)
-        fills = raw_prices - signs * self.half_spread
+        fills = fill_price(raw_prices, signs, self.half_spread)
         flows = signs * fills * quantity
         if self.orders_s is not None and len(times):
             ids = np.arange(self.order_count + 1, self.order_count + len(times) + 1)
@@ -312,6 +314,19 @@ class _RunState:
                              f"previous diff={prev_diff}")
         self.phases.append(report)
 
+    def settle(self, time: int, price: int, audit: bool = False) -> bool:
+        """Close tick `time` once its fills are booked: release what the
+        price reaches, audit the diff if asked, end the phase if it ended.
+        True once the run has its target_phases."""
+        records, phase_ended = self.engine.on_tick(time, price)
+        if records:
+            self.apply_executions(records)
+        if audit:
+            self.audit_tick(price)
+        if phase_ended:
+            self.end_phase(time, price)
+        return phase_ended and len(self.phases) == self.config.run.target_phases
+
     def audit_tick(self, price: int) -> None:
         """Mid-phase reconciliation: the diff equals the telescoping sum of
         executed delays plus the open-position discrepancy of queued ones."""
@@ -349,14 +364,20 @@ class _RunState:
         at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
-        marks = int64_array(self._marks)   # object: the scalar engine's exact ints
+        # With g the largest grid magnitude, half of 2 * m * max(|W| +
+        # g * |SQ|) bounds each PnL at every grid price, so the bound covers
+        # the diff and drawdowns; below 2**63 every mark fits int64 too.
         grid = self.config.price
-        bound = pnl_bound(marks, self.m, max(abs(grid.grid_min), abs(grid.grid_max)))
+        g = max(abs(grid.grid_min), abs(grid.grid_max))
+        bound = 2 * self.m * max(
+            max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
+            for _, w_s, sq_s, w_star, sq_star in self._marks)
         if bound >= 2 ** 63:
             raise SimulationError(
                 f"the tick series would overflow int64 (PnL bound {bound} "
                 f"with instrument.multiplier {self.m}); use a smaller "
                 f"multiplier or set run.record_ticks: false")
+        marks = np.array(self._marks, dtype=np.int64)
         n = final_time + 1
         # One allocation holds the five columns, filled a block of ticks at
         # a time: no temporary is series-sized, so the run's peak memory
@@ -409,34 +430,10 @@ class _RunState:
             ticks=series, orders_s=self.orders_s, orders_sstar=self.orders_star)
 
 
-def pnl_bound(marks: np.ndarray, multiplier: int, g: int) -> int:
-    """2 * m * max(|W| + g * |SQ|) over int64 or object marks (t, W_s, SQ_s,
-    W*, SQ*), exactly.  With g the largest grid magnitude, half of it bounds
-    each PnL at every grid price, so it covers the diff and drawdowns."""
-    w, sq = np.abs(marks[:, 1::2]), np.abs(marks[:, 2::2])
-    if marks.dtype == np.int64:
-        # uint64 holds |-2**63|; w + g * sq wraps only where sq > limit // g
-        w, sq = w.view(np.uint64), sq.view(np.uint64)
-        limit = (2 ** 63 - 1) // (2 * multiplier)
-        total = w + g * sq
-        over = (sq > limit // g) | (total > limit)
-        if not over.any():
-            return 2 * multiplier * int(total.max())
-        w, sq = w[over].astype(object), sq[over].astype(object)
-    return 2 * multiplier * int((w + g * sq).max())
-
-
 def _max_drawdown(pnl: np.ndarray) -> Money:
-    if len(pnl) == 0:
-        return 0
     drawdown = np.maximum.accumulate(pnl)
     drawdown -= pnl
     return int(drawdown.max())
-
-
-def _stop_on_phase(config: RunConfig, state: _RunState) -> bool:
-    target = config.run.target_phases
-    return target is not None and len(state.phases) >= target
 
 
 def run_simulation(config: RunConfig, master_seed: int | None = None,
@@ -457,20 +454,16 @@ def run_simulation(config: RunConfig, master_seed: int | None = None,
 
     state = _RunState(config, seed)
     if engine == "scalar":
-        final_time, final_price, reason = _run_scalar(config, state, seed,
-                                                      per_tick_audit)
+        final_time, final_price, reason = _run_scalar(config, state, per_tick_audit)
     else:
-        final_time, final_price, reason = _run_blocked(config, state, seed)
+        final_time, final_price, reason = _run_blocked(config, state)
     return state.build_report(seed, final_time, final_price, reason)
 
 
-def _run_scalar(config: RunConfig, state: _RunState, seed: int,
+def _run_scalar(config: RunConfig, state: _RunState,
                 per_tick_audit: bool) -> tuple[int, int, str]:
-    pcfg = config.price
-    scfg = config.strategy
-    rng = substream(seed, STREAM_PRICE)
+    pcfg, scfg, rng = config.price, config.strategy, state.price_rng
     t, price = 0, pcfg.start_price
-    state.emit_initial_row(price)
     path = state.path_prices if state.record_ticks else None
     total = config.run.total_ticks
     pending = None      # the sign of the intent that fills at this tick
@@ -481,28 +474,17 @@ def _run_scalar(config: RunConfig, state: _RunState, seed: int,
         if pending is not None:
             state.base_fill(t, price, pending, scfg.quantity)
         pending = baseline_on_tick(scfg, t, state.streams)
-        records, phase_ended = state.engine.on_tick(t, price)
-        if records:
-            state.apply_executions(records)
-        if per_tick_audit:
-            state.audit_tick(price)
         if path is not None:
             path.append(price)
-        if phase_ended:
-            state.end_phase(t, price)
-            if _stop_on_phase(config, state):
-                return t, price, "target_phases"
+        if state.settle(t, price, per_tick_audit):
+            return t, price, "target_phases"
         if total is not None and t >= total:
             return t, price, "total_ticks"
 
 
-def _run_blocked(config: RunConfig, state: _RunState, seed: int) -> tuple[int, int, str]:
-    pcfg = config.price
-    scfg = config.strategy
-    rng = substream(seed, STREAM_PRICE)
-    t = 0
-    price = pcfg.start_price
-    state.emit_initial_row(price)
+def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int, str]:
+    pcfg, scfg, rng = config.price, config.strategy, state.price_rng
+    t, price = 0, pcfg.start_price
     total = config.run.total_ticks
 
     while True:
@@ -529,7 +511,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
     event at a time; returns the stop if the phase target is reached.
 
     The fills before the next event go in bulk; the event goes through
-    base_fill or on_tick, so a fill and a release at one tick keep the
+    base_fill or settle, so a fill and a release at one tick keep the
     scalar engine's order."""
     engine, draws, params = state.engine, state.delay_draws, config.dominance
     quantity = config.strategy.quantity
@@ -569,12 +551,8 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         i += m
         if r is not None:
             tick, price = t + 1 + r, int(prices[r])
-            records, phase_ended = engine.on_tick(tick, price)
-            state.apply_executions(records)
-            if phase_ended:
-                state.end_phase(tick, price)
-                if _stop_on_phase(config, state):
-                    return tick, price, "target_phases"
+            if state.settle(tick, price):
+                return tick, price, "target_phases"
             pos = r + 1
         elif c < k:
             # releases at the fill's tick are scanned on the next pass

@@ -180,9 +180,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Decimal):
+    if isinstance(value, (Fraction, Decimal)):
         return str(value)
     if isinstance(value, Mapping):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -203,7 +201,7 @@ def save_config(config: RunConfig, path: str | Path) -> None:
 def summary_dict(report: RunReport) -> dict:
     instrument = report.config.instrument
     mean_gap = report.mean_order_gap
-    summary = {
+    return {
         "schema": "edgesim-run-summary/3",
         "seed": report.master_seed,
         "config": config_to_dict(report.config),
@@ -227,7 +225,6 @@ def summary_dict(report: RunReport) -> dict:
         },
         "verdicts": report.verdicts,
     }
-    return summary
 
 
 def format_rows(rows: np.ndarray) -> bytes:
@@ -351,11 +348,19 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
     return out
 
 
-def read_int_csv(run_dir: str | Path, name: str) -> list[dict]:
-    """The rows of an all-integer run file (PHASES_CSV, DELAYED_CSV)."""
-    with open(Path(run_dir) / name, "r", encoding="utf-8") as fh:
-        return [{k: int(v) for k, v in row.items()}
-                for row in csv.DictReader(fh)]
+def read_int_csv(run_dir: str | Path, name: str, header: list[str]) -> list[dict]:
+    """The rows of an all-integer run file (PHASES_CSV, DELAYED_CSV) as
+    dicts keyed by its header; another header, a short or long row, or a
+    field that is not an integer raise ValueError naming the line."""
+    with open(Path(run_dir) / name, "r", encoding="utf-8", newline="") as fh:
+        lines = csv.reader(fh)
+        if next(lines, None) != header:
+            raise ValueError(f"{name} line 1: the header is not {','.join(header)}")
+        try:
+            return [dict(zip(header, map(int, row), strict=True)) for row in lines]
+        except ValueError:
+            raise ValueError(f"{name} line {lines.line_num}: not "
+                             f"{len(header)} integer fields") from None
 
 
 def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray] | None:
@@ -381,16 +386,18 @@ def _tick_chunks(path: Path) -> Iterator[np.ndarray]:
 
 
 def read_summary(run_dir: str | Path) -> dict:
+    """summary.json, refused unless an object with config and results objects."""
     with open(Path(run_dir) / SUMMARY_JSON, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    if not (isinstance(summary, dict) and isinstance(summary.get("config"), dict)
+            and isinstance(summary.get("results"), dict)):
+        raise ValueError(f"{SUMMARY_JSON}: not an object with config and "
+                         f"results objects")
+    return summary
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
-    keys: list[str] = []
-    for row in rows:
-        for k in row.cell:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for row in rows for k in row.cell))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(keys + ["replication", "seed", "status", "final_diff_quanta",

@@ -34,8 +34,10 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                         CLAUSE_POSITIVITY, CLAUSE_QUEUE_CAP,
                         CLAUSE_TICK_CONSISTENCY)
-from .runio import (DELAYED_CSV, PHASES_CSV, read_int_csv, read_summary,
-                    read_ticks)
+from .harness import RunConfig
+from .runio import (DELAYED_CSV, DELAYED_HEADER, PHASES_CSV, PHASES_HEADER,
+                    SUMMARY_JSON, config_from_dict, config_to_dict,
+                    read_int_csv, read_summary, read_ticks)
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,12 @@ class Verdict:
         return f"{status}  {self.clause}{tail}"
 
 
-def _replay(summary: dict, phases: list[dict],
+def _replay(config: RunConfig, results: dict, phases: list[dict],
             records: list[dict]) -> dict[str, str]:
     """The first offender of each violated clause, by clause name."""
-    config, results = summary["config"], summary["results"]
-    margin = int(config["dominance"]["gamma"]) + int(config["dominance"]["tau"])
-    cap = int(config["dominance"]["queue_cap"])
-    m = int(config["instrument"]["multiplier"])
+    margin = config.dominance.gamma + config.dominance.tau
+    cap = config.dominance.queue_cap
+    m = config.instrument.multiplier
     fails: dict[str, str] = {}
     fail = fails.setdefault
     events = sorted([(r["t_delay"], 0, r["order_id"], r) for r in records]
@@ -104,7 +105,7 @@ def _replay(summary: dict, phases: list[dict],
                      f"with {n_phase} delayed orders in between")
             n_phase, end, prev = 0, t, diff
     if results.get("stop_reason") == "total_ticks":
-        totals = {"final_time": config["run"]["total_ticks"]}
+        totals = {"final_time": config.run.total_ticks}
     else:
         totals = {"final_time": end, "final_diff_quanta": prev}
         if n_phase:
@@ -127,8 +128,8 @@ def _compare(fail, where: str, row: dict, derived: dict) -> None:
                  f"!= {value} from the records")
 
 
-def _check_tick_consistency(run_dir: Path, phases: list[dict],
-                            summary: dict) -> Verdict | None:
+def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig,
+                            results: dict) -> Verdict | None:
     """Stream ticks.csv: the header, then rows t = 0 .. final_time in
     order, the price path starting at start_price and moving at most one
     tick a row inside the grid, pnl_sstar = pnl_s + diff on every row,
@@ -138,12 +139,11 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict],
     chunks = read_ticks(run_dir)
     if chunks is None:
         return None
-    results, grid = summary["results"], summary["config"]["price"]
-    lo, hi = grid["grid_min"], grid["grid_max"]
+    lo, hi = config.price.grid_min, config.price.grid_max
     ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
     peaks = np.full(2, np.iinfo(np.int64).min)
     drawdowns = np.zeros(2, np.uint64)
-    n_rows, last = 0, np.array([0, grid["start_price"], 0, 0, 0], np.int64)
+    n_rows, last = 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
     while True:
         try:
             rows = next(chunks, None)
@@ -208,12 +208,25 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict],
 
 
 def verify_run(run_dir: str | Path) -> list[Verdict]:
-    """Re-check every provable invariant of a recorded run offline."""
+    """Re-check every provable invariant of a recorded run offline; files
+    that simulate could not have written raise ValueError naming them."""
     run_dir = Path(run_dir)
     summary = read_summary(run_dir)
-    phases = read_int_csv(run_dir, PHASES_CSV)
-    records = read_int_csv(run_dir, DELAYED_CSV)
-    fails = _replay(summary, phases, records)
+    # The config echo must be as simulate writes it: a missing key takes its default.
+    echo, results = summary["config"], summary["results"]
+    try:
+        config = config_from_dict(echo)
+        bad = [f"{section}.{key}" for section, fields in config_to_dict(config).items()
+               for key, value in fields.items()
+               if (echo.get(section) or {}).get(key, ...) != value]
+        if bad:
+            raise ValueError(f"config key {bad[0]} is missing or not as "
+                             f"simulate writes it")
+    except ValueError as exc:
+        raise ValueError(f"{SUMMARY_JSON}: {exc}") from None
+    phases = read_int_csv(run_dir, PHASES_CSV, PHASES_HEADER)
+    records = read_int_csv(run_dir, DELAYED_CSV, DELAYED_HEADER)
+    fails = _replay(config, results, phases, records)
     orders, phase_ends = f"{len(records)} orders", f"{len(phases)} phases"
     verdicts = [Verdict(clause, clause not in fails, fails.get(clause, passed))
                 for clause, passed in ((CLAUSE_PER_ORDER_GAP, orders),
@@ -222,7 +235,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
                                        (CLAUSE_POSITIVITY, phase_ends),
                                        (CLAUSE_MONOTONICITY, phase_ends),
                                        (CLAUSE_QUEUE_CAP, orders))]
-    tick_verdict = _check_tick_consistency(run_dir, phases, summary)
+    tick_verdict = _check_tick_consistency(run_dir, phases, config, results)
     if tick_verdict is not None:
         verdicts.append(tick_verdict)
     return verdicts

@@ -524,34 +524,11 @@ def test_cli_refuses_a_tick_series_beyond_int64(tmp_path, capsys):
     assert "multiplier" in err and "record_ticks: false" in err
 
 
-def _python_pnl_bound(marks, m, g):
-    """The range check's bound, one mark at a time in Python ints."""
-    return 2 * m * max(max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
-                       for _, w_s, sq_s, w_star, sq_star in marks)
-
-
-_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
-_MARK_VALUE = _INT64 | st.integers(-10 ** 6, 10 ** 6) | st.sampled_from(
-    [0, -2 ** 63, 2 ** 62, -2 ** 62, 2 ** 31])
-
-
-@settings(max_examples=300)
-@given(marks=st.lists(st.tuples(st.just(0), _MARK_VALUE, _MARK_VALUE,
-                                _MARK_VALUE, _MARK_VALUE), min_size=1, max_size=20),
-       m=st.integers(1, 10 ** 6) | st.integers(1, 2 ** 64),
-       g=st.integers(1, 20_000) | st.integers(1, 2 ** 63))
-def test_pnl_bound_matches_the_per_mark_formula(marks, m, g):
-    expected = _python_pnl_bound(marks, m, g)
-    assert harness.pnl_bound(np.array(marks, dtype=np.int64), m, g) == expected
-    assert harness.pnl_bound(np.array(marks, dtype=object), m, g) == expected
-
-
 def _tick_series_with_mark(w, m=1):
     """tick_series(0) of a run whose one mark holds W_s = w."""
     cfg = default_config()
     cfg = replace(cfg, instrument=replace(cfg.instrument, multiplier=m))
     state = harness._RunState(cfg, 1)
-    state.emit_initial_row(cfg.price.start_price)
     state._marks.append((0, w, 0, 0, 0))
     return state.tick_series(0)
 
@@ -559,7 +536,6 @@ def _tick_series_with_mark(w, m=1):
 def test_int64_range_check_boundary():
     # The bound 2*m*max(...) is even: 2**63 - 2 is the largest that passes.
     assert _tick_series_with_mark(2 ** 62 - 1).pnl_s[0] == 2 ** 62 - 1
-    assert harness.pnl_bound(np.array([(0, 2 ** 62 - 1, 0, 0, 0)]), 1, 1) == 2 ** 63 - 2
     for w, m, bound in [(2 ** 62, 1, 2 ** 63), (-2 ** 63, 1, 2 ** 64),
                         (2 ** 61, 2, 2 ** 63),
                         (2 ** 64, 3, 3 * 2 ** 65)]:   # beyond int64: exact ints

@@ -16,10 +16,11 @@ from edgesim.dominance import (CLAUSE_MONOTONICITY, CLAUSE_PER_ORDER_GAP,
                                CLAUSE_PHASE_IDENTITY, CLAUSE_QUEUE_CAP,
                                CLAUSE_TICK_CONSISTENCY)
 from edgesim.harness import RunConfig, default_config, run_simulation
-from edgesim.runio import (_BLOCK_BYTES, DELAYED_CSV, PHASES_CSV, SUMMARY_JSON,
-                           TICKS_CSV, TICKS_HEADER, format_rows, load_config,
-                           parse_rows, read_int_csv, read_summary, read_ticks,
-                           save_config, write_run_artifacts)
+from edgesim.runio import (_BLOCK_BYTES, DELAYED_CSV, DELAYED_HEADER, PHASES_CSV,
+                           PHASES_HEADER, SUMMARY_JSON, TICKS_CSV, TICKS_HEADER,
+                           format_rows, load_config, parse_rows, read_int_csv,
+                           read_summary, read_ticks, save_config,
+                           write_run_artifacts)
 from edgesim.verify import all_passed, verify_run
 
 
@@ -89,7 +90,7 @@ def test_decreasing_phase_diffs_fail_monotonicity(run_dir, tmp_path):
 
 def test_queue_cap_breach_fails_queue_clause(run_dir, tmp_path):
     dst = _copy(run_dir, tmp_path)
-    records = read_int_csv(dst, DELAYED_CSV)
+    records = read_int_csv(dst, DELAYED_CSV, DELAYED_HEADER)
     assert len(records) >= 4, "need at least cap+1 records for this mutation"
 
     def mutate(body):
@@ -138,9 +139,60 @@ def test_execution_moved_past_its_phase_end_fails_identity(run_dir, tmp_path,
     # the queue is not empty at that phase end; after the last one, a
     # target_phases run has no execution to accept
     dst = _copy(run_dir, tmp_path)
-    phases = read_int_csv(dst, PHASES_CSV)
+    phases = read_int_csv(dst, PHASES_CSV, PHASES_HEADER)
     _rewrite_csv(dst / DELAYED_CSV, lambda body: mutate(body, phases))
     assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
+
+
+def _edit_summary(run_dir: Path, edit) -> None:
+    """Rewrite summary.json after edit changes it in place."""
+    summary = read_summary(run_dir)
+    edit(summary)
+    (run_dir / SUMMARY_JSON).write_text(json.dumps(summary))
+
+
+def _edit_line(path: Path, line: int, edit) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("".join(lines))
+
+
+def test_cli_verify_passes_an_untampered_run(run_dir, capsys):
+    assert cli.main(["verify", str(run_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and all(line.startswith("pass  ") for line in lines)
+
+
+def _dominance(summary):
+    return summary["config"]["dominance"]
+
+
+# Malformed run directories: each is refused by name (exit 2), not a traceback.
+@pytest.mark.parametrize("tamper,message", [
+    (lambda d: _edit_summary(d, lambda s: s.pop("results")),
+     "summary.json: not an object with config and results objects"),
+    (lambda d: (d / SUMMARY_JSON).write_text("[]"),
+     "summary.json: not an object with config and results objects"),
+    (lambda d: _edit_summary(d, lambda s: _dominance(s).pop("gamma")),
+     "summary.json: config key dominance.gamma is missing"),
+    (lambda d: _edit_summary(d, lambda s: _dominance(s).update(gamma="x")),
+     "summary.json: config key dominance.gamma must be an integer"),
+    (lambda d: _edit_line(d / PHASES_CSV, 2, lambda row: row.rsplit(",", 1)[0] + "\n"),
+     "phases.csv line 2: not 6 integer fields"),
+    (lambda d: _edit_line(d / PHASES_CSV, 1, lambda row: row.replace(",n_delayed", "")),
+     "phases.csv line 1: the header is not"),
+    (lambda d: _edit_line(d / PHASES_CSV, 2, lambda row: row[:-1] + ",0\n"),
+     "phases.csv line 2: not 6 integer fields"),
+    (lambda d: _edit_line(d / DELAYED_CSV, 3, lambda row: row.replace(",", ",x", 1)),
+     "delayed_orders.csv line 3: not 8 integer fields"),
+], ids=["no_results", "summary_is_a_list", "no_gamma", "bad_gamma",
+        "short_phase_row", "phase_header", "long_phase_row", "not_an_integer"])
+def test_cli_verify_refuses_a_malformed_run_dir(run_dir, tmp_path, capsys,
+                                                tamper, message):
+    dst = _copy(run_dir, tmp_path)
+    tamper(dst)
+    assert cli.main(["verify", str(dst)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def _edit_result(run_dir: Path, key: str, edit) -> None:
@@ -183,9 +235,10 @@ def test_total_ticks_run_stopped_mid_phase_verifies(tmp_path, capsys, seed):
     status = cli.main(["simulate", str(path), "--seed", str(seed),
                        "--out", str(out)])
     assert status == 0, capsys.readouterr().out
-    phases = read_int_csv(out, PHASES_CSV)
+    phases = read_int_csv(out, PHASES_CSV, PHASES_HEADER)
     last_end = phases[-1]["end_time"] if phases else 0
-    assert any(r["t_exec"] > last_end for r in read_int_csv(out, DELAYED_CSV))
+    records = read_int_csv(out, DELAYED_CSV, DELAYED_HEADER)
+    assert any(r["t_exec"] > last_end for r in records)
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +265,7 @@ def test_summary_result_disagreeing_with_ticks_fails_consistency(
 
 def test_tampered_tick_diff_fails_consistency(run_dir, tmp_path):
     dst = _copy(run_dir, tmp_path)
-    phases = read_int_csv(dst, PHASES_CSV)
+    phases = read_int_csv(dst, PHASES_CSV, PHASES_HEADER)
     end = phases[0]["end_time"]
     path = dst / TICKS_CSV
     lines = path.read_text().splitlines()
@@ -301,7 +354,7 @@ def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
     dst = _copy(run_dir, tmp_path)
     path = dst / TICKS_CSV
     lines = path.read_text().splitlines(keepends=True)
-    last_end = read_int_csv(dst, PHASES_CSV)[-1]["end_time"]
+    last_end = read_int_csv(dst, PHASES_CSV, PHASES_HEADER)[-1]["end_time"]
     path.write_text("".join(edit(lines, last_end)))
     assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
 
@@ -447,11 +500,12 @@ _GOOD_ROW = "1,-22,333,-4444,0\n"
     "1,2,3,4,5\r\n", "1,2,+3,4,5\n", "1,2,03,4,5\n", "1,2,-0,4,5\n",
     "\n", f"1,2,{2 ** 63},4,5\n", f"1,2,{-2 ** 63},4,5\n",
     f"1,2,{10 ** 19},4,5\n", "1,2,3,4,5x\n", "1,2,3,4,\u00e9\n",
+    f"1,2,{-2 ** 63 - 1},4,5\n",
 ], ids=["four_fields", "six_fields", "empty_field", "lone_minus",
         "double_minus", "inner_minus", "decimal_point", "space", "cr",
         "plus_sign", "leading_zero", "minus_zero", "blank_line",
         "two_to_the_63", "minus_two_to_the_63", "twenty_digits", "letter",
-        "non_ascii"])
+        "non_ascii", "below_minus_two_to_the_63"])
 def test_parse_rows_refuses_what_format_rows_never_writes(row):
     with pytest.raises(ValueError, match="^line 2: "):
         parse_rows((_GOOD_ROW + row + _GOOD_ROW).encode())

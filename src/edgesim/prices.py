@@ -26,8 +26,11 @@ walk_block() produces the same path as repeated next_price() calls on the
 same generator, tick for tick, while drawing uniforms in bulk; the
 simulation harness relies on that equivalence for its vectorized engine.
 Every vectorized path turns uniforms into moves with one kernel, _steps,
-which compares u against the same floats next_price uses (up_thresholds
-holds them per price), so it reproduces the scalar move bit for bit.
+which compares u against the same floats next_price uses, so it
+reproduces the scalar move bit for bit.  The mean-reverting threshold
+never increases with the price, so the thresholds at the ends of a window
+of prices decide most of its moves at once (_walk_mean_reverting); only
+the moves between the two are resolved in order, price by price.
 
 Reflection needs no stepping either.  If y is the free walk (the
 cumulative sum of the moves), M_t its running maximum and m_t its running
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
 import numpy as np
@@ -79,11 +81,8 @@ STREAM_REPLICATION = 5
 # the whole grid after reflecting, so only grids a few ticks wide use it.
 _MAX_BLOCK_RESTARTS = 8
 
-# The mean-reverting walk is speculated and verified this many ticks at a
-# time: a longer window wastes more work past a mismatch, a shorter one
-# pays the per-window numpy overhead more often (2,048 ran faster than 512
-# or 128 on the default grid with reversion 1/2).
-_SPECULATION_WINDOW = 2048
+# Ticks a mean-reverting window adds a side to its guess (4 to 32 ran alike).
+_MARGIN = 8
 
 # The reflecting hitting sampler screens its blocks in rows of this many
 # moves (64 had the best median of 32, 64, 128 and 256 on the recurrence
@@ -149,17 +148,20 @@ def _up_probability(config: PriceProcessConfig, price: int) -> float:
     return min(1.0, max(0.0, 0.5 + tilt))
 
 
-@lru_cache(maxsize=16)
-def up_thresholds(config: PriceProcessConfig) -> np.ndarray:
-    """thr[p - grid_min] = stay + (1 - stay) * p_up(p) for every grid price:
-    the float next_price compares u against, computed by the same
-    expression, so u < thr[p - grid_min] is exactly its up-move test.
-    Cached per config and read-only."""
+def _thresholds(config: PriceProcessConfig, lo: int, hi: int) -> np.ndarray:
+    """thr[p - lo] = stay + (1 - stay) * p_up(p) for p in lo .. hi, the
+    floats next_price compares u against.  The tilt's denominator exceeds
+    |numerator|, so below 2**53 both are exact float64s, which numpy
+    divides correctly rounded, as Python's int / int does."""
     stay = float(config.stay_probability)
-    thr = np.array([stay + (1.0 - stay) * _up_probability(config, p)
-                    for p in range(config.grid_min, config.grid_max + 1)])
-    thr.flags.writeable = False
-    return thr
+    s = config.reversion_strength
+    den = 2 * s.denominator * config.width
+    if den >= 2 ** 53:
+        return np.array([stay + (1.0 - stay) * _up_probability(config, p)
+                         for p in range(lo, hi + 1)])
+    num = s.numerator * (config.grid_min + config.grid_max
+                         - 2 * np.arange(lo, hi + 1, dtype=np.int64))
+    return stay + (1.0 - stay) * np.clip(0.5 + num / float(den), 0.0, 1.0)
 
 
 def _reflect(price: int, grid_min: int, grid_max: int) -> int:
@@ -197,8 +199,8 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
     Consumes exactly n uniforms from rng.  The reflecting walk sums the
     _steps moves and applies the reflection identity of the module
     docstring, restarting it where the two edges interact; the
-    mean-reverting walk speculates on its path and verifies it
-    (_walk_mean_reverting).
+    mean-reverting walk classifies its moves against a window of
+    thresholds (_walk_mean_reverting).
     """
     if n <= 0:
         return np.empty(0, dtype=np.int64)
@@ -237,39 +239,48 @@ def _walk_mean_reverting(price: int, u: np.ndarray,
                          config: PriceProcessConfig) -> np.ndarray:
     """The mean-reverting path for the uniforms u, window by window.
 
-    Each window is stepped with the threshold of its start price, the
-    steps are summed, and every step is recomputed from the threshold of
-    the speculated price before it.  The prefix up to the first mismatch
-    or grid exit is the true path (each of its steps was taken from its
-    true predecessor); one scalar step, with the reflection, follows, and
-    the next window starts after it.
+    A window [lo, hi] is the range of the path the start price's threshold
+    gives, widened by _MARGIN and clipped to the grid; a move from an edge
+    goes inward (the reflection), so thr is 1.0 at grid_min and stay at
+    grid_max.  From every price in the window u < stay holds, u < thr(hi)
+    moves up and u >= thr(lo) down; the moves in between are resolved in
+    order from the window offset of the price before each.  All are exact
+    while that price lies in the window, so the path is kept up to and
+    including its first price outside, where the next window starts.
     """
-    thr = up_thresholds(config)
     stay = float(config.stay_probability)
     gmin, gmax = config.grid_min, config.grid_max
-    n = len(u)
-    out = np.empty(n, dtype=np.int64)
+    out = np.empty(len(u), dtype=np.int64)
     p, i = price, 0
-    while i < n:
-        uw = u[i:i + _SPECULATION_WINDOW]
-        w = len(uw)
-        spec = _steps(uw, stay, thr[p - gmin])
-        path = np.cumsum(spec, dtype=np.int64) + p
-        prev = np.empty(w, dtype=np.int64)
-        prev[0] = p
-        prev[1:] = path[:-1]
-        # Past the first grid exit prev may leave the grid; clipping keeps
-        # the lookup in range and the exit itself stops the prefix.
-        true = _steps(uw, stay, thr.take(prev - gmin, mode="clip"))
-        bad = (true != spec) | (path < gmin) | (path > gmax)
-        k = int(np.argmax(bad))
-        if bad[k]:
-            # prev[k] is the true price before tick k, and true[k] its move
-            path[k] = _reflect(int(prev[k]) + int(true[k]), gmin, gmax)
-            w = k + 1
-        out[i:i + w] = path[:w]
-        i += w
-        p = int(path[w - 1])
+    while i < len(u):
+        uw = u[i:]
+        moves = _steps(uw, stay, stay + (1.0 - stay) * _up_probability(config, p))
+        path = np.cumsum(moves, dtype=np.int64)
+        low, high = min(0, int(path.min())), max(0, int(path.max()))
+        lo, hi = max(gmin, p + low - _MARGIN), min(gmax, p + high + _MARGIN)
+        thr = _thresholds(config, lo, hi)
+        thr[0] = 1.0 if lo == gmin else thr[0]
+        thr[-1] = stay if hi == gmax else thr[-1]
+        undecided = np.flatnonzero((uw >= thr[-1]) & (uw < thr[0]))
+        guess = moves[undecided]
+        before = path[undecided] - np.cumsum(guess) + (p - lo)
+        thr, resolved, r = thr.tolist(), [], 0
+        for b, x in zip(before.tolist(), uw[undecided].tolist()):
+            if not 0 <= b + r <= hi - lo:
+                break
+            resolved.append(1 if x < thr[b + r] else -1)
+            r += resolved[-1]
+        changed = resolved != guess[:len(resolved)].tolist()
+        if changed:
+            moves[undecided[:len(resolved)]] = resolved
+            np.cumsum(moves, dtype=np.int64, out=path)
+        k = len(uw)
+        if changed or p + low < lo or p + high > hi:
+            outside = (path < lo - p) | (path > hi - p)
+            k = int(np.argmax(outside)) + 1 if outside.any() else k
+        np.add(path[:k], p, out=out[i:i + k])
+        i += k
+        p = int(out[i - 1])
     return out
 
 
@@ -289,19 +300,13 @@ def _validate_threshold(config: PriceProcessConfig, start_price: int,
         raise ValueError(f"threshold must be >= 1 tick, got {xi}")
     if not config.grid_min <= start_price <= config.grid_max:
         raise ValueError(f"start price {start_price} outside grid")
-    if direction == ABOVE:
-        if start_price + xi >= config.grid_max:
-            raise ValueError(
-                f"no grid price strictly above {start_price} + {xi}; "
-                f"threshold unreachable within the grid")
-        return start_price + xi + 1
-    if direction == BELOW:
-        if start_price - xi <= config.grid_min:
-            raise ValueError(
-                f"no grid price strictly below {start_price} - {xi}; "
-                f"threshold unreachable within the grid")
-        return start_price - xi - 1
-    raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
+    if direction not in (ABOVE, BELOW):
+        raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
+    sign, op = (1, "+") if direction == ABOVE else (-1, "-")
+    if not config.grid_min <= start_price + sign * (xi + 1) <= config.grid_max:
+        raise ValueError(f"no grid price strictly {direction} {start_price} "
+                         f"{op} {xi}; threshold unreachable within the grid")
+    return start_price + sign * (xi + 1)
 
 
 def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
@@ -328,12 +333,8 @@ def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
     """
     stay = float(config.stay_probability)
     up_threshold = stay + (1.0 - stay) * 0.5
-    if direction == ABOVE:
-        x = start - config.grid_min
-        tgt = target - config.grid_min
-    else:
-        x = config.grid_max - start
-        tgt = config.grid_max - target
+    sign, edge = (1, config.grid_min) if direction == ABOVE else (-1, config.grid_max)
+    x, tgt = sign * (start - edge), sign * (target - edge)
     u = np.empty(1 << 15)
     done, block = 0, 1 << 8
     while done < cap:
@@ -397,10 +398,6 @@ def estimate_hitting_time(config: PriceProcessConfig, start_price: int, xi: int,
 
     finite = times[times > 0]
     count = int(finite.size)
-    return HittingTimeSummary(
-        samples=samples,
-        cap=cap,
-        count_finite=count,
-        mean=float(finite.mean()) if count else float("nan"),
-        max=int(finite.max()) if count else 0,
-    )
+    return HittingTimeSummary(samples, cap, count,
+                              float(finite.mean()) if count else float("nan"),
+                              int(finite.max()) if count else 0)

@@ -388,7 +388,10 @@ def _tick_chunks(path: Path) -> Iterator[np.ndarray]:
 def read_summary(run_dir: str | Path) -> dict:
     """summary.json, refused unless an object with config and results objects."""
     with open(Path(run_dir) / SUMMARY_JSON, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+        try:
+            summary = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{SUMMARY_JSON}: not valid JSON: {exc}") from exc
     if not (isinstance(summary, dict) and isinstance(summary.get("config"), dict)
             and isinstance(summary.get("results"), dict)):
         raise ValueError(f"{SUMMARY_JSON}: not an object with config and "

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesim import cli, prices
-from edgesim.prices import (_MAX_BLOCK_RESTARTS, _SPECULATION_WINDOW, ABOVE,
-                            BELOW, MEAN_REVERTING_WALK, REFLECTING_WALK,
+from edgesim.prices import (_MAX_BLOCK_RESTARTS, ABOVE, BELOW,
+                            MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, HittingTimeSummary,
                             PriceProcessConfig, _hit_one_reflecting,
-                            _reflect, _steps, _up_probability,
+                            _reflect, _steps, _thresholds, _up_probability,
                             estimate_hitting_time, next_price, substream,
-                            up_thresholds, walk_block)
+                            walk_block)
 
 
 def scalar_path(config, rng, n):
@@ -170,7 +170,7 @@ def test_step_kernel_is_the_scalar_move_at_the_boundaries(stay):
                                 stay_probability=stay,
                                 reversion_strength=Fraction(1))
     s = float(stay)
-    thr = up_thresholds(config)
+    thr = _thresholds(config, 0, 4)
     assert thr[0] == 1.0 and thr[4] == s
     cases = [(p, float(thr[p]), config) for p in range(5)]
     cases.append((2, s + (1.0 - s) * 0.5, PriceProcessConfig(
@@ -262,8 +262,71 @@ def test_up_thresholds_are_the_scalar_float_law(stay, strength):
         tilts = [float(strength * (center - p) / (gmax - gmin)) for p in grid]
         assert p_up == [min(1.0, max(0.0, 0.5 + t)) for t in tilts]
         s = float(stay)
-        assert up_thresholds(config).tolist() == [s + (1.0 - s) * q
-                                                  for q in p_up]
+        # the whole grid as one window
+        assert _thresholds(config, gmin, gmax).tolist() == [
+            s + (1.0 - s) * q for q in p_up]
+
+
+@st.composite
+def threshold_windows(draw):
+    """A mean-reverting config of width up to 2**62 and a window of at
+    most 200 of its prices, often at a grid edge; strength 1 makes p_up
+    exactly 0 and 1 at the edges."""
+    width = draw(st.one_of(st.integers(1, 60), st.integers(1, 2 ** 62),
+                           st.sampled_from([10 ** 8, 2 ** 62])))
+    gmin = draw(st.integers(-2 ** 61, 2 ** 61 - width))
+    gmax = gmin + width
+    config = PriceProcessConfig(
+        kind=MEAN_REVERTING_WALK, grid_min=gmin, grid_max=gmax,
+        start_price=gmin,
+        stay_probability=Fraction(draw(st.integers(0, 9)), 10),
+        reversion_strength=draw(st.one_of(
+            st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7),
+                             Fraction(1)]),
+            st.fractions(0, 1, max_denominator=10 ** 6))))
+    lo = draw(st.one_of(st.just(gmin), st.integers(gmin, gmax)))
+    hi = draw(st.one_of(st.just(min(gmax, lo + 200)),
+                        st.integers(lo, min(gmax, lo + 200))))
+    return config, lo, hi
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(threshold_windows())
+def test_window_thresholds_are_the_scalar_float_law(window):
+    config, lo, hi = window
+    s = float(config.stay_probability)
+    prices_ = range(lo, hi + 1)
+    # the documented law, in exact rationals rounded once
+    center = Fraction(config.grid_min + config.grid_max, 2)
+    tilts = [float(config.reversion_strength * (center - p) / config.width)
+             for p in prices_]
+    p_up = [_up_probability(config, p) for p in prices_]
+    assert p_up == [min(1.0, max(0.0, 0.5 + t)) for t in tilts]
+    thr = _thresholds(config, lo, hi)
+    assert thr.tolist() == [s + (1.0 - s) * q for q in p_up]
+    assert (np.diff(thr) <= 0).all()
+
+
+@pytest.mark.parametrize("gmin,gmax,scalar", [
+    (0, 10 ** 8, False), (-2 ** 61, 2 ** 61, True)])
+def test_window_thresholds_take_float64_or_the_scalar_expression(
+        monkeypatch, gmin, gmax, scalar):
+    # a tilt denominator of 2**53 or more takes the scalar expression,
+    # once a price; a smaller one a float64 division
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=gmin,
+                                grid_max=gmax, start_price=gmin,
+                                reversion_strength=Fraction(1, 3))
+    calls = []
+
+    def counted(config, price):
+        calls.append(price)
+        return _up_probability(config, price)
+    monkeypatch.setattr(prices, "_up_probability", counted)
+    for lo in (gmin, (gmin + gmax) // 2 - 50, gmax - 100):
+        thr = _thresholds(config, lo, lo + 100)
+        assert thr.tolist() == [0.5 + 0.5 * _up_probability(config, p)
+                                for p in range(lo, lo + 101)]
+    assert len(calls) == (303 if scalar else 0)
 
 
 @st.composite
@@ -287,16 +350,42 @@ def mean_reverting_walks(draw):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(mean_reverting_walks(),
-       st.one_of(st.integers(1, 3 * _SPECULATION_WINDOW + 100),
-                 st.sampled_from([_SPECULATION_WINDOW, _SPECULATION_WINDOW + 1,
-                                  3 * _SPECULATION_WINDOW + 100])),
+@given(mean_reverting_walks(), st.integers(1, 3 * 8192 + 100),
        st.integers(0, 2 ** 32 - 1))
 def test_mean_reverting_walk_block_is_the_scalar_path(config, n, seed):
     expected = scalar_path(config, substream(seed, STREAM_PRICE), n)
     got = walk_block(config.start_price, substream(seed, STREAM_PRICE), n,
                      config)
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("gmin,gmax,start,stay,strength", [
+    # every move undecided: thr runs from 1.0 at 0 to 0.0 at 3
+    (0, 3, 1, Fraction(0), Fraction(1)),
+    (0, 30, 15, Fraction(1, 3), Fraction(1, 4)),
+    # p_up is 1/4 at 1, so moves up from 1 reflect
+    (0, 1, 1, Fraction(1, 3), Fraction(1, 2)),
+    (0, 10 ** 8, 5 * 10 ** 7, Fraction(1, 2), Fraction(1, 2)),
+    (-2 ** 61, 2 ** 61, 2 ** 61 - 3, Fraction(1, 2), Fraction(1, 2)),
+], ids=["grid_0_3", "grid_0_30", "grid_0_1", "width_1e8", "int64_edges"])
+def test_mean_reverting_walk_block_is_the_scalar_path_on_fixed_grids(
+        monkeypatch, gmin, gmax, start, stay, strength):
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=gmin,
+                                grid_max=gmax, start_price=start,
+                                stay_probability=stay,
+                                reversion_strength=strength)
+    expected = scalar_path(config, substream(8, STREAM_PRICE), 20_000)
+    windows = []
+
+    def counted(config, lo, hi):
+        windows.append((lo, hi))
+        return _thresholds(config, lo, hi)
+    monkeypatch.setattr(prices, "_thresholds", counted)
+    got = walk_block(start, substream(8, STREAM_PRICE), 20_000, config)
+    assert got.tolist() == expected
+    if gmax - gmin <= 30:
+        # a window spanning the grid takes its reflections in place
+        assert windows == [(gmin, gmax)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -416,6 +505,29 @@ def test_mean_reverting_hitting_time_steps_the_scalar_law():
         assert s == HittingTimeSummary(samples, 10**6, samples,
                                        float(np.mean(times)), max(times))
     assert max(times) > 256
+
+
+def test_mean_reverting_hitting_time_on_a_grid_10_to_the_8_wide():
+    # the window thresholds cover only the prices the walk reaches, so the
+    # first tick of a wide grid costs no more than that of a narrow one
+    config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
+                                grid_max=10 ** 8, start_price=5 * 10 ** 7,
+                                reversion_strength=Fraction(1, 2))
+    start, xi, samples, cap = config.start_price, 5, 6, 200
+    root = np.random.SeedSequence(5, spawn_key=(STREAM_HITTING,))
+    times = []
+    for child in root.spawn(samples):
+        rng, price = np.random.default_rng(child), start
+        for t in range(1, cap + 1):
+            price = next_price(price, rng, config)
+            if price > start + xi:
+                times.append(t)
+                break
+    s = estimate_hitting_time(config, start, xi, ABOVE, samples=samples,
+                              cap=cap, master_seed=5)
+    assert 0 < len(times) < samples
+    assert s == HittingTimeSummary(samples, cap, len(times),
+                                   float(np.mean(times)), max(times))
 
 
 def folded_offsets(config, start, target, direction):

@@ -173,6 +173,8 @@ def _dominance(summary):
      "summary.json: not an object with config and results objects"),
     (lambda d: (d / SUMMARY_JSON).write_text("[]"),
      "summary.json: not an object with config and results objects"),
+    (lambda d: (d / SUMMARY_JSON).write_text('{"config": '),
+     "summary.json: not valid JSON: Expecting value"),
     (lambda d: _edit_summary(d, lambda s: _dominance(s).pop("gamma")),
      "summary.json: config key dominance.gamma is missing"),
     (lambda d: _edit_summary(d, lambda s: _dominance(s).update(gamma="x")),
@@ -185,8 +187,9 @@ def _dominance(summary):
      "phases.csv line 2: not 6 integer fields"),
     (lambda d: _edit_line(d / DELAYED_CSV, 3, lambda row: row.replace(",", ",x", 1)),
      "delayed_orders.csv line 3: not 8 integer fields"),
-], ids=["no_results", "summary_is_a_list", "no_gamma", "bad_gamma",
-        "short_phase_row", "phase_header", "long_phase_row", "not_an_integer"])
+], ids=["no_results", "summary_is_a_list", "summary_cut_short", "no_gamma",
+        "bad_gamma", "short_phase_row", "phase_header", "long_phase_row",
+        "not_an_integer"])
 def test_cli_verify_refuses_a_malformed_run_dir(run_dir, tmp_path, capsys,
                                                 tamper, message):
     dst = _copy(run_dir, tmp_path)

@@ -375,8 +375,8 @@ class _RunState:
         if bound >= 2 ** 63:
             raise SimulationError(
                 f"the tick series would overflow int64 (PnL bound {bound} "
-                f"with instrument.multiplier {self.m}); use a smaller "
-                f"multiplier or set run.record_ticks: false")
+                f"with instrument.multiplier {self.m}); use a smaller multiplier "
+                f"or strategy.quantity, or set run.record_ticks: false")
         marks = np.array(self._marks, dtype=np.int64)
         n = final_time + 1
         # One allocation holds the five columns, filled a block of ticks at
@@ -546,7 +546,8 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         if r is None and d < n and d <= fill_tick:
             engine.check_phase_backstop(t + 1 + d)   # raises
         m = c if r is None else int(np.searchsorted(at[:c], r, side="right"))
-        state.mirror_fills(t + 1 + at[:m], p[:m], sg[:m], quantity)
+        if m:
+            state.mirror_fills(t + 1 + at[:m], p[:m], sg[:m], quantity)
         draws.skip(max(m - stage1, 0))
         i += m
         if r is not None:

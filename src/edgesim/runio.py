@@ -9,7 +9,7 @@ true/false are errors.  Exact rationals may be written as "1/2" strings,
 ints, or decimal floats (floats are parsed through their decimal string
 so 0.02 means 1/50, not its binary approximation).
 
-A run directory contains:
+A run directory contains (ticks.csv exactly when run.record_ticks):
 
   ticks.csv           time,price_ticks,pnl_s_quanta,pnl_sstar_quanta,diff_quanta
   phases.csv          phase,end_time,q_delayed,diff_quanta,lower_bound_quanta,n_delayed
@@ -30,7 +30,11 @@ the run, so a written summary always reads passed.
 phase_pnl_diff_check counts the phase ends at which the PnL difference
 was re-summed from the two kept order logs by accounting.pnl_direct
 (0 unless run.keep_orders).  All files are written
-deterministically: same config and seed, same bytes.
+deterministically: same config and seed, same bytes.  Every CSV file is
+read back with the writer's grammar: the header line, then rows of fields
+0 or -?[1-9][0-9]* joined by ',', every line ended by '\n'.  Values in
+phases.csv and delayed_orders.csv are ints of any size (a large
+multiplier without ticks writes diffs beyond int64).
 
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
 the run keeps its price path and one aggregate mark (the signed cash and
@@ -38,22 +42,22 @@ position sums of S and S*) per fill or release, and the rows follow from
 the two, the last event at a tick winning.  format_rows writes it in
 blocks of rows, as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
 ticks needs every PnL to fit in a signed 64-bit integer; a run that could
-exceed it stops with an error naming the multiplier (set run.record_ticks:
-false for such instruments).  read_ticks streams the file back in blocks
-and accepts only what format_rows writes: the header line, then rows of
-five fields 0 or -?[1-9][0-9]* joined by ',', each row ended by '\n',
-with int64 values other than -2**63.  So verify checks it in bounded
-memory: the rows run from t = 0 to summary.json's final_time, the price
-starts at start_price and moves at most one tick a row inside the grid,
-pnl_sstar = pnl_s + diff on every row, each phase end matches phases.csv,
-and the last row's price and diff and the PnL columns' max drawdowns
-match summary.json.
+exceed it stops with an error naming the multiplier and the quantity
+(set run.record_ticks: false for such runs).  read_ticks streams the file
+back in blocks and accepts only what format_rows writes: five fields a
+row, int64 values other than -2**63.  So verify checks it in bounded
+memory: the rows run from t = 0 to the final time, the price starts at
+start_price and moves at most one tick a row inside the grid, pnl_sstar =
+pnl_s + diff on every row, each phase end matches phases.csv, and the
+last row's time, price and diff and the PnL columns' max drawdowns match
+summary.json.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
@@ -350,29 +354,26 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
 
 def read_int_csv(run_dir: str | Path, name: str, header: list[str]) -> list[dict]:
     """The rows of an all-integer run file (PHASES_CSV, DELAYED_CSV) as
-    dicts keyed by its header; another header, a short or long row, or a
-    field that is not an integer raise ValueError naming the line."""
-    with open(Path(run_dir) / name, "r", encoding="utf-8", newline="") as fh:
-        lines = csv.reader(fh)
-        if next(lines, None) != header:
-            raise ValueError(f"{name} line 1: the header is not {','.join(header)}")
-        try:
-            return [dict(zip(header, map(int, row), strict=True)) for row in lines]
-        except ValueError:
-            raise ValueError(f"{name} line {lines.line_num}: not "
-                             f"{len(header)} integer fields") from None
+    dicts keyed by its header, read with the writer's grammar: the header
+    line, then rows of fields 0 or -?[1-9][0-9]* (ints of any size) joined
+    by ',', every line ended by '\n'.  Anything else raises ValueError
+    naming the line."""
+    lines = (Path(run_dir) / name).read_bytes().splitlines(keepends=True)
+    if lines[:1] != [",".join(header).encode() + b"\n"]:
+        raise ValueError(f"{name} line 1: the header is not {','.join(header)}")
+    row = re.compile(b",".join([rb"(?:0|-?[1-9][0-9]*)"] * len(header)) + b"\n")
+    for k, line in enumerate(lines[1:], 2):
+        if not row.fullmatch(line):
+            raise ValueError(f"{name} line {k}: not {len(header)} integer fields "
+                             f"0 or -?[1-9][0-9]* ending in a newline")
+    return [dict(zip(header, map(int, line[:-1].split(b",")))) for line in lines[1:]]
 
 
-def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray] | None:
-    """The rows of ticks.csv as consecutive (n, 5) int64 chunks, or None
-    when the run recorded no tick series.  A first line other than
-    TICKS_HEADER, or rows parse_rows refuses, raise ValueError."""
-    path = Path(run_dir) / TICKS_CSV
-    return _tick_chunks(path) if path.exists() else None
-
-
-def _tick_chunks(path: Path) -> Iterator[np.ndarray]:
-    with open(path, "rb") as fh:
+def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray]:
+    """The rows of ticks.csv as consecutive (n, 5) int64 chunks.  A first
+    line other than TICKS_HEADER, or rows parse_rows refuses, raise
+    ValueError."""
+    with open(Path(run_dir) / TICKS_CSV, "rb") as fh:
         if fh.readline(len(TICKS_HEADER) + 1) != TICKS_HEADER.encode() + b"\n":
             raise ValueError(f"line 1: the header is not {TICKS_HEADER}")
         line, tail = 2, b""

@@ -9,17 +9,18 @@ phases.csv that ends at the tick closes.  At each phase end the row's
 diff, q_delayed and n_delayed must equal the derived values and the
 queue must be empty; the bound, positivity and monotonicity are judged
 on the derived Q_D and n_delayed.  Executions after the last phase end
-are accepted only when summary.json's stop_reason is total_ticks, as the
-run itself accepts them.  summary.json's record totals must equal the
-replay's, and its final time and diff the last phase end's (for a
-total_ticks stop, the final time must be total_ticks).  Each clause
-yields one verdict; a violation names the first offending phase, order
-or tick.  ticks.csv, when present, is streamed in blocks, so its check
-runs in bounded memory however long the run.  Its first line must be the
-header and the rest rows as format_rows writes them (five fields 0 or
--?[1-9][0-9]* joined by ',', each row ended by '\n', int64 values other
-than -2**63), and its price path must start at start_price and move at
-most one tick a row inside the grid.
+are accepted only in a total_ticks run, as the run itself accepts them.
+ticks.csv exists exactly when the config echo says run.record_ticks; its
+check streams it in blocks, with the grammar format_rows writes (see
+runio), in bounded memory however long the run.
+Every summary.json result but the commissions is compared with one table
+derived from the replay (the record totals; the final time, and the
+final diff of a target_phases stop), from ticks.csv when recorded (the
+final time, price and diff, both drawdowns) and from the config echo
+(stop_reason, null drawdowns without ticks, and the currency strings as
+the tick and quanta results times tick_size).  Each clause yields one
+verdict; a violation names the first offending phase, order, tick or
+result.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_TICK_CONSISTENCY)
 from .harness import RunConfig
 from .runio import (DELAYED_CSV, DELAYED_HEADER, PHASES_CSV, PHASES_HEADER,
-                    SUMMARY_JSON, config_from_dict, config_to_dict,
+                    SUMMARY_JSON, TICKS_CSV, config_from_dict, config_to_dict,
                     read_int_csv, read_summary, read_ticks)
 
 
@@ -52,14 +53,12 @@ class Verdict:
         return f"{status}  {self.clause}{tail}"
 
 
-def _replay(config: RunConfig, results: dict, phases: list[dict],
-            records: list[dict]) -> dict[str, str]:
-    """The first offender of each violated clause, by clause name."""
+def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) -> dict:
+    """fail(clause, detail) each violated clause at its first offender;
+    return the summary.json results that the records derive."""
     margin = config.dominance.gamma + config.dominance.tau
     cap = config.dominance.queue_cap
     m = config.instrument.multiplier
-    fails: dict[str, str] = {}
-    fail = fails.setdefault
     events = sorted([(r["t_delay"], 0, r["order_id"], r) for r in records]
                     + [(r["t_exec"], 1, r["order_id"], r) for r in records]
                     + [(p["end_time"], 2, k, p) for k, p in enumerate(phases)],
@@ -86,9 +85,9 @@ def _replay(config: RunConfig, results: dict, phases: list[dict],
             n_phase += 1
         else:
             phase, diff = f"phase {row['phase']}", row["diff_quanta"]
-            _compare(fail, phase, row, {"diff_quanta": m * telescoping,
-                                        "q_delayed": q_delayed,
-                                        "n_delayed": n_phase})
+            _compare(fail, CLAUSE_PHASE_IDENTITY, phase, row,
+                     {"diff_quanta": m * telescoping, "q_delayed": q_delayed,
+                      "n_delayed": n_phase}, "the records")
             if queued:
                 fail(CLAUSE_PHASE_IDENTITY,
                      f"{phase}: {queued} delayed orders still queued at its end")
@@ -104,107 +103,84 @@ def _replay(config: RunConfig, results: dict, phases: list[dict],
                 fail(CLAUSE_MONOTONICITY, f"{phase}: diff {diff} after {prev}, "
                      f"with {n_phase} delayed orders in between")
             n_phase, end, prev = 0, t, diff
-    if results.get("stop_reason") == "total_ticks":
-        totals = {"final_time": config.run.total_ticks}
+    if config.run.total_ticks is not None:
+        stop = {"final_time": config.run.total_ticks}
     else:
-        totals = {"final_time": end, "final_diff_quanta": prev}
+        stop = {"final_time": end, "final_diff_quanta": prev}
         if n_phase:
             fail(CLAUSE_PHASE_IDENTITY, f"{n_phase} delayed orders executed "
                  f"after the last phase end")
     mean_gap = str(Fraction(gap_sum, len(records))) if records else None
-    _compare(fail, "summary.json", results, {
-        **totals, "phases_completed": len(phases),
-        "n_delayed_orders": len(records), "q_delayed_total": q_delayed,
-        "mean_order_gap_ticks": mean_gap})
-    return fails
+    return {**stop, "phases_completed": len(phases),
+            "n_delayed_orders": len(records), "q_delayed_total": q_delayed,
+            "mean_order_gap_ticks": mean_gap}
 
 
-def _compare(fail, where: str, row: dict, derived: dict) -> None:
-    """Fail the phase identity on each value of row that differs from the
-    one the replay derived."""
+def _compare(fail, clause: str, where: str, row: dict, derived: dict, source: str):
+    """Fail clause on each value of row that differs from the one derived
+    from source, in value or in type (JSON's true and 1.0 equal 1)."""
     for key, value in derived.items():
-        if row.get(key) != value:
-            fail(CLAUSE_PHASE_IDENTITY, f"{where}: {key} {row.get(key)} "
-                 f"!= {value} from the records")
+        if (got := row.get(key)) != value or type(got) is not type(value):
+            fail(clause, f"{where}: {key} {got} != {value} from {source}")
 
 
 def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig,
-                            results: dict) -> Verdict | None:
-    """Stream ticks.csv: the header, then rows t = 0 .. final_time in
-    order, the price path starting at start_price and moving at most one
-    tick a row inside the grid, pnl_sstar = pnl_s + diff on every row,
-    each phase end's diff as in phases.csv, and summary.json's final
-    price, final diff and max drawdowns as in the file.  A file that
-    read_ticks refuses fails the clause."""
-    chunks = read_ticks(run_dir)
-    if chunks is None:
-        return None
+                            fail) -> dict:
+    """Stream ticks.csv: rows t = 0, 1, ... in order, a price path from
+    start_price moving at most one tick a row inside the grid, pnl_sstar =
+    pnl_s + diff on every row, each phase end's diff as in phases.csv.
+    fail(detail) fails the clause, as does a file that read_ticks refuses.
+    Returns the results the rows derive: the final time, price and diff
+    and both max drawdowns."""
     lo, hi = config.price.grid_min, config.price.grid_max
     ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
     peaks = np.full(2, np.iinfo(np.int64).min)
     drawdowns = np.zeros(2, np.uint64)
     n_rows, last = 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
-    while True:
-        try:
-            rows = next(chunks, None)
-        except ValueError as exc:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"ticks.csv {exc}")
-        if rows is None:
-            break
-        times, price, pnl_s, pnl_star, diff = rows.T
-        bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
-        if len(bad):
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"ticks.csv row {n_rows + bad[0]} has t="
-                           f"{times[bad[0]]}; rows must run t = 0, 1, ...")
-        if n_rows == 0 and price[0] != last[1]:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"t=0: price "
-                           f"{price[0]} != start_price {last[1]}")
-        # An int64 step wraps into {-1, 0, 1} only from -2**63, which
-        # read_ticks refuses.
-        step = (np.diff(price, prepend=last[1]) + 1).view(np.uint64)
-        bad = np.flatnonzero((price < lo) | (price > hi) | (step > 2))
-        if len(bad):
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False, f"t={times[bad[0]]}: "
-                           f"price {price[bad[0]]} is outside [{lo}, {hi}] "
-                           f"or more than one tick from the last")
-        total = pnl_s + diff
-        # int64 addition wraps; a wrapped sum is never a match.
-        wrapped = ((pnl_s ^ total) & (diff ^ total)) < 0
-        bad = np.flatnonzero((pnl_star != total) | wrapped)
-        if len(bad):
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"t={times[bad[0]]}: diff column inconsistent "
-                           f"with the two PnL columns")
-        inside = np.flatnonzero((ends >= n_rows) & (ends < n_rows + len(rows)))
-        for k in inside:
-            got = int(diff[ends[k] - n_rows])
-            if got != phases[k]["diff_quanta"]:
-                return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                               f"phase {phases[k]['phase']}: ticks.csv diff "
-                               f"{got} != phases.csv diff "
-                               f"{phases[k]['diff_quanta']}")
-        # Running peaks of both PnL columns; peak - pnl is in [0, 2**64).
-        peak = np.maximum(np.maximum.accumulate(rows[:, 2:4]), peaks)
-        drop = peak.view(np.uint64) - rows[:, 2:4].view(np.uint64)
-        peaks, drawdowns = peak[-1], np.maximum(drawdowns, drop.max(axis=0))
-        n_rows, last = n_rows + len(rows), rows[-1]
+    try:
+        for rows in read_ticks(run_dir):
+            times, price, pnl_s, pnl_star, diff = rows.T
+            bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
+            if len(bad):
+                fail(f"ticks.csv row {n_rows + bad[0]} has t={times[bad[0]]}; "
+                     f"rows must run t = 0, 1, ...")
+            if n_rows == 0 and price[0] != last[1]:
+                fail(f"t=0: price {price[0]} != start_price {last[1]}")
+            # An int64 step wraps into {-1, 0, 1} only from -2**63, which
+            # read_ticks refuses.
+            step = (np.diff(price, prepend=last[1]) + 1).view(np.uint64)
+            bad = np.flatnonzero((price < lo) | (price > hi) | (step > 2))
+            if len(bad):
+                fail(f"t={times[bad[0]]}: price {price[bad[0]]} is outside "
+                     f"[{lo}, {hi}] or more than one tick from the last")
+            total = pnl_s + diff
+            # int64 addition wraps; a wrapped sum is never a match.
+            wrapped = ((pnl_s ^ total) & (diff ^ total)) < 0
+            bad = np.flatnonzero((pnl_star != total) | wrapped)
+            if len(bad):
+                fail(f"t={times[bad[0]]}: diff column inconsistent with the "
+                     f"two PnL columns")
+            inside = np.flatnonzero((ends >= n_rows) & (ends < n_rows + len(rows)))
+            for k in inside:
+                got = int(diff[ends[k] - n_rows])
+                if got != phases[k]["diff_quanta"]:
+                    fail(f"phase {phases[k]['phase']}: ticks.csv diff {got} "
+                         f"!= phases.csv diff {phases[k]['diff_quanta']}")
+            # Running peaks of both PnL columns; peak - pnl is in [0, 2**64).
+            peak = np.maximum(np.maximum.accumulate(rows[:, 2:4]), peaks)
+            drop = peak.view(np.uint64) - rows[:, 2:4].view(np.uint64)
+            peaks, drawdowns = peak[-1], np.maximum(drawdowns, drop.max(axis=0))
+            n_rows, last = n_rows + len(rows), rows[-1]
+    except ValueError as exc:
+        fail(f"ticks.csv {exc}")
     for p in phases:
         if not 0 <= p["end_time"] < n_rows:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"phase {p['phase']}: end tick {p['end_time']} "
-                           f"missing from ticks.csv")
-    derived = {"final_time": n_rows - 1, "final_price_ticks": int(last[1]),
-               "final_diff_quanta": int(last[4]),
-               "max_drawdown_s_quanta": int(drawdowns[0]),
-               "max_drawdown_sstar_quanta": int(drawdowns[1])}
-    for key, value in derived.items():
-        if results.get(key) != value:
-            return Verdict(CLAUSE_TICK_CONSISTENCY, False,
-                           f"summary.json: {key} {results.get(key)} != "
-                           f"{value} from ticks.csv")
-    return Verdict(CLAUSE_TICK_CONSISTENCY, True,
-                   f"{n_rows} ticks, {len(phases)} phase ends")
+            fail(f"phase {p['phase']}: end tick {p['end_time']} missing from "
+                 f"ticks.csv")
+    return {"final_time": n_rows - 1, "final_price_ticks": int(last[1]),
+            "final_diff_quanta": int(last[4]),
+            "max_drawdown_s_quanta": int(drawdowns[0]),
+            "max_drawdown_sstar_quanta": int(drawdowns[1])}
 
 
 def verify_run(run_dir: str | Path) -> list[Verdict]:
@@ -216,29 +192,50 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
     echo, results = summary["config"], summary["results"]
     try:
         config = config_from_dict(echo)
-        bad = [f"{section}.{key}" for section, fields in config_to_dict(config).items()
+        bad = [f"config key {section}.{key}"
+               for section, fields in config_to_dict(config).items()
                for key, value in fields.items()
                if (echo.get(section) or {}).get(key, ...) != value]
+        bad += [f"result {key}" for key in ("final_price_ticks", "final_diff_quanta")
+                if type(results.get(key)) is not int]
         if bad:
-            raise ValueError(f"config key {bad[0]} is missing or not as "
-                             f"simulate writes it")
+            raise ValueError(f"{bad[0]} is missing or not as simulate writes it")
     except ValueError as exc:
         raise ValueError(f"{SUMMARY_JSON}: {exc}") from None
+    recorded = config.run.record_ticks
+    if (run_dir / TICKS_CSV).exists() != recorded:
+        raise ValueError(f"{TICKS_CSV}: {'missing' if recorded else 'present'}, "
+                         f"but run.record_ticks is {str(recorded).lower()}")
     phases = read_int_csv(run_dir, PHASES_CSV, PHASES_HEADER)
     records = read_int_csv(run_dir, DELAYED_CSV, DELAYED_HEADER)
-    fails = _replay(config, results, phases, records)
+    fails: dict[str, str] = {}
+    fail = fails.setdefault
+    tick_size = config.instrument.tick_size
+    echoed = {"stop_reason": ("target_phases" if config.run.total_ticks is None
+                              else "total_ticks"),
+              "final_price_currency": str(results["final_price_ticks"] * tick_size),
+              "final_diff_currency": str(results["final_diff_quanta"] * tick_size)}
+    if not recorded:
+        echoed.update(max_drawdown_s_quanta=None, max_drawdown_sstar_quanta=None)
+    # (clause, source, results): the derived results summary.json must hold.
+    table = [(CLAUSE_PHASE_IDENTITY, "the records",
+              _replay(config, phases, records, fail)),
+             (CLAUSE_PHASE_IDENTITY, "the config echo", echoed)]
     orders, phase_ends = f"{len(records)} orders", f"{len(phases)} phases"
-    verdicts = [Verdict(clause, clause not in fails, fails.get(clause, passed))
-                for clause, passed in ((CLAUSE_PER_ORDER_GAP, orders),
-                                       (CLAUSE_PHASE_IDENTITY, phase_ends),
-                                       (CLAUSE_LOWER_BOUND, phase_ends),
-                                       (CLAUSE_POSITIVITY, phase_ends),
-                                       (CLAUSE_MONOTONICITY, phase_ends),
-                                       (CLAUSE_QUEUE_CAP, orders))]
-    tick_verdict = _check_tick_consistency(run_dir, phases, config, results)
-    if tick_verdict is not None:
-        verdicts.append(tick_verdict)
-    return verdicts
+    passed = {CLAUSE_PER_ORDER_GAP: orders, CLAUSE_PHASE_IDENTITY: phase_ends,
+              CLAUSE_LOWER_BOUND: phase_ends, CLAUSE_POSITIVITY: phase_ends,
+              CLAUSE_MONOTONICITY: phase_ends, CLAUSE_QUEUE_CAP: orders}
+    if recorded:
+        ticks = _check_tick_consistency(
+            run_dir, phases, config,
+            lambda detail: fail(CLAUSE_TICK_CONSISTENCY, detail))
+        table.append((CLAUSE_TICK_CONSISTENCY, TICKS_CSV, ticks))
+        passed[CLAUSE_TICK_CONSISTENCY] = (f"{ticks['final_time'] + 1} ticks, "
+                                           f"{len(phases)} phase ends")
+    for clause, source, derived in table:
+        _compare(fail, clause, SUMMARY_JSON, results, derived, source)
+    return [Verdict(clause, clause not in fails, fails.get(clause, detail))
+            for clause, detail in passed.items()]
 
 
 def all_passed(verdicts: list[Verdict]) -> bool:

@@ -7,7 +7,8 @@ run, on both engines where the scalar reference is fast enough.  The
 mean-reverting runs also pin their kept order lists, as the
 (id, time, sign, price, quantity) tuples of orders_s and orders_sstar.  The
 digests also depend on numpy's generators and number formatting, so
-golden.json records the numpy version that made it.
+golden.json records the numpy version that made it.  The test also
+verifies each pinned run directory offline.
 
 A change that alters these bytes on purpose regenerates the file with
 
@@ -31,7 +32,8 @@ from edgesim.harness import RunConfig, default_config, run_simulation
 from edgesim.prices import (ABOVE, BELOW, MEAN_REVERTING_WALK,
                             REFLECTING_WALK, PriceProcessConfig,
                             estimate_hitting_time)
-from edgesim.runio import write_run_artifacts
+from edgesim.runio import SUMMARY_JSON, write_run_artifacts
+from edgesim.verify import all_passed, verify_run
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -112,8 +114,8 @@ def compute_digests(tmp: Path) -> dict[str, str]:
                                             master_seed=seed)
             digests[f"reflecting_walk/{name}/seed{seed}/HittingTimeSummary"] = _sha(
                 repr(summary).encode())
-    # The mean-reverting walk's hitting times, through its speculation
-    # windows and their restarts.
+    # The mean-reverting walk's hitting times, through its windows of
+    # thresholds and its moves resolved one at a time.
     price = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0, grid_max=30,
                                start_price=15, stay_probability=Fraction(1, 3),
                                reversion_strength=Fraction(1, 4))
@@ -133,6 +135,11 @@ def test_artifacts_match_golden_digests(tmp_path):
     assert not changed, (
         f"digests changed for {changed}; golden.json was made with numpy "
         f"{golden['numpy']}, this is numpy {np.__version__}")
+    # The auditor passes every pinned run directory.
+    run_dirs = [path.parent for path in sorted(tmp_path.rglob(SUMMARY_JSON))]
+    assert len(run_dirs) == 8
+    for run_dir in run_dirs:
+        assert all_passed(verify_run(run_dir)), run_dir
 
 
 if __name__ == "__main__":

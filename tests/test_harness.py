@@ -524,6 +524,29 @@ def test_cli_refuses_a_tick_series_beyond_int64(tmp_path, capsys):
     assert "multiplier" in err and "record_ticks: false" in err
 
 
+@pytest.mark.parametrize("keep_orders", [False, True])
+def test_engines_agree_at_a_quantity_beyond_int64(keep_orders):
+    # The blocked engine's int64 guard then leaves every bulk stretch
+    # empty, so each fill goes one at a time in Python ints.
+    cfg = quick(seed=13, record_ticks=False, keep_orders=keep_orders)
+    cfg = replace(cfg, strategy=replace(cfg.strategy, quantity=2 ** 63))
+    blocked = run_simulation(cfg, engine="blocked")
+    assert blocked.final_diff > 2 ** 63
+    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+
+
+def test_cli_refuses_a_recorded_quantity_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.yaml"
+    path.write_text(f"strategy:\n  quantity: {2 ** 63}\n"
+                    "run:\n  target_phases: 1\n")
+    status = cli.main(["simulate", str(path), "--seed", "1",
+                       "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.startswith("error: the tick series would overflow int64")
+    assert "instrument.multiplier" in err and "strategy.quantity" in err
+
+
 def _tick_series_with_mark(w, m=1):
     """tick_series(0) of a run whose one mark holds W_s = w."""
     cfg = default_config()

@@ -139,7 +139,7 @@ def test_walk_block_matches_scalar_path_with_many_reflections():
 
 
 def test_walk_block_chunks_compose():
-    # both pieces are longer than one mean-reverting speculation window
+    # the second piece starts its windows afresh from the first one's last price
     for config in (PriceProcessConfig(),
                    PriceProcessConfig(kind=MEAN_REVERTING_WALK,
                                       reversion_strength=Fraction(1, 2))):
@@ -249,7 +249,7 @@ def test_one_tick_grid_finishes_the_block_step_by_step(monkeypatch):
 @pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2)])
 @pytest.mark.parametrize("strength", [Fraction(0), Fraction(1, 3),
                                       Fraction(2, 7), Fraction(1)])
-def test_up_thresholds_are_the_scalar_float_law(stay, strength):
+def test_whole_grid_thresholds_are_the_scalar_float_law(stay, strength):
     for gmin, gmax in ((0, 7), (9000, 11000)):
         config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=gmin,
                                     grid_max=gmax, start_price=gmin,
@@ -469,7 +469,7 @@ def test_hitting_time_folded_sampler_matches_direct_chain():
     assert abs(direct.mean() - s.mean) <= 5 * se
 
 
-def test_hitting_time_mean_reverting_lockstep():
+def test_hitting_time_mean_reverting_hits_every_sample():
     config = PriceProcessConfig(kind=MEAN_REVERTING_WALK, grid_min=0,
                                 grid_max=100, start_price=50,
                                 stay_probability=Fraction(0),

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,29 +167,72 @@ def _dominance(summary):
     return summary["config"]["dominance"]
 
 
+def _cut_after(path: Path, line: int) -> None:
+    """Keep lines 1 .. line of path, the last without its newline."""
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:line])[:-1])
+
+
+def _writer_never_writes():
+    """Integer files whose first field on one row int() reads but the
+    writer never writes, each refused with its file and line."""
+    edits = {"plus_sign": "+".__add__, "space": " ".__add__,
+             "leading_zero": "0".__add__,
+             "minus_zero": lambda row: "-0," + row.split(",", 1)[1],
+             "underscore": lambda row: row.replace(",", "_0,", 1),
+             "crlf": lambda row: row[:-1] + "\r\n"}
+    for name, line, n in ((PHASES_CSV, 2, 6), (DELAYED_CSV, 3, 8)):
+        message = f"{name} line {line}: not {n} integer fields"
+        stem = name.split(".")[0]
+        for form, edit in edits.items():
+            yield pytest.param(lambda d, name=name, line=line, edit=edit:
+                               _edit_line(d / name, line, edit),
+                               message, id=f"{stem}_{form}")
+        yield pytest.param(lambda d, name=name, line=line: _cut_after(d / name, line),
+                           message, id=f"{stem}_no_final_newline")
+
+
 # Malformed run directories: each is refused by name (exit 2), not a traceback.
 @pytest.mark.parametrize("tamper,message", [
-    (lambda d: _edit_summary(d, lambda s: s.pop("results")),
-     "summary.json: not an object with config and results objects"),
-    (lambda d: (d / SUMMARY_JSON).write_text("[]"),
-     "summary.json: not an object with config and results objects"),
-    (lambda d: (d / SUMMARY_JSON).write_text('{"config": '),
-     "summary.json: not valid JSON: Expecting value"),
-    (lambda d: _edit_summary(d, lambda s: _dominance(s).pop("gamma")),
-     "summary.json: config key dominance.gamma is missing"),
-    (lambda d: _edit_summary(d, lambda s: _dominance(s).update(gamma="x")),
-     "summary.json: config key dominance.gamma must be an integer"),
-    (lambda d: _edit_line(d / PHASES_CSV, 2, lambda row: row.rsplit(",", 1)[0] + "\n"),
-     "phases.csv line 2: not 6 integer fields"),
-    (lambda d: _edit_line(d / PHASES_CSV, 1, lambda row: row.replace(",n_delayed", "")),
-     "phases.csv line 1: the header is not"),
-    (lambda d: _edit_line(d / PHASES_CSV, 2, lambda row: row[:-1] + ",0\n"),
-     "phases.csv line 2: not 6 integer fields"),
-    (lambda d: _edit_line(d / DELAYED_CSV, 3, lambda row: row.replace(",", ",x", 1)),
-     "delayed_orders.csv line 3: not 8 integer fields"),
-], ids=["no_results", "summary_is_a_list", "summary_cut_short", "no_gamma",
-        "bad_gamma", "short_phase_row", "phase_header", "long_phase_row",
-        "not_an_integer"])
+    pytest.param(lambda d: _edit_summary(d, lambda s: s.pop("results")),
+                 "summary.json: not an object with config and results objects",
+                 id="no_results"),
+    pytest.param(lambda d: (d / SUMMARY_JSON).write_text("[]"),
+                 "summary.json: not an object with config and results objects",
+                 id="summary_is_a_list"),
+    pytest.param(lambda d: (d / SUMMARY_JSON).write_text('{"config": '),
+                 "summary.json: not valid JSON: Expecting value",
+                 id="summary_cut_short"),
+    pytest.param(lambda d: _edit_summary(d, lambda s: _dominance(s).pop("gamma")),
+                 "summary.json: config key dominance.gamma is missing", id="no_gamma"),
+    pytest.param(lambda d: _edit_summary(d, lambda s: _dominance(s).update(gamma="x")),
+                 "summary.json: config key dominance.gamma must be an integer",
+                 id="bad_gamma"),
+    pytest.param(lambda d: _edit_line(d / PHASES_CSV, 2,
+                                      lambda row: row.rsplit(",", 1)[0] + "\n"),
+                 "phases.csv line 2: not 6 integer fields", id="short_phase_row"),
+    pytest.param(lambda d: _edit_line(d / PHASES_CSV, 1,
+                                      lambda row: row.replace(",n_delayed", "")),
+                 "phases.csv line 1: the header is not", id="phase_header"),
+    pytest.param(lambda d: _edit_line(d / PHASES_CSV, 2, lambda row: row[:-1] + ",0\n"),
+                 "phases.csv line 2: not 6 integer fields", id="long_phase_row"),
+    pytest.param(lambda d: _edit_line(d / DELAYED_CSV, 3,
+                                      lambda row: row.replace(",", ",x", 1)),
+                 "delayed_orders.csv line 3: not 8 integer fields",
+                 id="not_an_integer"),
+    *_writer_never_writes(),
+    # run.record_ticks alone says whether the run holds ticks.csv.
+    pytest.param(lambda d: (d / TICKS_CSV).unlink(),
+                 "ticks.csv: missing, but run.record_ticks is true",
+                 id="recorded_without_ticks"),
+    pytest.param(lambda d: _edit_summary(
+                     d, lambda s: s["config"]["run"].update(record_ticks=False)),
+                 "ticks.csv: present, but run.record_ticks is false",
+                 id="unrecorded_with_ticks"),
+    pytest.param(lambda d: _edit_result(d, "final_price_ticks", str),
+                 "summary.json: result final_price_ticks is missing or not as "
+                 "simulate writes it", id="final_price_not_an_int"),
+])
 def test_cli_verify_refuses_a_malformed_run_dir(run_dir, tmp_path, capsys,
                                                 tamper, message):
     dst = _copy(run_dir, tmp_path)
@@ -216,6 +259,13 @@ def test_summary_total_disagreeing_with_the_records_fails_identity(
         run_dir, tmp_path, key, edit):
     dst = _copy(run_dir, tmp_path)
     _edit_result(dst, key, edit)
+    assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
+
+
+@pytest.mark.parametrize("key", ["phases_completed", "final_time"])
+def test_summary_integer_written_as_a_float_fails_identity(run_dir, tmp_path, key):
+    dst = _copy(run_dir, tmp_path)
+    _edit_result(dst, key, float)
     assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
 
 
@@ -528,12 +578,81 @@ def test_format_rows_refuses_int64_min():
         format_rows(np.array([[0, 1, -2 ** 63, 3, 4]], dtype=np.int64))
 
 
-def test_verify_without_ticks_file(run_dir, tmp_path):
-    dst = _copy(run_dir, tmp_path)
-    (dst / TICKS_CSV).unlink()
+@pytest.fixture(scope="module")
+def stop_run_dirs(run_dir, total_ticks_run_dir, tmp_path_factory):
+    """Run directories by (stop_reason, record_ticks)."""
+    dirs = {("target_phases", True): run_dir,
+            ("total_ticks", True): total_ticks_run_dir}
+    for stop, cfg in (
+            ("target_phases", default_config(master_seed=63, target_phases=3)),
+            ("total_ticks", default_config(master_seed=4, total_ticks=20_000,
+                                           target_phases=None))):
+        out = tmp_path_factory.mktemp(f"{stop}_without_ticks")
+        write_run_artifacts(run_simulation(
+            replace(cfg, run=replace(cfg.run, record_ticks=False))), out)
+        dirs[stop, False] = out
+    return dirs
+
+
+def test_verify_without_ticks_file(stop_run_dirs):
+    dst = stop_run_dirs["target_phases", False]
+    assert not (dst / TICKS_CSV).exists()
     verdicts = verify_run(dst)
     assert all_passed(verdicts)
     assert CLAUSE_TICK_CONSISTENCY not in {v.clause for v in verdicts}
+
+
+def test_integer_files_hold_values_beyond_int64(tmp_path):
+    # A multiplier of 10**17 without ticks writes diffs beyond int64.
+    cfg = default_config(master_seed=1, target_phases=3, record_ticks=False)
+    write_run_artifacts(run_simulation(replace(cfg, instrument=replace(
+        cfg.instrument, multiplier=10 ** 17))), tmp_path)
+    phases = read_int_csv(tmp_path, PHASES_CSV, PHASES_HEADER)
+    assert phases[-1]["diff_quanta"] > 2 ** 63
+    assert all_passed(verify_run(tmp_path))
+
+
+def _one_more(value):
+    """A number plus 1, a string with one more digit, and null as 1."""
+    if value is None:
+        return 1
+    return value + "1" if isinstance(value, str) else value + 1
+
+
+@pytest.mark.parametrize("record_ticks", [True, False], ids=["ticks", "no_ticks"])
+@pytest.mark.parametrize("stop", ["target_phases", "total_ticks"])
+def test_every_summary_result_is_checked(stop_run_dirs, tmp_path, stop,
+                                         record_ticks):
+    # The results no check derives yet (ROADMAP item 2), with the set-ups
+    # (stop_reason, record_ticks) they are unchecked in and why.
+    anywhere = {(s, t) for s in ("target_phases", "total_ticks")
+                for t in (True, False)}
+    unchecked = [
+        ("commissions_s_quanta", anywhere, "no file holds the number of fills"),
+        ("commissions_sstar_quanta", anywhere,
+         "no file holds the orders still queued at the end"),
+        ("final_price_ticks", {("target_phases", False), ("total_ticks", False)},
+         "only ticks.csv holds the price path; held to its currency string"),
+        ("final_diff_quanta", {("total_ticks", False)},
+         "the open orders' share of a mid-phase diff is in no file; held to "
+         "its currency string"),
+    ]
+    skip = {key for key, setups, _ in unchecked if (stop, record_ticks) in setups}
+    src = stop_run_dirs[stop, record_ticks]
+    assert all_passed(verify_run(src))
+    results = read_summary(src)["results"]
+    assert len(results) == 14
+    missed = []
+    for key in sorted(results.keys() - skip):
+        dst = tmp_path / key
+        shutil.copytree(src, dst)
+        _edit_result(dst, key, _one_more)
+        try:
+            if all_passed(verify_run(dst)):
+                missed.append(key)
+        except ValueError:
+            pass        # refused by name
+    assert not missed
 
 
 # -- config round trip ---------------------------------------------------------

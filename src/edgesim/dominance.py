@@ -141,22 +141,12 @@ class DelayQueueEntry:
     delta_T_at_delay: Fraction
     frozen_trigger: int       # first grid price that could ever release this entry
 
-    @property
-    def gravity_at_delay(self) -> Fraction:
-        return Fraction(self.gravity_num, self.gravity_den)
-
 
 @dataclass(frozen=True)
-class DelayedOrderRecord:
-    """One completed delay: enqueue context plus the eventual execution."""
-    order_id: int
-    sign: int
-    quantity: int
-    delay_time: int
-    base_fill_price: int
+class DelayedOrderRecord(DelayQueueEntry):
+    """One completed delay: its queue entry plus the execution."""
     execution_time: int
     execution_price: int
-    delta_T_at_delay: Fraction
     delta_G_at_execution: Fraction
 
     @property
@@ -262,19 +252,15 @@ class DominanceEngine:
         return 1 if self.stage1_remaining else 2
 
     # Frozen conservative release levels over the current queue: no sell
-    # entry can release below frozen_sell_min and no buy entry above
-    # frozen_buy_max, regardless of later cloud movement.  They change
-    # only when the queue changes, so callers may use them to skip scans
-    # over price stretches that provably release nothing.
+    # entry can release below the first and no buy entry above the second
+    # (None: no such entry), regardless of later cloud movement.  They
+    # change only when the queue changes, so callers may use them to skip
+    # scans over price stretches that provably release nothing.
     @property
-    def frozen_sell_min(self) -> int | None:
-        return min((e.frozen_trigger for e in self.queue if e.sign == SELL),
-                   default=None)
-
-    @property
-    def frozen_buy_max(self) -> int | None:
-        return max((e.frozen_trigger for e in self.queue if e.sign != SELL),
-                   default=None)
+    def frozen_bounds(self) -> tuple[int | None, int | None]:
+        sells = [e.frozen_trigger for e in self.queue if e.sign == SELL]
+        buys = [e.frozen_trigger for e in self.queue if e.sign != SELL]
+        return min(sells, default=None), max(buys, default=None)
 
     def backstop_deadline(self) -> int | None:
         """The first tick at which the oldest queued order has waited more
@@ -379,13 +365,9 @@ class DominanceEngine:
                                       entry.gravity_num, entry.gravity_den)
                 if sign * (raw_price - release_level(sign, mn, md, gamma)) >= 0:
                     record = DelayedOrderRecord(
-                        order_id=entry.order_id, sign=sign,
-                        quantity=entry.quantity, delay_time=entry.delay_time,
-                        base_fill_price=entry.base_fill_price,
-                        execution_time=time,
+                        **vars(entry), execution_time=time,
                         execution_price=fill_price(raw_price, sign,
                                                    self.half_spread),
-                        delta_T_at_delay=entry.delta_T_at_delay,
                         delta_G_at_execution=(
                             Fraction(sign * (raw_price * md - mn), md) - gamma))
                     gap = record.gap
@@ -421,24 +403,27 @@ class DominanceEngine:
         the buy bound (None: no such entry).  By release_level's identity
         they are the current cloud's level against the frozen bounds."""
         num, den, gamma = self._cloud_num, self._cloud_den, self.params.gamma
-        sell, buy = self.frozen_sell_min, self.frozen_buy_max
+        sell, buy = self.frozen_bounds
         return (None if sell is None else max(release_level(SELL, num, den, gamma), sell),
                 None if buy is None else min(release_level(BUY, num, den, gamma), buy))
 
 
-def phase_clause_failures(diff: Money, previous_diff: Money, report: PhaseReport,
-                     telescoping: Money, multiplier: int,
-                     params: DominanceParams) -> list[str]:
-    """Shared end-of-phase clause evaluation; returns violated clause names."""
+def phase_clause_failures(diff: Money, derived: Iterable[Money], q_delayed: int,
+                          n_delayed: int, lower_bound: Money, previous_diff: Money,
+                          multiplier: int, params: DominanceParams) -> list[str]:
+    """The phase-end clauses that diff violates: identity with each derived
+    diff, the bound m * Q_D * (gamma + tau) recorded and met, positivity
+    once Q_D >= 1, monotonicity (strict if the phase delayed an order).
+    The run, the oracle and the auditor each pass their own numbers."""
     failures = []
-    if diff != report.pnl_diff or diff != telescoping:
+    if any(diff != value for value in derived):
         failures.append(CLAUSE_PHASE_IDENTITY)
-    expected_bound = multiplier * report.delayed_quantity * (params.gamma + params.tau)
-    if report.lower_bound != expected_bound or diff < expected_bound:
+    bound = multiplier * q_delayed * (params.gamma + params.tau)
+    if lower_bound != bound or diff < bound:
         failures.append(CLAUSE_LOWER_BOUND)
-    if report.delayed_quantity >= 1 and diff <= 0:
+    if q_delayed >= 1 and diff <= 0:
         failures.append(CLAUSE_POSITIVITY)
-    if diff < previous_diff or (report.n_delayed >= 1 and diff <= previous_diff):
+    if diff < previous_diff or (n_delayed >= 1 and diff <= previous_diff):
         failures.append(CLAUSE_MONOTONICITY)
     return failures
 
@@ -448,19 +433,14 @@ def phase_pnl_diff_check(report: PhaseReport, previous_diff: Money,
                          orders_s: Sequence[Order], orders_sstar: Sequence[Order],
                          price: int, instrument: Instrument,
                          params: DominanceParams) -> list[str]:
-    """Re-derive the end-of-phase obligations from full order histories.
-
-    Recomputes the PnL difference with accounting.pnl_direct over the two
-    histories (independent of the engine's bookkeeping) and checks: exact
-    equality with the delayed-order telescoping sum, the lower bound
-    multiplier * Q_D * (gamma + tau), strict positivity once anything was
-    delayed, and monotonicity against the previous phase end.  Returns
-    the violated clause names (empty means the phase passes).
-    """
+    """The clauses violated by the PnL difference that accounting.pnl_direct
+    re-sums from the two full order histories (independent of the engine's
+    bookkeeping), judged against the engine's diff and the delayed-order
+    telescoping sum; empty means the phase passes."""
     diff = (pnl_direct(orders_sstar, price, instrument)
             - pnl_direct(orders_s, price, instrument))
-    telescoping = instrument.multiplier * sum(
-        r.sign * (r.execution_price - r.base_fill_price) * r.quantity
-        for r in cumulative_records)
-    return phase_clause_failures(diff, previous_diff, report, telescoping,
-                            instrument.multiplier, params)
+    m = instrument.multiplier
+    telescoping = m * sum(r.gap * r.quantity for r in cumulative_records)
+    return phase_clause_failures(diff, (report.pnl_diff, telescoping),
+                                 report.delayed_quantity, report.n_delayed,
+                                 report.lower_bound, previous_diff, m, params)

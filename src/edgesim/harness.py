@@ -38,8 +38,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
-                        CLAUSE_PHASE_IDENTITY, CLAUSE_POSITION_MATCH,
-                        CLAUSE_POSITIVITY, ENQUEUE, DelayedOrderRecord,
+                        CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
+                        CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
+                        CLAUSE_QUEUE_CAP, ENQUEUE, DelayedOrderRecord,
                         DominanceEngine, DominanceParams, InvariantViolation,
                         PhaseReport, SimulationError, exceeds_tolerance,
                         phase_clause_failures, phase_pnl_diff_check,
@@ -59,6 +60,8 @@ _DELAY_CHUNK = 4096
 ORACLE_CHECK = "phase_pnl_diff_check"
 _PHASE_CHECKS = (CLAUSE_PHASE_IDENTITY, CLAUSE_LOWER_BOUND, CLAUSE_POSITIVITY,
                  CLAUSE_MONOTONICITY, CLAUSE_POSITION_MATCH)
+# The clauses of RunReport.verdicts, in order.
+VERDICT_CLAUSES = (CLAUSE_PER_ORDER_GAP, CLAUSE_QUEUE_CAP, *_PHASE_CHECKS, ORACLE_CHECK)
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,8 @@ class _RunState:
         self.orders_star = OrderLog() if config.run.keep_orders else None
 
         self.phases: list[PhaseReport] = []
-        # How many times each phase-end check ran (the run's verdict counts).
-        self.checked = dict.fromkeys((*_PHASE_CHECKS, ORACLE_CHECK), 0)
+        # How many times each check ran; the engine counts its own.
+        self.checked = dict.fromkeys(VERDICT_CLAUSES, 0)
 
         # Tick record: the price path (the start price and the scalar
         # engine's prices, then the blocked engine's blocks) and one mark
@@ -297,10 +300,10 @@ class _RunState:
             pnl_diff=diff,
             lower_bound=self.m * engine.q_delayed_total * (params.gamma + params.tau),
             records=engine.last_phase_records)
-        telescoping = self.m * engine.gap_weighted_total
         prev_diff = self.phases[-1].pnl_diff if self.phases else 0
-        failures = phase_clause_failures(diff, prev_diff, report, telescoping,
-                                    self.m, params)
+        failures = phase_clause_failures(
+            diff, (self.m * engine.gap_weighted_total,), engine.q_delayed_total,
+            report.n_delayed, report.lower_bound, prev_diff, self.m, params)
         if not failures and self.orders_s is not None:
             self.checked[ORACLE_CHECK] += 1
             failures = phase_pnl_diff_check(report, prev_diff,
@@ -415,8 +418,7 @@ class _RunState:
         # A failed check raises, so a report exists only when every check
         # passed; each count is how often that check ran.
         verdicts = [{"clause": clause, "passed": True, "checked": checked}
-                    for clause, checked in ({**engine.checked,
-                                             **self.checked}).items()]
+                    for clause, checked in {**self.checked, **engine.checked}.items()]
         return RunReport(
             config=self.config, master_seed=seed,
             final_time=final_time, final_price=final_price,
@@ -518,7 +520,8 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
     n = len(prices)
     raw = prices[fill_at]
     # int64 guard: bulk sums are at most g * (den + the quantity left), and
-    # the delay and release tests add two such terms.
+    # the delay and release tests add two such terms.  An empty stretch
+    # takes no sums, so a quantity beyond int64 never reaches numpy.
     g = max(abs(config.price.grid_min), abs(config.price.grid_max)) + state.half_spread
     i = pos = 0      # the next fill, the next tick to scan for releases
     while True:
@@ -528,7 +531,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         stage1 = min(engine.stage1_remaining, k)
         nums = dens = None
         c = 0            # the first fill that is an event, or k
-        if g * (den + k * quantity) < 2 ** 62:
+        if k and g * (den + k * quantity) < 2 ** 62:
             # the cloud after the first j fills, j = 0 .. k
             nums = num + np.concatenate(([0], np.cumsum(p * quantity)))
             dens = den + quantity * np.arange(k + 1)
@@ -571,8 +574,7 @@ def _first_release(engine: DominanceEngine, prices: np.ndarray, lo: int, hi: int
     something, or None.  fill_at are the bulk fills before hi; a tick sees
     the cloud (nums[j], dens[j]) after the j of them at or before it."""
     seg = prices[lo:hi]
-    sides = [(sign, frozen) for sign, frozen in ((SELL, engine.frozen_sell_min),
-                                                  (BUY, engine.frozen_buy_max))
+    sides = [(sign, frozen) for sign, frozen in zip((SELL, BUY), engine.frozen_bounds)
              if frozen is not None]
     # Short of the frozen bounds nothing releases, whatever the cloud does.
     mask = np.zeros(len(seg), dtype=bool)

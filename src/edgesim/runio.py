@@ -5,9 +5,9 @@ run) holding the fields of the matching config classes; every key has a
 default, and configs/default.yaml lists them all.  The tick grid is
 price.grid_min/grid_max.  An unknown section or key, an integer field
 given anything but an integer, and a bool field given anything but
-true/false are errors.  Exact rationals may be written as "1/2" strings,
-ints, or decimal floats (floats are parsed through their decimal string
-so 0.02 means 1/50, not its binary approximation).
+true/false are errors.  Any other field reads its value's string, so an
+exact rational may be written as "1/2", an int or a decimal float (0.02
+means 1/50, not its binary approximation).
 
 A run directory contains (ticks.csv exactly when run.record_ticks):
 
@@ -19,9 +19,10 @@ A run directory contains (ticks.csv exactly when run.record_ticks):
 
 q_delayed and diff_quanta in phases.csv are cumulative from the start of
 the run (lower_bound_quanta = multiplier * q_delayed * (gamma + tau));
-n_delayed counts the phase's own delayed orders.  Prices in the
-delayed-order file are the side-adjusted fill prices; the half-spread
-cancels inside gap_ticks.  A quantum is the value of one tick on one unit
+n_delayed counts the phase's own delayed orders.  verify judges each row
+with dominance.phase_clause_failures, the function the run judges its
+phase ends with.  Prices in the delayed-order file are the side-adjusted
+fill prices; the half-spread cancels inside gap_ticks.  A quantum is the value of one tick on one unit
 of quantity, multiplier included; multiply by tick_size for currency.
 In summary.json (schema edgesim-run-summary/3) the max_drawdown_*
 results are null when the run recorded no tick series, and the verdicts
@@ -34,7 +35,8 @@ deterministically: same config and seed, same bytes.  Every CSV file is
 read back with the writer's grammar: the header line, then rows of fields
 0 or -?[1-9][0-9]* joined by ',', every line ended by '\n'.  Values in
 phases.csv and delayed_orders.csv are ints of any size (a large
-multiplier without ticks writes diffs beyond int64).
+multiplier without ticks writes diffs beyond int64) that str() writes:
+4300 digits at most, by default.
 
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
 the run keeps its price path and one aggregate mark (the signed cash and
@@ -45,12 +47,8 @@ ticks needs every PnL to fit in a signed 64-bit integer; a run that could
 exceed it stops with an error naming the multiplier and the quantity
 (set run.record_ticks: false for such runs).  read_ticks streams the file
 back in blocks and accepts only what format_rows writes: five fields a
-row, int64 values other than -2**63.  So verify checks it in bounded
-memory: the rows run from t = 0 to the final time, the price starts at
-start_price and moves at most one tick a row inside the grid, pnl_sstar =
-pnl_s + diff on every row, each phase end matches phases.csv, and the
-last row's time, price and diff and the PnL columns' max drawdowns match
-summary.json.
+row, int64 values other than -2**63, so verify checks it in bounded
+memory (see edgesim.verify).
 """
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ TICKS_CSV = "ticks.csv"
 PHASES_CSV = "phases.csv"
 DELAYED_CSV = "delayed_orders.csv"
 SUMMARY_JSON = "summary.json"
+SUMMARY_SCHEMA = "edgesim-run-summary/3"
 
 TICKS_HEADER = "time,price_ticks,pnl_s_quanta,pnl_sstar_quanta,diff_quanta"
 PHASES_HEADER = ["phase", "end_time", "q_delayed", "diff_quanta",
@@ -97,26 +96,6 @@ _NIBBLES = np.array([0x0F0F0F0F0F0F0F0F << 8 * max(8 - k, 0) & 2 ** 64 - 1
 _LEAST = np.array([0, 0] + [10 ** (k - 1) for k in range(2, 20)], np.int64)
 
 
-def parse_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError(f"{value!r} is not a number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"cannot parse {value!r} as an exact rational")
-
-
-def parse_decimal(value: Any) -> Decimal:
-    if isinstance(value, Decimal):
-        return value
-    return Decimal(str(value))
-
-
 _SECTIONS = {"instrument": Instrument, "price": PriceProcessConfig,
              "strategy": BaselineConfig, "dominance": DominanceParams,
              "run": RunSettings}
@@ -126,7 +105,7 @@ _FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 def _parse_value(where: str, kind: Any, value: Any) -> Any:
     """One config value of a field's type.  An int field takes only an
     integer and a bool field only true or false, so a typo cannot turn
-    25.9 into 25 or "false" into True."""
+    25.9 into 25 or "false" into True; any other kind reads str(value)."""
     if type(None) in get_args(kind):
         if value is None:
             return None
@@ -138,7 +117,7 @@ def _parse_value(where: str, kind: Any, value: Any) -> Any:
                              f"got {value!r}")
         return value
     try:
-        return {Fraction: parse_fraction, Decimal: parse_decimal, str: str}[kind](value)
+        return kind(str(value))
     except (ValueError, ArithmeticError):
         raise ValueError(f"config key {where}: cannot parse {value!r} "
                          f"as {kind.__name__}") from None
@@ -183,18 +162,12 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data)
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (Fraction, Decimal)):
-        return str(value)
-    if isinstance(value, Mapping):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def config_to_dict(config: RunConfig) -> dict:
-    return {name: _jsonable(asdict(getattr(config, name))) for name in _SECTIONS}
+    """The sections' fields, a Fraction or Decimal as the string that
+    _parse_value reads back."""
+    return {name: {key: str(v) if isinstance(v, (Fraction, Decimal)) else v
+                   for key, v in asdict(getattr(config, name)).items()}
+            for name in _SECTIONS}
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
@@ -206,7 +179,7 @@ def summary_dict(report: RunReport) -> dict:
     instrument = report.config.instrument
     mean_gap = report.mean_order_gap
     return {
-        "schema": "edgesim-run-summary/3",
+        "schema": SUMMARY_SCHEMA,
         "seed": report.master_seed,
         "config": config_to_dict(report.config),
         "results": {
@@ -322,20 +295,15 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / PHASES_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(PHASES_HEADER)
-        for p in report.phases:
-            w.writerow([p.phase_index, p.end_time, p.delayed_quantity,
-                        p.pnl_diff, p.lower_bound, p.n_delayed])
-
-    with open(out / DELAYED_CSV, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DELAYED_HEADER)
-        for r in report.records:
-            w.writerow([r.order_id, r.sign, r.quantity, r.delay_time,
-                        r.base_fill_price, r.execution_time,
-                        r.execution_price, r.gap])
+    phases = [(p.phase_index, p.end_time, p.delayed_quantity, p.pnl_diff,
+               p.lower_bound, p.n_delayed) for p in report.phases]
+    records = [(r.order_id, r.sign, r.quantity, r.delay_time, r.base_fill_price,
+                r.execution_time, r.execution_price, r.gap) for r in report.records]
+    # In the grammar read_int_csv reads: the header, then rows of ints.
+    for name, header, rows in ((PHASES_CSV, PHASES_HEADER, phases),
+                               (DELAYED_CSV, DELAYED_HEADER, records)):
+        (out / name).write_bytes("".join(",".join(map(str, row)) + "\n"
+                                         for row in (header, *rows)).encode())
 
     if report.ticks is not None:
         t = report.ticks
@@ -362,11 +330,16 @@ def read_int_csv(run_dir: str | Path, name: str, header: list[str]) -> list[dict
     if lines[:1] != [",".join(header).encode() + b"\n"]:
         raise ValueError(f"{name} line 1: the header is not {','.join(header)}")
     row = re.compile(b",".join([rb"(?:0|-?[1-9][0-9]*)"] * len(header)) + b"\n")
+    rows = []
     for k, line in enumerate(lines[1:], 2):
-        if not row.fullmatch(line):
-            raise ValueError(f"{name} line {k}: not {len(header)} integer fields "
-                             f"0 or -?[1-9][0-9]* ending in a newline")
-    return [dict(zip(header, map(int, line[:-1].split(b",")))) for line in lines[1:]]
+        try:    # int() also refuses more digits than str() writes (4300 by default)
+            if not row.fullmatch(line):
+                raise ValueError(f"not {len(header)} integer fields 0 or "
+                                 f"-?[1-9][0-9]* ending in a newline")
+            rows.append(dict(zip(header, map(int, line[:-1].split(b",")))))
+        except ValueError as exc:
+            raise ValueError(f"{name} line {k}: {exc}") from None
+    return rows
 
 
 def read_ticks(run_dir: str | Path) -> Iterator[np.ndarray]:

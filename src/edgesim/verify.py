@@ -6,9 +6,10 @@ tick's delays enter the queue (the queue-cap check runs on each), then
 its executions leave it (each checks its gap and adds to the running Q_D,
 the telescoping sum and the phase's n_delayed), then a phase of
 phases.csv that ends at the tick closes.  At each phase end the row's
-diff, q_delayed and n_delayed must equal the derived values and the
-queue must be empty; the bound, positivity and monotonicity are judged
-on the derived Q_D and n_delayed.  Executions after the last phase end
+q_delayed and n_delayed must equal the derived values and the queue must
+be empty, and dominance.phase_clause_failures, which judges the run's
+own phase ends, judges the row's diff and bound against the derived
+telescoping sum, Q_D and n_delayed.  Executions after the last phase end
 are accepted only in a total_ticks run, as the run itself accepts them.
 ticks.csv exists exactly when the config echo says run.record_ticks; its
 check streams it in blocks, with the grammar format_rows writes (see
@@ -20,7 +21,8 @@ final time, price and diff, both drawdowns) and from the config echo
 (stop_reason, null drawdowns without ticks, and the currency strings as
 the tick and quanta results times tick_size).  Each clause yields one
 verdict; a violation names the first offending phase, order, tick or
-result.
+result.  A summary.json whose keys, schema, seed or verdicts (clauses,
+passes and counts) simulate could not have written is refused by name.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                         CLAUSE_POSITIVITY, CLAUSE_QUEUE_CAP,
-                        CLAUSE_TICK_CONSISTENCY)
-from .harness import RunConfig
+                        CLAUSE_TICK_CONSISTENCY, phase_clause_failures)
+from .harness import ORACLE_CHECK, VERDICT_CLAUSES, RunConfig
 from .runio import (DELAYED_CSV, DELAYED_HEADER, PHASES_CSV, PHASES_HEADER,
-                    SUMMARY_JSON, TICKS_CSV, config_from_dict, config_to_dict,
-                    read_int_csv, read_summary, read_ticks)
+                    SUMMARY_JSON, SUMMARY_SCHEMA, TICKS_CSV, config_from_dict,
+                    config_to_dict, read_int_csv, read_summary, read_ticks)
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,16 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
         else:
             phase, diff = f"phase {row['phase']}", row["diff_quanta"]
             _compare(fail, CLAUSE_PHASE_IDENTITY, phase, row,
-                     {"diff_quanta": m * telescoping, "q_delayed": q_delayed,
-                      "n_delayed": n_phase}, "the records")
+                     {"q_delayed": q_delayed, "n_delayed": n_phase}, "the records")
             if queued:
                 fail(CLAUSE_PHASE_IDENTITY,
                      f"{phase}: {queued} delayed orders still queued at its end")
-            bound = m * q_delayed * margin
-            if row["lower_bound_quanta"] != bound or diff < bound:
-                fail(CLAUSE_LOWER_BOUND,
-                     f"{phase}: diff {diff}, recorded bound "
-                     f"{row['lower_bound_quanta']}, m*Q_D*(gamma+tau) = {bound}")
-            if q_delayed >= 1 and diff <= 0:
-                fail(CLAUSE_POSITIVITY, f"{phase}: diff {diff} not strictly "
-                     f"positive with Q_D = {q_delayed}")
-            if diff < prev or (n_phase >= 1 and diff <= prev):
-                fail(CLAUSE_MONOTONICITY, f"{phase}: diff {diff} after {prev}, "
-                     f"with {n_phase} delayed orders in between")
+            derived, bound = m * telescoping, row["lower_bound_quanta"]
+            for clause in phase_clause_failures(diff, (derived,), q_delayed, n_phase,
+                                                bound, prev, m, config.dominance):
+                fail(clause, f"{phase}: diff {diff}, {derived} from the records, "
+                     f"Q_D {q_delayed}, recorded bound {bound}, previous diff "
+                     f"{prev}, n_delayed {n_phase}")
             n_phase, end, prev = 0, t, diff
     if config.run.total_ticks is not None:
         stop = {"final_time": config.run.total_ticks}
@@ -183,23 +179,59 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig
             "max_drawdown_sstar_quanta": int(drawdowns[1])}
 
 
+# The results that no check derives in every set-up: each must be an int.
+_INT_RESULTS = ("final_price_ticks", "final_diff_quanta", "commissions_s_quanta",
+                "commissions_sstar_quanta")
+
+
+def _unwritten(summary: dict, config: RunConfig, phases: list[dict],
+               n_records: int) -> list[str]:
+    """What simulate could not have written in summary.json beside these
+    files; a config key the echo leaves out would take its default."""
+    echo, results, run = summary["config"], summary["results"], config.run
+    bad = [f"config key {section}.{key}"
+           for section, fields in config_to_dict(config).items()
+           for key, value in fields.items()
+           if (echo.get(section) or {}).get(key, ...) != value]
+    bad += [f"key {key}" for key in sorted(summary.keys() - {
+        "schema", "seed", "config", "results", "verdicts"})]
+    bad += [f"result {key}" for key in _INT_RESULTS if type(results.get(key)) is not int]
+    if summary.get("schema") != SUMMARY_SCHEMA:
+        bad.append("schema")
+    seed = summary.get("seed")
+    if (type(seed) is not int or seed < 0
+            or (run.replications == 1 and seed != run.master_seed)):
+        bad.append("seed")
+    # Each enqueue and each release checks the per-order gap, each phase end
+    # every phase clause, and the per-tick audit the identity at t = 1, 2, ...
+    n, cap = len(phases), (config.dominance.queue_cap if run.total_ticks else 0)
+    final_time = run.total_ticks or (phases[-1]["end_time"] if phases else 0)
+    try:
+        rows = summary.get("verdicts")
+        got = {v["clause"]: v["checked"] for v in rows}
+        enqueues, identity = got[CLAUSE_QUEUE_CAP], got[CLAUSE_PHASE_IDENTITY]
+        counts = {**dict.fromkeys(VERDICT_CLAUSES, n), CLAUSE_QUEUE_CAP: enqueues,
+                  CLAUSE_PER_ORDER_GAP: enqueues + n_records,
+                  CLAUSE_PHASE_IDENTITY: identity,
+                  ORACLE_CHECK: n if run.keep_orders else 0}
+        written = (rows == [{"clause": clause, "passed": True, "checked": counts[clause]}
+                            for clause in VERDICT_CLAUSES]
+                   and all(v["passed"] is True and type(v["checked"]) is int
+                           for v in rows)
+                   and 0 <= enqueues - n_records <= cap
+                   and identity in (n, n + final_time))
+    except (TypeError, KeyError):
+        written = False
+    return bad if written else bad + ["verdicts"]
+
+
 def verify_run(run_dir: str | Path) -> list[Verdict]:
     """Re-check every provable invariant of a recorded run offline; files
     that simulate could not have written raise ValueError naming them."""
     run_dir = Path(run_dir)
     summary = read_summary(run_dir)
-    # The config echo must be as simulate writes it: a missing key takes its default.
-    echo, results = summary["config"], summary["results"]
     try:
-        config = config_from_dict(echo)
-        bad = [f"config key {section}.{key}"
-               for section, fields in config_to_dict(config).items()
-               for key, value in fields.items()
-               if (echo.get(section) or {}).get(key, ...) != value]
-        bad += [f"result {key}" for key in ("final_price_ticks", "final_diff_quanta")
-                if type(results.get(key)) is not int]
-        if bad:
-            raise ValueError(f"{bad[0]} is missing or not as simulate writes it")
+        config = config_from_dict(summary["config"])
     except ValueError as exc:
         raise ValueError(f"{SUMMARY_JSON}: {exc}") from None
     recorded = config.run.record_ticks
@@ -208,6 +240,10 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
                          f"but run.record_ticks is {str(recorded).lower()}")
     phases = read_int_csv(run_dir, PHASES_CSV, PHASES_HEADER)
     records = read_int_csv(run_dir, DELAYED_CSV, DELAYED_HEADER)
+    if bad := _unwritten(summary, config, phases, len(records)):
+        raise ValueError(f"{SUMMARY_JSON}: {bad[0]} is missing or not as "
+                         f"simulate writes it")
+    results = summary["results"]
     fails: dict[str, str] = {}
     fail = fails.setdefault
     tick_size = config.instrument.tick_size
@@ -232,6 +268,11 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
         table.append((CLAUSE_TICK_CONSISTENCY, TICKS_CSV, ticks))
         passed[CLAUSE_TICK_CONSISTENCY] = (f"{ticks['final_time'] + 1} ticks, "
                                            f"{len(phases)} phase ends")
+    # The writer's results are the derived ones and _INT_RESULTS.
+    keys = {key for *_, derived in table for key in derived}.union(_INT_RESULTS)
+    if odd := sorted(results.keys() ^ keys):
+        raise ValueError(f"{SUMMARY_JSON}: result {odd[0]} is missing or not as "
+                         f"simulate writes it")
     for clause, source, derived in table:
         _compare(fail, clause, SUMMARY_JSON, results, derived, source)
     return [Verdict(clause, clause not in fails, fails.get(clause, detail))

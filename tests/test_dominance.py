@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
-                               CLAUSE_PHASE_IDENTITY, ENQUEUE, FORCED, MIRROR,
+                               CLAUSE_PHASE_IDENTITY, CLAUSE_POSITIVITY,
+                               ENQUEUE, FORCED, MIRROR, DelayedOrderRecord,
                                DominanceEngine, DominanceParams, PhaseReport,
                                StrandedOrderError, pair_extreme,
-                               phase_pnl_diff_check, release_level)
+                               phase_clause_failures, phase_pnl_diff_check,
+                               release_level)
 from edgesim.market import BUY, SELL, Instrument, Order
 
 INST = Instrument("SIM", 1, Decimal("0.01"))
@@ -153,7 +155,7 @@ def test_current_cloud_anchors_when_it_is_the_extreme():
     assert engine.on_base_fill(next_id, SELL, 1, 10, 9925, 9925) == ENQUEUE
     assert engine.on_base_fill(next_id + 1, SELL, 2, 11, 10080, 10080) == MIRROR
     assert engine.gravity() == 10040
-    assert engine.frozen_sell_min == 10041
+    assert engine.frozen_bounds == (10041, None)
     assert engine.current_release_bounds() == (10081, None)
     assert engine.on_tick(20, 10080) == ([], False)
     assert len(engine.on_tick(21, 10081)[0]) == 1
@@ -178,7 +180,7 @@ def test_enqueue_then_release_composes_the_events():
     assert action == ENQUEUE
     assert len(engine.queue) == 1
     entry = engine.queue[0]
-    assert entry.gravity_at_delay == 10000
+    assert Fraction(entry.gravity_num, entry.gravity_den) == 10000
     assert entry.delta_T_at_delay < 0
 
     # the same tick can never release the just-delayed order
@@ -363,15 +365,40 @@ def test_queue_discipline_over_random_driving():
         assert engine.phase_index >= 2  # phases completed under heavy delay
 
 
-# -- phase_pnl_diff_check -------------------------------------------------------------
+# -- phase_clause_failures and phase_pnl_diff_check ----------------------------------
+
+
+# (diff, derived diffs, Q_D, n_delayed, recorded bound, previous diff) with
+# multiplier 1 and gamma + tau = 90, and the clauses each phase end fails.
+@pytest.mark.parametrize("args,failed", [
+    ((250, (250, 250), 2, 1, 180, 0), []),
+    ((250, (250, 249), 2, 1, 180, 0), [CLAUSE_PHASE_IDENTITY]),
+    ((250, (250,), 2, 1, 181, 0), [CLAUSE_LOWER_BOUND]),
+    ((179, (179,), 2, 1, 180, 0), [CLAUSE_LOWER_BOUND]),
+    # with Q_D >= 1 the bound is positive, so positivity never fails alone
+    ((0, (0,), 1, 1, 90, -1), [CLAUSE_LOWER_BOUND, CLAUSE_POSITIVITY]),
+    ((0, (0,), 0, 0, 0, 0), []),
+    ((250, (250,), 2, 1, 180, 250), [CLAUSE_MONOTONICITY]),
+    ((250, (250,), 2, 0, 180, 250), []),
+    ((250, (250,), 2, 0, 180, 251), [CLAUSE_MONOTONICITY]),
+], ids=["passes", "identity", "wrong_recorded_bound", "unmet_bound",
+        "positivity", "no_delay", "strict_monotonicity", "flat_without_delay",
+        "non_strict_monotonicity"])
+def test_phase_clause_failures(args, failed):
+    params = DominanceParams(tau=50, gamma=40)
+    diff, derived, q_delayed, n_delayed, bound, previous = args
+    assert phase_clause_failures(diff, derived, q_delayed, n_delayed, bound,
+                                 previous, 1, params) == failed
 
 
 def _delayed_record(order_id, sign, qty, p_delay, p_exec, t_delay=10, t_exec=30):
-    from edgesim.dominance import DelayedOrderRecord
+    # delayed under a gravity center of 10000, with gamma 40
     return DelayedOrderRecord(
         order_id=order_id, sign=sign, quantity=qty, delay_time=t_delay,
-        base_fill_price=p_delay, execution_time=t_exec, execution_price=p_exec,
-        delta_T_at_delay=Fraction(-1), delta_G_at_execution=Fraction(1))
+        base_fill_price=p_delay, delay_grid_price=p_delay, gravity_num=10000,
+        gravity_den=1, delta_T_at_delay=Fraction(-1),
+        frozen_trigger=release_level(sign, 10000, 1, 40), execution_time=t_exec,
+        execution_price=p_exec, delta_G_at_execution=Fraction(1))
 
 
 def test_phase_check_single_delayed_sell():

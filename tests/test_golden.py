@@ -14,7 +14,8 @@ A change that alters these bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists each changed digest, and why it changed, in CHANGES.md.
+which prints each digest it changed, added or removed, and lists each,
+and why it changed, in CHANGES.md.
 """
 
 import hashlib
@@ -143,8 +144,16 @@ def test_artifacts_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = (json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+           if GOLDEN.exists() else {})
     with tempfile.TemporaryDirectory() as tmp:
         record = {"numpy": np.__version__, "digests": compute_digests(Path(tmp))}
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")
-    print(f"wrote {len(record['digests'])} digests to {GOLDEN}", file=sys.stderr)
+    new = record["digests"]
+    for key in sorted(old.keys() | new.keys()):
+        if old.get(key) != new.get(key):
+            status = ("added" if key not in old else "removed" if key not in new
+                      else "changed")
+            print(f"{status}: {key}", file=sys.stderr)
+    print(f"wrote {len(new)} digests to {GOLDEN}", file=sys.stderr)

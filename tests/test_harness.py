@@ -1,5 +1,6 @@
+import random
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from edgesim.accounting import pnl_direct
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                                CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
-                               CLAUSE_QUEUE_CAP, DominanceParams,
+                               CLAUSE_QUEUE_CAP, ENQUEUE, DelayQueueEntry,
+                               DominanceEngine, DominanceParams,
                                InvariantViolation, SimulationError,
                                StrandedOrderError)
 from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
@@ -22,7 +24,7 @@ from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
 from edgesim.market import Instrument, Order
 from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             PriceProcessConfig, estimate_hitting_time)
-from edgesim.runio import write_run_artifacts
+from edgesim.runio import config_from_dict, write_run_artifacts
 from edgesim.strategies import BaselineConfig
 from edgesim.verify import all_passed, verify_run
 
@@ -212,6 +214,96 @@ def test_engines_agree_on_fuzzed_configs(cfg):
             write_run_artifacts(blocked, out)
             verdicts = verify_run(out)
         assert all_passed(verdicts), verdicts
+
+
+def _edge_config(rng: random.Random) -> dict:
+    """The YAML mapping of a config at the parser's edges: grids of width
+    up to 2**62 anywhere in [-2**61, 2**61] with the start price at either
+    edge, multipliers, quantities, spreads, spacings, commissions, counts
+    and seeds near 2**62 or beyond int64, probabilities down to 10**-12,
+    both walks and both baselines.  Runs stop at total_ticks <= 3000: a
+    phase may never end."""
+    def pick(ordinary, *edges):
+        # the ordinary value five times in six, so that many runs delay orders
+        return ordinary if rng.random() < 5 / 6 else rng.choice(edges)
+
+    def probability():
+        return pick(rng.choice(["1/3", 0.5, 1]), "1/1000000000000", 1e-12)
+
+    def count():
+        return pick(rng.randint(1, 4), 10 ** 12, rng.randint(1, 10 ** 12))
+
+    def huge(top):
+        return pick(rng.randint(0, 3), top, 10 ** 17, rng.randint(0, top))
+
+    tau, gamma = rng.randint(1, 4), rng.randint(1, 4)
+    narrowest = 2 * (tau + gamma) + 1
+    width = pick(rng.randint(narrowest, narrowest + 20), 2 ** 62, 10 ** 12,
+                 rng.randint(narrowest, 2 ** 62))
+    grid_min = pick(-(width // 2), -2 ** 61, 2 ** 61 - width,
+                    rng.randint(-2 ** 61, 2 ** 61 - width))
+    return {
+        "instrument": {"multiplier": pick(rng.randint(1, 3), 10 ** 17, 2 ** 62,
+                                          rng.randint(1, 2 ** 62))},
+        "price": {"kind": rng.choice(["reflecting_walk", "mean_reverting_walk"]),
+                  "grid_min": grid_min, "grid_max": grid_min + width,
+                  "start_price": rng.choice([grid_min, grid_min + width,
+                                             rng.randint(grid_min, grid_min + width)]),
+                  "stay_probability": pick(rng.choice([0, "1/2"]), "1/1000000000000",
+                                           "999999999999/1000000000000"),
+                  "reversion_strength": probability()},
+        "strategy": {"kind": rng.choice(["bernoulli_trader", "periodic_alternator"]),
+                     "order_probability": probability(), "period": count(),
+                     "quantity": pick(rng.randint(1, 3), 2 ** 63,
+                                      rng.randint(2 ** 63, 2 ** 65))},
+        "dominance": {"tau": tau, "gamma": gamma,
+                      "delay_probability": pick(probability(), 0),
+                      "queue_cap": count(), "stage1_fill_count": count(),
+                      "max_phase_ticks": pick(rng.randint(100, 3000), count()),
+                      "min_distance": huge(2 ** 61)},
+        "run": {"total_ticks": rng.randint(1, 3000), "target_phases": None,
+                "master_seed": pick(rng.randint(0, 2 ** 16),
+                                    rng.randint(2 ** 64, 2 ** 70)),
+                "half_spread": huge(2 ** 61), "commission_per_unit": huge(2 ** 62),
+                "record_ticks": rng.random() < 0.5,
+                "keep_orders": rng.random() < 0.5}}
+
+
+def test_engines_agree_at_the_parser_edges():
+    # a plain seeded loop: hypothesis's derandomized examples of these
+    # ranges rarely delay an order
+    rng = random.Random(20)
+    for _ in range(300):
+        data = _edge_config(rng)
+        cfg = config_from_dict(data)
+        scalar, blocked = _outcome(cfg, "scalar"), _outcome(cfg, "blocked")
+        if isinstance(scalar, tuple) or isinstance(blocked, tuple):
+            assert scalar == blocked, data
+            continue
+        assert_reports_equal(scalar, blocked)
+        with tempfile.TemporaryDirectory() as out:
+            write_run_artifacts(blocked, out)
+            verdicts = verify_run(out)
+        assert all_passed(verdicts), (verdicts, data)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_records_carry_their_queue_entries(engine, monkeypatch):
+    entries = {}
+    on_base_fill = DominanceEngine.on_base_fill
+
+    def keep_entry(self, *args):
+        action = on_base_fill(self, *args)
+        if action == ENQUEUE:
+            entries[self.queue[-1].order_id] = self.queue[-1]
+        return action
+
+    monkeypatch.setattr(DominanceEngine, "on_base_fill", keep_entry)
+    rep = run_simulation(quick(seed=13, phases=3, half_spread=1), engine=engine)
+    assert rep.records and len(rep.records) == len(entries)
+    for r in rep.records:
+        assert DelayQueueEntry(**{f.name: getattr(r, f.name)
+                                  for f in fields(DelayQueueEntry)}) == entries[r.order_id]
 
 
 @pytest.mark.parametrize("keep_orders", [True, False])
@@ -527,12 +619,20 @@ def test_cli_refuses_a_tick_series_beyond_int64(tmp_path, capsys):
 @pytest.mark.parametrize("keep_orders", [False, True])
 def test_engines_agree_at_a_quantity_beyond_int64(keep_orders):
     # The blocked engine's int64 guard then leaves every bulk stretch
-    # empty, so each fill goes one at a time in Python ints.
-    cfg = quick(seed=13, record_ticks=False, keep_orders=keep_orders)
-    cfg = replace(cfg, strategy=replace(cfg.strategy, quantity=2 ** 63))
-    blocked = run_simulation(cfg, engine="blocked")
-    assert blocked.final_diff > 2 ** 63
-    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+    # empty, so each fill goes one at a time in Python ints.  The two
+    # total_ticks runs also have stretches with no fill before the first
+    # one, while the cloud is still empty.
+    for total_ticks, order_probability in ((None, Fraction(1, 20)),
+                                           (1, Fraction(1, 20)),
+                                           (20_000, Fraction(1, 100_000))):
+        cfg = quick(seed=13, record_ticks=False, keep_orders=keep_orders,
+                    total_ticks=total_ticks,
+                    target_phases=None if total_ticks else 2)
+        cfg = replace(cfg, strategy=replace(cfg.strategy, quantity=2 ** 63,
+                                            order_probability=order_probability))
+        blocked = run_simulation(cfg, engine="blocked")
+        assert total_ticks or blocked.final_diff > 2 ** 63
+        assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
 
 
 def test_cli_refuses_a_recorded_quantity_beyond_int64(tmp_path, capsys):

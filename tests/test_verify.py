@@ -232,6 +232,26 @@ def _writer_never_writes():
     pytest.param(lambda d: _edit_result(d, "final_price_ticks", str),
                  "summary.json: result final_price_ticks is missing or not as "
                  "simulate writes it", id="final_price_not_an_int"),
+    # The rest of summary.json is as simulate writes it, too.
+    *(pytest.param(lambda d, edit=edit: _edit_summary(d, edit),
+                   f"summary.json: {key} is missing or not as simulate writes it",
+                   id=name)
+      for name, key, edit in (
+          ("schema", "schema", lambda s: s.update(schema="edgesim-run-summary/9")),
+          ("seed", "seed", lambda s: s.update(seed=s["seed"] + 1)),
+          ("no_verdicts", "verdicts", lambda s: s.update(verdicts=[])),
+          ("verdict_count", "verdicts",
+           lambda s: s["verdicts"][3].update(checked=s["verdicts"][3]["checked"] + 1)),
+          ("extra_result", "result extra",
+           lambda s: s["results"].update(extra=0)),
+          ("no_commissions", "result commissions_s_quanta",
+           lambda s: s["results"].pop("commissions_s_quanta")))),
+    # int() reads no more digits than str() writes.
+    *(pytest.param(lambda d, name=name, line=line: _edit_line(
+                       d / name, line, lambda row: "1" + "0" * 5000 + row),
+                   f"{name} line {line}: Exceeds the limit (4300 digits)",
+                   id=f"{name.split('.')[0]}_5001_digits")
+      for name, line in ((PHASES_CSV, 2), (DELAYED_CSV, 3))),
 ])
 def test_cli_verify_refuses_a_malformed_run_dir(run_dir, tmp_path, capsys,
                                                 tamper, message):
@@ -699,6 +719,8 @@ def test_config_defaults_from_empty_file(tmp_path):
      "exactly one of total_ticks/target_phases must be set"),
     ("dominance:\n  delay_probability: true\n",
      "dominance.delay_probability: cannot parse True as Fraction"),
+    ("dominance:\n  delay_probability: [1, 2]\n",
+     "dominance.delay_probability: cannot parse "),  # "[1, 2]" reads as a regex
     *((f"instrument:\n  tick_size: \"{tick}\"\n",
        f"tick_size must be finite and > 0, got {tick}")
       for tick in ("NaN", "sNaN", "Infinity")),
@@ -712,7 +734,7 @@ def test_config_defaults_from_empty_file(tmp_path):
         "stale_instrument_grid", "stale_disable_delays", "int_given_bool",
         "int_given_float", "int_given_string", "bool_given_string",
         "bool_given_int", "negative_seed", "explicit_null_target_phases",
-        "fraction_given_bool", "tick_size_nan",
+        "fraction_given_bool", "fraction_given_list", "tick_size_nan",
         "tick_size_snan", "tick_size_infinity", "grid_beyond_int64",
         "grid_below_int64"])
 def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
@@ -732,9 +754,14 @@ def test_config_fraction_forms(tmp_path):
     path.write_text(
         "price:\n  stay_probability: \"1/2\"\n"
         "strategy:\n  order_probability: 0.02\n"
-        "dominance:\n  delay_probability: \"1/2\"\n")
+        "dominance:\n  delay_probability: \"1/2\"\n"
+        "instrument:\n  tick_size: 0.05\n")
     cfg = load_config(path)
     from fractions import Fraction
     assert cfg.price.stay_probability == Fraction(1, 2)
     assert cfg.strategy.order_probability == Fraction(1, 50)
     assert cfg.dominance.delay_probability == Fraction(1, 2)
+    # a float tick size is read digit for digit, a string as written
+    assert str(cfg.instrument.tick_size) == "0.05"
+    path.write_text("instrument:\n  tick_size: \"0.010\"\n")
+    assert str(load_config(path).instrument.tick_size) == "0.010"

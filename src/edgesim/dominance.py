@@ -192,6 +192,18 @@ def release_level(sign: int, num: int, den: int, gamma: int) -> int:
     return sign * ((sign * num + gamma * den) // den + 1)
 
 
+def spaced_and_reachable(sign, raw_price, level, queue, min_distance,
+                         grid_min, grid_max):
+    """The delay test's last terms: each queued delay price lies more than
+    min_distance (0: off) beyond raw_price on the candidate's side, and the
+    gain level is a grid price, so a release can happen; elementwise too."""
+    ok = (grid_min <= level) & (level <= grid_max)
+    if min_distance > 0:
+        for e in queue:
+            ok = ok & (sign * (e.delay_grid_price - raw_price) > min_distance)
+    return ok
+
+
 class DominanceEngine:
     """One overlay instance: phase state machine, cloud, delay queue.
 
@@ -296,11 +308,11 @@ class DominanceEngine:
                      raw_price: int, base_fill_price: int) -> str:
         """Decide the overlay's action for one baseline fill.
 
-        Returns MIRROR or FORCED when the overlay fills immediately at
-        the same price as the baseline, ENQUEUE when the order is
-        delayed.  FORCED marks candidates that passed the Bernoulli and
-        tolerance tests but were blocked by the queue cap, the spacing
-        filter, or the grid reachability guard.
+        Returns MIRROR or FORCED when the overlay fills at once, at the
+        baseline's price, ENQUEUE when the order is delayed.  FORCED: a
+        candidate past the Bernoulli and tolerance tests that the queue
+        cap or spaced_and_reachable blocks.  The blocked engine calls this
+        only for the fills that enqueue, where its int64 sums fit.
         """
         self.check_phase_backstop(time)
         if self.stage1_remaining:
@@ -315,14 +327,11 @@ class DominanceEngine:
             self._cloud_add(quantity, raw_price)
             return MIRROR
 
-        # The last test is the reachability guard: the frozen gain level
-        # must be a grid price, otherwise the release price may not exist.
         level = release_level(sign, num, den, self.params.gamma)
         if (len(self.queue) >= self.params.queue_cap
-                or (self.params.min_distance > 0 and any(
-                    sign * (e.delay_grid_price - raw_price) <= self.params.min_distance
-                    for e in self.queue))
-                or not self.grid_min <= level <= self.grid_max):
+                or not spaced_and_reachable(sign, raw_price, level, self.queue,
+                                            self.params.min_distance,
+                                            self.grid_min, self.grid_max)):
             self._cloud_add(quantity, raw_price)
             return FORCED
 

@@ -11,12 +11,12 @@ Two execution engines produce bit-identical results:
 
   * scalar: one literal next_price/on_tick step per tick; the reference.
   * blocked: prices and intents come in vectorized blocks, and per-fill
-    Python runs only at events (next-event time advance): a delay
-    candidate while the queue has room, a tick at which a queued order
-    releases, or the backstop deadline.  The overlay takes every other
-    fill at once too, so the fills between events go in bulk, as int64
-    arrays (cumulative sums give the cloud before each fill); where those
-    sums could pass 2**62 every fill is an event, in exact ints.
+    Python runs only at events (next-event time advance): a fill that
+    enqueues, a tick at which a queued order releases, or the backstop
+    deadline.  The queue holds between events, so every other fill, a
+    forced delay candidate too, goes in bulk, as int64 arrays (cumulative
+    sums give the cloud before each fill); where those sums could pass
+    2**62 every fill is an event, in exact ints.
 
 Both engines hand each tick's releases and phase end to one _RunState
 step, settle, once the tick's fills are booked; the run set-up (the price
@@ -44,7 +44,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         DominanceEngine, DominanceParams, InvariantViolation,
                         PhaseReport, SimulationError, exceeds_tolerance,
                         phase_clause_failures, phase_pnl_diff_check,
-                        release_level)
+                        release_level, spaced_and_reachable)
 from .market import BUY, SELL, Instrument, Money, OrderLog, fill_price
 from .prices import (STREAM_DELAY, STREAM_PRICE,
                      STREAM_REPLICATION, PriceProcessConfig, next_price,
@@ -539,8 +539,11 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
             if len(engine.queue) < params.queue_cap:
                 cand = (draws.peek(k - stage1) < draws.probability) & exceeds_tolerance(
                     sg[stage1:], nums[stage1:k], dens[stage1:k], p[stage1:], params.tau)
-                if cand.any():
-                    c = stage1 + int(np.argmax(cand))
+                j = stage1 + np.flatnonzero(cand)
+                j = j[spaced_and_reachable(sg[j], p[j], release_level(  # that enqueue
+                    sg[j], nums[j], dens[j], params.gamma), engine.queue,
+                    params.min_distance, config.price.grid_min, config.price.grid_max)]
+                c = int(j[0]) if len(j) else k
         fill_tick = int(at[c]) if c < k else n
         deadline = engine.backstop_deadline()
         d = n if deadline is None else min(deadline - (t + 1), n)

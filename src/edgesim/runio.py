@@ -290,8 +290,8 @@ def parse_rows(data: bytes, line: int = 1) -> np.ndarray:
 
 
 def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
-    """Write phases.csv, delayed_orders.csv, summary.json, and (when the
-    run recorded its tick series) ticks.csv into out_dir."""
+    """Write phases.csv, delayed_orders.csv, summary.json, and ticks.csv
+    exactly when the run recorded its tick series, into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -305,6 +305,7 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
         (out / name).write_bytes("".join(",".join(map(str, row)) + "\n"
                                          for row in (header, *rows)).encode())
 
+    (out / TICKS_CSV).unlink(missing_ok=True)       # an earlier run's
     if report.ticks is not None:
         t = report.ticks
         cols = (t.time, t.price, t.pnl_s, t.pnl_sstar, t.diff)

@@ -21,8 +21,9 @@ final time, price and diff, both drawdowns) and from the config echo
 (stop_reason, null drawdowns without ticks, and the currency strings as
 the tick and quanta results times tick_size).  Each clause yields one
 verdict; a violation names the first offending phase, order, tick or
-result.  A summary.json whose keys, schema, seed or verdicts (clauses,
-passes and counts) simulate could not have written is refused by name.
+result.  Phase numbers, order ids, and summary.json keys, schema, seed
+or verdicts (clauses, passes and counts) that simulate could not have
+written are refused by name.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class Verdict:
 
 def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) -> dict:
     """fail(clause, detail) each violated clause at its first offender;
-    return the summary.json results that the records derive."""
+    return the summary.json results that the records derive.  Phases not
+    numbered 1..n, or order ids not rising from 1 with t_delay (one fill a
+    tick), raise ValueError naming the file and line."""
     margin = config.dominance.gamma + config.dominance.tau
     cap = config.dominance.queue_cap
     m = config.instrument.multiplier
@@ -65,10 +68,15 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
                     + [(r["t_exec"], 1, r["order_id"], r) for r in records]
                     + [(p["end_time"], 2, k, p) for k, p in enumerate(phases)],
                     key=lambda e: e[:3])
-    queued = q_delayed = telescoping = gap_sum = n_phase = end = prev = 0
-    for t, kind, _, row in events:
+    queued = q_delayed = telescoping = gap_sum = n_phase = end = prev = last_id = 0
+    last_t = None
+    for t, kind, key, row in events:
         if kind == 0:
-            queued += 1
+            if key <= last_id or t == last_t:
+                raise ValueError(f"{DELAYED_CSV} line {records.index(row) + 2}: order "
+                                 f"{key} delayed at t={t}, but ids rise from 1 with "
+                                 f"t_delay, one a tick")
+            queued, last_id, last_t = queued + 1, key, t
             if queued > cap:
                 fail(CLAUSE_QUEUE_CAP, f"at t={t} queue occupancy {queued} "
                      f"exceeds cap {cap} (order {row['order_id']})")
@@ -86,6 +94,9 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
             gap_sum += gap
             n_phase += 1
         else:
+            if row["phase"] != key + 1:
+                raise ValueError(f"{PHASES_CSV} line {key + 2}: phase {row['phase']}, "
+                                 f"but phases run 1, 2, ...")
             phase, diff = f"phase {row['phase']}", row["diff_quanta"]
             _compare(fail, CLAUSE_PHASE_IDENTITY, phase, row,
                      {"q_delayed": q_delayed, "n_delayed": n_phase}, "the records")

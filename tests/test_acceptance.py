@@ -201,9 +201,10 @@ def test_criterion_7_mutation_audit(tmp_path):
     def overlap_records(body):
         assert len(body) >= 4
         latest = max(int(r[5]) for r in body)
-        for k in range(4):
-            body[k][3] = str(k + 1)
-            body[k][5] = str(latest + 10)
+        # delayed in order-id order, as ids rise with the delay tick
+        for k, row in enumerate(sorted(body[:4], key=lambda r: int(r[0]))):
+            row[3] = str(k + 1)
+            row[5] = str(latest + 10)
 
     mutate_csv(run_c, DELAYED_CSV, overlap_records)
     flagged = {v.clause for v in verify_run(run_c) if not v.passed}

@@ -14,10 +14,11 @@ from edgesim.accounting import pnl_direct
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
                                CLAUSE_POSITION_MATCH, CLAUSE_POSITIVITY,
-                               CLAUSE_QUEUE_CAP, ENQUEUE, DelayQueueEntry,
-                               DominanceEngine, DominanceParams,
-                               InvariantViolation, SimulationError,
-                               StrandedOrderError)
+                               CLAUSE_QUEUE_CAP, ENQUEUE, FORCED,
+                               DelayQueueEntry, DominanceEngine,
+                               DominanceParams, InvariantViolation,
+                               SimulationError, StrandedOrderError,
+                               release_level)
 from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
                              default_config, replication_seed, run_simulation,
                              sweep)
@@ -304,6 +305,54 @@ def test_records_carry_their_queue_entries(engine, monkeypatch):
     for r in rep.records:
         assert DelayQueueEntry(**{f.name: getattr(r, f.name)
                                   for f in fields(DelayQueueEntry)}) == entries[r.order_id]
+
+
+def _log_decisions(monkeypatch) -> list[str]:
+    """Log each on_base_fill call's action, with a candidate forced while
+    the queue had room logged as "reach" when its gain level is off the
+    grid, else as "spacing"."""
+    log = []
+    on_base_fill = DominanceEngine.on_base_fill
+
+    def logged(self, order_id, sign, quantity, time, raw_price, fill):
+        (num, den), room = self.cloud, len(self.queue) < self.params.queue_cap
+        action = on_base_fill(self, order_id, sign, quantity, time, raw_price, fill)
+        outcome = action
+        if action == FORCED and room:
+            level = release_level(sign, num, den, self.params.gamma)
+            outcome = "spacing" if self.grid_min <= level <= self.grid_max else "reach"
+        log.append(outcome)
+        return action
+
+    monkeypatch.setattr(DominanceEngine, "on_base_fill", logged)
+    return log
+
+
+# A grid of 23 ticks with gamma = 10: a gravity center more than a tick from
+# the middle puts one side's gain level off the grid.
+REACH_GUARD = RunConfig(
+    Instrument("R", 1, Decimal("0.01")),
+    PriceProcessConfig(grid_min=0, grid_max=23, start_price=0,
+                       stay_probability=Fraction(0)),
+    BaselineConfig(order_probability=Fraction(1, 2)),
+    DominanceParams(tau=1, gamma=10, queue_cap=3, stage1_fill_count=1),
+    RunSettings(master_seed=1, total_ticks=20_000, target_phases=None,
+                keep_orders=True))
+
+
+@pytest.mark.parametrize("cfg,reason", [(SPREAD_AND_SPACING, "spacing"),
+                                        (REACH_GUARD, "reach")],
+                         ids=["spacing", "reach"])
+def test_blocked_engine_decides_only_the_fills_that_enqueue(cfg, reason, monkeypatch):
+    # the scalar engine decides every fill, and some candidates are forced
+    # for the reason; the blocked engine takes those in bulk
+    log = _log_decisions(monkeypatch)
+    scalar = run_simulation(cfg, engine="scalar")
+    assert len(log) == len(scalar.orders_s) and reason in log
+    enqueues = log.count(ENQUEUE)
+    log.clear()
+    assert_reports_equal(scalar, run_simulation(cfg, engine="blocked"))
+    assert log == [ENQUEUE] * enqueues
 
 
 @pytest.mark.parametrize("keep_orders", [True, False])

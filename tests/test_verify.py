@@ -95,11 +95,12 @@ def test_queue_cap_breach_fails_queue_clause(run_dir, tmp_path):
 
     def mutate(body):
         # stretch the first four entries into one overlapping window:
-        # delayed at consecutive early ticks, all executed late together
+        # delayed at consecutive early ticks in order-id order (ids rise
+        # with the delay tick), all executed late together
         latest = max(int(r[5]) for r in body)
-        for k in range(4):
-            body[k][3] = str(k + 1)          # t_delay
-            body[k][5] = str(latest + 10)    # t_exec
+        for k, row in enumerate(sorted(body[:4], key=lambda r: int(r[0]))):
+            row[3] = str(k + 1)          # t_delay
+            row[5] = str(latest + 10)    # t_exec
     _rewrite_csv(dst / DELAYED_CSV, mutate)
     assert CLAUSE_QUEUE_CAP in failed_clauses(verify_run(dst))
 
@@ -171,6 +172,15 @@ def _cut_after(path: Path, line: int) -> None:
     """Keep lines 1 .. line of path, the last without its newline."""
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:line])[:-1])
+
+
+def _order_id(run_dir: Path, line: int) -> int:
+    return int((run_dir / DELAYED_CSV).read_text().splitlines()[line - 1].split(",")[0])
+
+
+def _set_order_id(run_dir: Path, line: int, order_id: int) -> None:
+    _edit_line(run_dir / DELAYED_CSV, line,
+               lambda row: f"{order_id}," + row.split(",", 1)[1])
 
 
 def _writer_never_writes():
@@ -246,6 +256,17 @@ def _writer_never_writes():
            lambda s: s["results"].update(extra=0)),
           ("no_commissions", "result commissions_s_quanta",
            lambda s: s["results"].pop("commissions_s_quanta")))),
+    # Phases run 1..n, and order ids start at 1 and rise with the delay
+    # tick (line 2 holds an order delayed after line 3's).
+    pytest.param(lambda d: _edit_line(d / PHASES_CSV, 3, lambda row: "7" + row[1:]),
+                 "phases.csv line 3: phase 7, but phases run 1, 2, ...",
+                 id="phase_renumbered"),
+    pytest.param(lambda d: _set_order_id(d, 2, _order_id(d, 3)),
+                 "delayed_orders.csv line 2: order 65 delayed at t=3832",
+                 id="order_id_shared"),
+    pytest.param(lambda d: _set_order_id(d, 3, -5),
+                 "delayed_orders.csv line 3: order -5 delayed at t=3505",
+                 id="order_id_negative"),
     # int() reads no more digits than str() writes.
     *(pytest.param(lambda d, name=name, line=line: _edit_line(
                        d / name, line, lambda row: "1" + "0" * 5000 + row),
@@ -259,6 +280,24 @@ def test_cli_verify_refuses_a_malformed_run_dir(run_dir, tmp_path, capsys,
     tamper(dst)
     assert cli.main(["verify", str(dst)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("first,second", [(True, False), (False, True)],
+                         ids=["recorded_then_not", "unrecorded_then_recorded"])
+def test_simulate_into_a_reused_out_dir_verifies(tmp_path, capsys, first, second):
+    # the second run's files alone are left, so its own verify passes
+    out = tmp_path / "run"
+    for record_ticks in (first, second):
+        path = tmp_path / "short.yaml"
+        path.write_text(
+            "price: {grid_min: 9800, grid_max: 10200, stay_probability: 1/2}\n"
+            "strategy: {order_probability: 1/20}\n"
+            "dominance: {tau: 10, gamma: 10, queue_cap: 3, stage1_fill_count: 3}\n"
+            f"run: {{target_phases: 2, record_ticks: {str(record_ticks).lower()}}}\n")
+        assert cli.main(["simulate", str(path), "--seed", "11",
+                         "--out", str(out)]) == 0, capsys.readouterr().err
+    assert (out / TICKS_CSV).exists() == second
+    assert cli.main(["verify", str(out)]) == 0
 
 
 def _edit_result(run_dir: Path, key: str, edit) -> None:

@@ -96,9 +96,7 @@ def pnl_via_position(orders: Iterable[Order], price: int,
     Computed along an independent arithmetic path; equals pnl_direct exactly.
     """
     m = instrument.multiplier
-    sold = 0
-    bought = 0
-    pos = 0
+    sold = bought = pos = 0
     for o in orders:
         if o.sign == SELL:
             sold += o.price * o.quantity

@@ -225,8 +225,7 @@ class DominanceEngine:
         self.delay_draw = delay_draw
 
         # Order cloud over unadjusted grid prices: sum p*q and sum q.
-        self._cloud_num = 0
-        self._cloud_den = 0
+        self._cloud_num = self._cloud_den = 0
 
         self.phase_index = 1
         self.stage1_remaining = params.stage1_fill_count

@@ -92,6 +92,10 @@ class RunSettings:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
+    @property
+    def stop_reason(self) -> str:
+        return "total_ticks" if self.total_ticks is not None else "target_phases"
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -155,9 +159,8 @@ class RunReport:
 
     @property
     def mean_order_gap(self) -> Fraction | None:
-        if not self.records:
-            return None
-        return Fraction(sum(r.gap for r in self.records), len(self.records))
+        records = self.records
+        return Fraction(sum(r.gap for r in records), len(records)) if records else None
 
 
 class _DelayDraws:
@@ -403,8 +406,7 @@ class _RunState:
 
     # -- report --------------------------------------------------------------
 
-    def build_report(self, seed: int, final_time: int, final_price: int,
-                     stop_reason: str) -> RunReport:
+    def build_report(self, seed: int, final_time: int, final_price: int) -> RunReport:
         series = self.tick_series(final_time)
         # Drawdowns need the per-tick series; None without it.
         dd_s = dd_star = None
@@ -428,7 +430,7 @@ class _RunState:
             max_drawdown_s=dd_s, max_drawdown_sstar=dd_star,
             commissions_s=self.config.run.commission_per_unit * qty_s,
             commissions_sstar=self.config.run.commission_per_unit * qty_star,
-            stop_reason=stop_reason, verdicts=verdicts,
+            stop_reason=self.config.run.stop_reason, verdicts=verdicts,
             ticks=series, orders_s=self.orders_s, orders_sstar=self.orders_star)
 
 
@@ -456,14 +458,14 @@ def run_simulation(config: RunConfig, master_seed: int | None = None,
 
     state = _RunState(config, seed)
     if engine == "scalar":
-        final_time, final_price, reason = _run_scalar(config, state, per_tick_audit)
+        final_time, final_price = _run_scalar(config, state, per_tick_audit)
     else:
-        final_time, final_price, reason = _run_blocked(config, state)
-    return state.build_report(seed, final_time, final_price, reason)
+        final_time, final_price = _run_blocked(config, state)
+    return state.build_report(seed, final_time, final_price)
 
 
 def _run_scalar(config: RunConfig, state: _RunState,
-                per_tick_audit: bool) -> tuple[int, int, str]:
+                per_tick_audit: bool) -> tuple[int, int]:
     pcfg, scfg, rng = config.price, config.strategy, state.price_rng
     t, price = 0, pcfg.start_price
     path = state.path_prices if state.record_ticks else None
@@ -478,13 +480,11 @@ def _run_scalar(config: RunConfig, state: _RunState,
         pending = baseline_on_tick(scfg, t, state.streams)
         if path is not None:
             path.append(price)
-        if state.settle(t, price, per_tick_audit):
-            return t, price, "target_phases"
-        if total is not None and t >= total:
-            return t, price, "total_ticks"
+        if state.settle(t, price, per_tick_audit) or (total is not None and t >= total):
+            return t, price
 
 
-def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int, str]:
+def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int]:
     pcfg, scfg, rng = config.price, config.strategy, state.price_rng
     t, price = 0, pcfg.start_price
     total = config.run.total_ticks
@@ -500,17 +500,16 @@ def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int, str]:
         stop = _advance_block(config, state, t, prices, offsets + first, signs)
         if stop is not None:
             return stop
-        t += n
-        price = int(prices[-1])
+        t, price = t + n, int(prices[-1])
         if total is not None and t >= total:
-            return t, price, "total_ticks"
+            return t, price
 
 
 def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarray,
                    fill_at: np.ndarray, signs: np.ndarray
-                   ) -> tuple[int, int, str] | None:
+                   ) -> tuple[int, int] | None:
     """Apply the fills and releases of the block of ticks t+1 .. t+n, one
-    event at a time; returns the stop if the phase target is reached.
+    event at a time; returns (tick, price) once the phase target is met.
 
     The fills before the next event go in bulk; the event goes through
     base_fill or settle, so a fill and a release at one tick keep the
@@ -559,7 +558,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         if r is not None:
             tick, price = t + 1 + r, int(prices[r])
             if state.settle(tick, price):
-                return tick, price, "target_phases"
+                return tick, price
             pos = r + 1
         elif c < k:
             # releases at the fill's tick are scanned on the next pass

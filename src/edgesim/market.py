@@ -68,38 +68,31 @@ class Order:
 
 
 class OrderLog(Sequence[Order]):
-    """Append-only fills as (5, n) columns id, time, sign, price, quantity.
-    Single rows are buffered and go in as one block before the next block,
-    so fill order is kept.  Read as a Sequence[Order], each Order is built,
-    and validated, on access; a log equals a log or list of the same rows."""
+    """Append-only fills as a list of (5, k) column blocks: id, time, sign,
+    price, quantity, in int64, or as objects where a value does not fit.
+    Logs share blocks (S and S* the bulk fills they both take), so a block
+    is never written after it is appended.  Read as a Sequence[Order], each Order is
+    built, and validated, on access; a log equals a log or list of the same
+    rows."""
 
     def __init__(self, orders: Iterable[Order] = ()):
-        self._blocks = [np.empty((5, 0), dtype=np.int64)]
-        self._rows = [(o.id, o.time, o.sign, o.price, o.quantity) for o in orders]
+        rows = [(o.id, o.time, o.sign, o.price, o.quantity) for o in orders]
+        self._blocks = [int64_array(rows).reshape(-1, 5).T]
 
     def append(self, *row: int) -> None:
-        """Buffer one row: id, time, sign, price, quantity."""
-        self._rows.append(row)
+        """Append one row, id, time, sign, price, quantity, as a (5, 1) block."""
+        self._blocks.append(int64_array(row).reshape(5, 1))
 
     def append_block(self, block: np.ndarray) -> None:
-        """Append a (5, k) block of rows after the buffered ones."""
-        self._flush()
+        """Append a (5, k) block of rows; the log keeps it as it is."""
         self._blocks.append(block)
 
     def columns(self) -> np.ndarray:
-        """Every row so far, joined once and kept."""
-        self._flush()
-        if len(self._blocks) > 1:
-            self._blocks = [np.concatenate(self._blocks, axis=1)]
-        return self._blocks[0]
-
-    def _flush(self) -> None:
-        if self._rows:
-            self._blocks.append(int64_array(self._rows).T)
-            self._rows = []
+        """Every row so far, joined afresh: the log keeps only its blocks."""
+        return np.concatenate(self._blocks, axis=1)
 
     def __len__(self) -> int:
-        return self.columns().shape[1]
+        return sum(block.shape[1] for block in self._blocks)
 
     def __getitem__(self, index):
         rows = self.columns()[:, index].T.tolist()

@@ -67,7 +67,7 @@ import yaml
 
 from .dominance import DominanceParams
 from .harness import RunConfig, RunReport, RunSettings, SweepRow
-from .market import Instrument, quanta_to_currency
+from .market import Instrument
 from .prices import PriceProcessConfig
 from .strategies import BaselineConfig
 
@@ -185,11 +185,9 @@ def summary_dict(report: RunReport) -> dict:
         "results": {
             "final_time": report.final_time,
             "final_price_ticks": report.final_price,
-            "final_price_currency": str(
-                report.final_price * instrument.tick_size),
+            "final_price_currency": str(report.final_price * instrument.tick_size),
             "final_diff_quanta": report.final_diff,
-            "final_diff_currency": str(
-                quanta_to_currency(report.final_diff, instrument)),
+            "final_diff_currency": str(report.final_diff * instrument.tick_size),
             "phases_completed": report.phases_completed,
             "q_delayed_total": report.q_delayed_total,
             "n_delayed_orders": len(report.records),

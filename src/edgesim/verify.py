@@ -5,15 +5,18 @@ trusting any in-run bookkeeping.  Events run in (tick, kind, id) order: a
 tick's delays enter the queue (the queue-cap check runs on each), then
 its executions leave it (each checks its gap and adds to the running Q_D,
 the telescoping sum and the phase's n_delayed), then a phase of
-phases.csv that ends at the tick closes.  At each phase end the row's
-q_delayed and n_delayed must equal the derived values and the queue must
-be empty, and dominance.phase_clause_failures, which judges the run's
-own phase ends, judges the row's diff and bound against the derived
-telescoping sum, Q_D and n_delayed.  Executions after the last phase end
-are accepted only in a total_ticks run, as the run itself accepts them.
+phases.csv that ends at the tick closes.  A phase ends at the release
+that empties the queue: at its last execution, with none queued.  Its
+q_delayed and n_delayed must be the derived ones, and
+dominance.phase_clause_failures, the run's own phase-end judge, judges
+its diff and bound against the derived telescoping sum, Q_D and
+n_delayed.  Executions after the last phase end are accepted only in a
+total_ticks run, as the run itself accepts them.
 ticks.csv exists exactly when the config echo says run.record_ticks; its
 check streams it in blocks, with the grammar format_rows writes (see
-runio), in bounded memory however long the run.
+runio), in bounded memory, and looks up the diff at each phase end and
+the price at each record's t_delay and t_exec, so a one-tick shift of
+either time is caught only where the price moved.
 Every summary.json result but the commissions is compared with one table
 derived from the replay (the record totals; the final time, and the
 final diff of a target_phases stop), from ticks.csv when recorded (the
@@ -40,8 +43,9 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_TICK_CONSISTENCY, phase_clause_failures)
 from .harness import ORACLE_CHECK, VERDICT_CLAUSES, RunConfig
 from .runio import (DELAYED_CSV, DELAYED_HEADER, PHASES_CSV, PHASES_HEADER,
-                    SUMMARY_JSON, SUMMARY_SCHEMA, TICKS_CSV, config_from_dict,
-                    config_to_dict, read_int_csv, read_summary, read_ticks)
+                    SUMMARY_JSON, SUMMARY_SCHEMA, TICKS_CSV, TICKS_HEADER,
+                    config_from_dict, config_to_dict, read_int_csv, read_summary,
+                    read_ticks)
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
                     + [(p["end_time"], 2, k, p) for k, p in enumerate(phases)],
                     key=lambda e: e[:3])
     queued = q_delayed = telescoping = gap_sum = n_phase = end = prev = last_id = 0
-    last_t = None
+    last_t = last_exec = None
     for t, kind, key, row in events:
         if kind == 0:
             if key <= last_id or t == last_t:
@@ -92,7 +96,7 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
             q_delayed += row["qty"]
             telescoping += gap * row["qty"]
             gap_sum += gap
-            n_phase += 1
+            n_phase, last_exec = n_phase + 1, t
         else:
             if row["phase"] != key + 1:
                 raise ValueError(f"{PHASES_CSV} line {key + 2}: phase {row['phase']}, "
@@ -100,9 +104,10 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
             phase, diff = f"phase {row['phase']}", row["diff_quanta"]
             _compare(fail, CLAUSE_PHASE_IDENTITY, phase, row,
                      {"q_delayed": q_delayed, "n_delayed": n_phase}, "the records")
-            if queued:
-                fail(CLAUSE_PHASE_IDENTITY,
-                     f"{phase}: {queued} delayed orders still queued at its end")
+            if queued or t != last_exec:
+                fail(CLAUSE_PHASE_IDENTITY, f"{phase}: ends at t={t}, not at the "
+                     f"release that empties the queue ({queued} delayed orders "
+                     f"queued, the last execution at t={last_exec})")
             derived, bound = m * telescoping, row["lower_bound_quanta"]
             for clause in phase_clause_failures(diff, (derived,), q_delayed, n_phase,
                                                 bound, prev, m, config.dominance):
@@ -131,16 +136,28 @@ def _compare(fail, clause: str, where: str, row: dict, derived: dict, source: st
             fail(clause, f"{where}: {key} {got} != {value} from {source}")
 
 
-def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig,
-                            fail) -> dict:
+def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dict],
+                            config: RunConfig, fail) -> dict:
     """Stream ticks.csv: rows t = 0, 1, ... in order, a price path from
     start_price moving at most one tick a row inside the grid, pnl_sstar =
-    pnl_s + diff on every row, each phase end's diff as in phases.csv.
+    pnl_s + diff on every row, and the cells the other files pin: the
+    start_price at t = 0, each phase end's diff as in phases.csv, and the
+    price at each record's t_delay and t_exec, its fill price plus sign *
+    half_spread.
     fail(detail) fails the clause, as does a file that read_ticks refuses.
     Returns the results the rows derive: the final time, price and diff
     and both max drawdowns."""
-    lo, hi = config.price.grid_min, config.price.grid_max
-    ends = np.array([p["end_time"] for p in phases], dtype=np.int64)
+    lo, hi, half = config.price.grid_min, config.price.grid_max, config.run.half_spread
+    # (tick, column, value, whose, file) in tick order: column 1 is the
+    # price, 4 the diff.  A negative tick ends the lookup and is missing.
+    pinned = sorted([(0, 1, config.price.start_price, "the start", SUMMARY_JSON)]
+                    + [(p["end_time"], 4, p["diff_quanta"], f"phase {p['phase']}",
+                        PHASES_CSV) for p in phases]
+                    + [(r[f"t_{when}"], 1, r[f"p_{when}_ticks"] + r["sign"] * half,
+                        f"order {r['order_id']}", DELAYED_CSV)
+                       for r in records for when in ("delay", "exec")],
+                    key=lambda cell: cell[0])
+    k = 0       # the next pinned cell
     peaks = np.full(2, np.iinfo(np.int64).min)
     drawdowns = np.zeros(2, np.uint64)
     n_rows, last = 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
@@ -151,8 +168,6 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig
             if len(bad):
                 fail(f"ticks.csv row {n_rows + bad[0]} has t={times[bad[0]]}; "
                      f"rows must run t = 0, 1, ...")
-            if n_rows == 0 and price[0] != last[1]:
-                fail(f"t=0: price {price[0]} != start_price {last[1]}")
             # An int64 step wraps into {-1, 0, 1} only from -2**63, which
             # read_ticks refuses.
             step = (np.diff(price, prepend=last[1]) + 1).view(np.uint64)
@@ -167,12 +182,12 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig
             if len(bad):
                 fail(f"t={times[bad[0]]}: diff column inconsistent with the "
                      f"two PnL columns")
-            inside = np.flatnonzero((ends >= n_rows) & (ends < n_rows + len(rows)))
-            for k in inside:
-                got = int(diff[ends[k] - n_rows])
-                if got != phases[k]["diff_quanta"]:
-                    fail(f"phase {phases[k]['phase']}: ticks.csv diff {got} "
-                         f"!= phases.csv diff {phases[k]['diff_quanta']}")
+            while k < len(pinned) and 0 <= pinned[k][0] < n_rows + len(rows):
+                t, col, value, whose, source = pinned[k]
+                if (got := int(rows[t - n_rows, col])) != value:
+                    fail(f"{whose}: ticks.csv {TICKS_HEADER.split(',')[col]} at "
+                         f"t={t} is {got}, but {source} gives {value}")
+                k += 1
             # Running peaks of both PnL columns; peak - pnl is in [0, 2**64).
             peak = np.maximum(np.maximum.accumulate(rows[:, 2:4]), peaks)
             drop = peak.view(np.uint64) - rows[:, 2:4].view(np.uint64)
@@ -180,10 +195,8 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], config: RunConfig
             n_rows, last = n_rows + len(rows), rows[-1]
     except ValueError as exc:
         fail(f"ticks.csv {exc}")
-    for p in phases:
-        if not 0 <= p["end_time"] < n_rows:
-            fail(f"phase {p['phase']}: end tick {p['end_time']} missing from "
-                 f"ticks.csv")
+    for t, _, _, whose, _ in pinned[k:]:
+        fail(f"{whose}: tick {t} missing from ticks.csv")
     return {"final_time": n_rows - 1, "final_price_ticks": int(last[1]),
             "final_diff_quanta": int(last[4]),
             "max_drawdown_s_quanta": int(drawdowns[0]),
@@ -258,8 +271,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
     fails: dict[str, str] = {}
     fail = fails.setdefault
     tick_size = config.instrument.tick_size
-    echoed = {"stop_reason": ("target_phases" if config.run.total_ticks is None
-                              else "total_ticks"),
+    echoed = {"stop_reason": config.run.stop_reason,
               "final_price_currency": str(results["final_price_ticks"] * tick_size),
               "final_diff_currency": str(results["final_diff_quanta"] * tick_size)}
     if not recorded:
@@ -274,7 +286,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
               CLAUSE_MONOTONICITY: phase_ends, CLAUSE_QUEUE_CAP: orders}
     if recorded:
         ticks = _check_tick_consistency(
-            run_dir, phases, config,
+            run_dir, phases, records, config,
             lambda detail: fail(CLAUSE_TICK_CONSISTENCY, detail))
         table.append((CLAUSE_TICK_CONSISTENCY, TICKS_CSV, ticks))
         passed[CLAUSE_TICK_CONSISTENCY] = (f"{ticks['final_time'] + 1} ticks, "

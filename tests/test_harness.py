@@ -393,16 +393,17 @@ def test_report_diff_matches_accounting_oracle():
 
 @pytest.mark.parametrize("engine", ["scalar", "blocked"])
 def test_the_accounting_oracle_sees_a_buffered_execution(engine, monkeypatch):
-    # one tick off in the S* execution that ends phase 1, while it is
-    # still a buffered row (not yet in a column block): only the oracle,
-    # which re-sums the kept orders, can see it
+    # one tick off in the S* execution that ends phase 1, in the (5, 1)
+    # block it was just appended as: only the oracle, which re-sums the
+    # kept orders, can see it
     apply_executions = harness._RunState.apply_executions
 
     def shift_the_phase_ending_execution(state, records):
         apply_executions(state, records)
         if state.engine.phase_index == 2 and not state.phases:
-            *head, price, quantity = state.orders_star._rows[-1]
-            state.orders_star._rows[-1] = (*head, price + 1, quantity)
+            block = state.orders_star._blocks[-1]
+            assert block.shape == (5, 1)
+            block[3, 0] += 1
 
     monkeypatch.setattr(harness._RunState, "apply_executions",
                         shift_the_phase_ending_execution)
@@ -420,6 +421,25 @@ def test_kept_orders_build_no_order_while_running(engine, monkeypatch):
     rep = run_simulation(quick(seed=13, phases=3), engine=engine)
     assert built == []
     assert rep.orders_s[0] == built[0]      # reading builds them
+
+
+def test_kept_orders_share_bulk_blocks_and_reading_keeps_them():
+    rep = run_simulation(quick(seed=13, phases=3), engine="blocked")
+    logs = rep.orders_s, rep.orders_sstar
+    star_ids = {id(block) for block in logs[1]._blocks}
+    shared = [block for block in logs[0]._blocks if id(block) in star_ids]
+    # the bulk fills are one block in both logs; a single fill of S alone
+    # (an enqueue) or of S* alone (a release) is a (5, 1) block of its own
+    assert sum(block.shape[1] for block in shared) > len(logs[0]) // 2
+    assert all(block.shape[1] <= 1 for log in logs for block in log._blocks
+               if not any(block is other for other in shared))
+    before = [[(block, block.copy()) for block in log._blocks] for log in logs]
+    for log in logs:
+        log.columns(), len(log), list(log)
+    for log, kept in zip(logs, before):
+        assert len(log._blocks) == len(kept)
+        for block, (was, values) in zip(log._blocks, kept):
+            assert block is was and np.array_equal(block, values)
 
 
 def test_positions_match_at_phase_ends():

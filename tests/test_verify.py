@@ -145,6 +145,70 @@ def test_execution_moved_past_its_phase_end_fails_identity(run_dir, tmp_path,
     assert CLAUSE_PHASE_IDENTITY in failed_clauses(verify_run(dst))
 
 
+@pytest.mark.parametrize("phase", [0, 1, 2])
+def test_phase_end_after_its_last_execution_fails_identity(run_dir, tmp_path, phase):
+    # a phase ends only at the release that empties the queue
+    dst = _copy(run_dir, tmp_path)
+    end = read_int_csv(dst, PHASES_CSV, PHASES_HEADER)[phase]["end_time"]
+
+    def mutate(body):
+        body[phase][1] = str(end + 1)
+
+    _rewrite_csv(dst / PHASES_CSV, mutate)
+    detail = {v.clause: v.detail for v in verify_run(dst) if not v.passed}
+    assert detail[CLAUSE_PHASE_IDENTITY] == (
+        f"phase {phase + 1}: ends at t={end + 1}, not at the release that "
+        f"empties the queue (0 delayed orders queued, the last execution at "
+        f"t={end})")
+
+
+# delayed_orders.csv columns: order_id, sign, qty, t_delay, p_delay_ticks,
+# t_exec, p_exec_ticks, gap_ticks.  Each edit of the first order keeps its
+# gap, so only the prices ticks.csv holds at its two ticks can catch it.
+def _both_prices_up_7(row):
+    row[4], row[6] = str(int(row[4]) + 7), str(int(row[6]) + 7)
+
+
+def _both_times_back_50(row):
+    row[3], row[5] = str(int(row[3]) - 50), str(int(row[5]) - 50)
+
+
+def _sign_flipped_prices_swapped(row):
+    row[1], row[4], row[6] = str(-int(row[1])), row[6], row[4]
+
+
+def _delay_a_tick_late(row):
+    row[3] = str(int(row[3]) + 1)
+
+
+def _execution_a_tick_early(row):
+    row[5] = str(int(row[5]) - 1)
+
+
+@pytest.mark.parametrize("edit", [_both_prices_up_7, _both_times_back_50,
+                                  _sign_flipped_prices_swapped, _delay_a_tick_late,
+                                  _execution_a_tick_early])
+def test_order_off_its_price_path_fails_consistency(run_dir, tmp_path, edit):
+    dst = _copy(run_dir, tmp_path)
+    order = read_int_csv(dst, DELAYED_CSV, DELAYED_HEADER)[0]["order_id"]
+    _rewrite_csv(dst / DELAYED_CSV, lambda body: edit(body[0]))
+    detail = {v.clause: v.detail for v in verify_run(dst) if not v.passed}
+    assert list(detail) == [CLAUSE_TICK_CONSISTENCY]
+    assert detail[CLAUSE_TICK_CONSISTENCY].startswith(f"order {order}: ")
+
+
+def test_execution_a_tick_late_where_the_price_held_verifies(run_dir, tmp_path):
+    # ticks.csv pins the price at t_exec alone; the first order's price is
+    # the same a tick later, so moving its execution there is not caught
+    dst = _copy(run_dir, tmp_path)
+    t_exec = read_int_csv(dst, DELAYED_CSV, DELAYED_HEADER)[0]["t_exec"]
+    prices = np.concatenate(list(read_ticks(dst)))[:, 1]
+    assert prices[t_exec + 1] == prices[t_exec]
+    _rewrite_csv(dst / DELAYED_CSV, lambda body: body[0].__setitem__(
+        5, str(t_exec + 1)))
+    assert all_passed(verify_run(dst))
+
+
 def _edit_summary(run_dir: Path, edit) -> None:
     """Rewrite summary.json after edit changes it in place."""
     summary = read_summary(run_dir)

@@ -14,9 +14,12 @@ Two execution engines produce bit-identical results:
     Python runs only at events (next-event time advance): a fill that
     enqueues, a tick at which a queued order releases, or the backstop
     deadline.  The queue holds between events, so every other fill, a
-    forced delay candidate too, goes in bulk, as int64 arrays (cumulative
-    sums give the cloud before each fill); where those sums could pass
-    2**62 every fill is an event, in exact ints.
+    forced delay candidate too, goes in bulk, as int64 arrays (the cloud
+    before each fill only where a delay or release test reads it, the
+    running sums by two reductions); where those sums could pass 2**62
+    every fill is an event, in exact ints.  Blocks of 12,288 ticks keep
+    each int64 temporary under glibc's 128 KiB mmap threshold; no result
+    depends on the block size.
 
 Both engines hand each tick's releases and phase end to one _RunState
 step, settle, once the tick's fills are booked; the run set-up (the price
@@ -52,7 +55,7 @@ from .prices import (STREAM_DELAY, STREAM_PRICE,
 from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
                          baseline_streams, intent_block)
 
-_BLOCK = 8192
+_BLOCK = 12288
 _DELAY_CHUNK = 4096
 
 # The verdict naming the independent accounting oracle, which re-derives
@@ -240,36 +243,40 @@ class _RunState:
         self.w_s += sign * fill * quantity
         self.sq_s += sign * quantity
         if self.orders_s is not None:
-            self.orders_s.append(self.order_count, time, sign, fill, quantity)
+            row = self.orders_s.append(self.order_count, time, sign, fill, quantity)
         action = self.engine.on_base_fill(self.order_count, sign, quantity,
                                           time, raw_price, fill)
         if action != ENQUEUE:
             self.w_star += sign * fill * quantity
             self.sq_star += sign * quantity
             if self.orders_star is not None:
-                self.orders_star.append(self.order_count, time, sign, fill, quantity)
+                self.orders_star.append_block(row)    # the fill S took
         if self.record_ticks:
             self.emit_row(time)
 
-    def mirror_fills(self, times: np.ndarray, raw_prices: np.ndarray,
+    def mirror_fills(self, start: int, at: np.ndarray, raw_prices: np.ndarray,
                      signs: np.ndarray, quantity: int) -> None:
-        """base_fill in bulk for fills that the overlay takes at once too
-        (int64 sums, bounded by the blocked engine's guard)."""
+        """base_fill in bulk for the fills at ticks start + at that the
+        overlay takes at once too.  The sums are two reductions (fill = raw -
+        sign * half_spread; the int64 guard bounds |signs @ raw|, the rest is
+        in Python ints); per-fill arrays only for kept orders or ticks."""
         self.engine.mirror_fills(raw_prices, quantity)
-        fills = fill_price(raw_prices, signs, self.half_spread)
-        flows = signs * fills * quantity
-        if self.orders_s is not None and len(times):
-            ids = np.arange(self.order_count + 1, self.order_count + len(times) + 1)
+        if self.orders_s is not None or self.record_ticks:
+            times = start + at
+            fills = fill_price(raw_prices, signs, self.half_spread)
+        if self.orders_s is not None:
+            ids = np.arange(self.order_count + 1, self.order_count + len(at) + 1)
             block = np.array((ids, times, signs, fills, np.full_like(ids, quantity)))
             self.orders_s.append_block(block)
             self.orders_star.append_block(block)
         if self.record_ticks:
             self._marks += [(time, self.w_s + w, self.sq_s + sq, self.w_star + w,
                              self.sq_star + sq) for time, w, sq in zip(
-                times.tolist(), np.cumsum(flows).tolist(),
+                times.tolist(), np.cumsum(signs * fills * quantity).tolist(),
                 (np.cumsum(signs) * quantity).tolist())]
-        self.order_count += len(times)
-        flow, position = int(flows.sum()), int(signs.sum()) * quantity
+        self.order_count += len(at)
+        flow = quantity * (int(signs @ raw_prices) - self.half_spread * len(at))
+        position = quantity * int(signs.sum())
         self.w_s += flow
         self.w_star += flow
         self.sq_s += position
@@ -385,9 +392,9 @@ class _RunState:
                 f"or strategy.quantity, or set run.record_ticks: false")
         marks = np.array(self._marks, dtype=np.int64)
         n = final_time + 1
-        # One allocation holds the five columns, filled a block of ticks at
-        # a time: no temporary is series-sized, so the run's peak memory
-        # does not hinge on where the allocator puts a dozen large arrays.
+        # One allocation holds the five columns, filled _BLOCK (12,288) ticks
+        # at a time: no temporary is series-sized, and a 96 KiB column chunk
+        # stays under glibc's 128 KiB mmap threshold, so peak memory is steady.
         time, price, pnl_s, pnl_star, diff = np.empty((5, n), dtype=np.int64)
         pos = 0
         for piece in (self.path_prices, *self._path_blocks):
@@ -505,6 +512,13 @@ def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int]:
             return t, price
 
 
+def _cloud_prefix(cloud: tuple[int, int], raw: np.ndarray, quantity: int):
+    """The cloud (nums[j], dens[j]) after the first j of the bulk fills at
+    raw prices raw, j = 0 .. len(raw), in int64 under the int64 guard."""
+    return (cloud[0] + np.concatenate(([0], np.cumsum(raw * quantity))),
+            cloud[1] + quantity * np.arange(len(raw) + 1))
+
+
 def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarray,
                    fill_at: np.ndarray, signs: np.ndarray
                    ) -> tuple[int, int] | None:
@@ -513,7 +527,8 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
 
     The fills before the next event go in bulk; the event goes through
     base_fill or settle, so a fill and a release at one tick keep the
-    scalar engine's order."""
+    scalar engine's order.  The delay test, run while the queue is below
+    its cap, and _first_release each build only the cloud they read."""
     engine, draws, params = state.engine, state.delay_draws, config.dominance
     quantity = config.strategy.quantity
     n = len(prices)
@@ -526,16 +541,12 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
     while True:
         at, sg, p = fill_at[i:], signs[i:], raw[i:]
         k = len(at)
-        num, den = engine.cloud
         stage1 = min(engine.stage1_remaining, k)
-        nums = dens = None
         c = 0            # the first fill that is an event, or k
-        if k and g * (den + k * quantity) < 2 ** 62:
-            # the cloud after the first j fills, j = 0 .. k
-            nums = num + np.concatenate(([0], np.cumsum(p * quantity)))
-            dens = den + quantity * np.arange(k + 1)
+        if k and g * (engine.cloud[1] + k * quantity) < 2 ** 62:
             c = k
             if len(engine.queue) < params.queue_cap:
+                nums, dens = _cloud_prefix(engine.cloud, p, quantity)
                 cand = (draws.peek(k - stage1) < draws.probability) & exceeds_tolerance(
                     sg[stage1:], nums[stage1:k], dens[stage1:k], p[stage1:], params.tau)
                 j = stage1 + np.flatnonzero(cand)
@@ -546,13 +557,13 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         fill_tick = int(at[c]) if c < k else n
         deadline = engine.backstop_deadline()
         d = n if deadline is None else min(deadline - (t + 1), n)
-        r = (_first_release(engine, prices, pos, min(fill_tick, d), at[:c], nums, dens)
+        r = (_first_release(engine, prices, pos, min(fill_tick, d), at[:c], p, quantity)
              if engine.queue else None)
         if r is None and d < n and d <= fill_tick:
             engine.check_phase_backstop(t + 1 + d)   # raises
         m = c if r is None else int(np.searchsorted(at[:c], r, side="right"))
         if m:
-            state.mirror_fills(t + 1 + at[:m], p[:m], sg[:m], quantity)
+            state.mirror_fills(t + 1, at[:m], p[:m], sg[:m], quantity)
         draws.skip(max(m - stage1, 0))
         i += m
         if r is not None:
@@ -570,30 +581,32 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
 
 
 def _first_release(engine: DominanceEngine, prices: np.ndarray, lo: int, hi: int,
-                   fill_at: np.ndarray, nums: np.ndarray | None,
-                   dens: np.ndarray | None) -> int | None:
+                   fill_at: np.ndarray, raw: np.ndarray, quantity: int) -> int | None:
     """The first block offset in [lo, hi) at which on_tick releases
-    something, or None.  fill_at are the bulk fills before hi; a tick sees
-    the cloud (nums[j], dens[j]) after the j of them at or before it."""
+    something, or None.  fill_at are the bulk fills before hi, at raw
+    prices raw; a tick sees the cloud after the j of them at or before it,
+    built only once a tick past a frozen bound has bulk fills before it."""
     seg = prices[lo:hi]
+    # Short of the frozen bounds nothing releases, whatever the cloud
+    # does: the stretch's max and min screen each side first.
     sides = [(sign, frozen) for sign, frozen in zip((SELL, BUY), engine.frozen_bounds)
-             if frozen is not None]
-    # Short of the frozen bounds nothing releases, whatever the cloud does.
-    mask = np.zeros(len(seg), dtype=bool)
-    for sign, frozen in sides:
-        mask |= (seg >= frozen) if sign == SELL else (seg <= frozen)
-    ticks = lo + np.flatnonzero(mask)
-    if not len(ticks):
+             if frozen is not None and len(seg)
+             and (seg.max() >= frozen if sign == SELL else seg.min() <= frozen)]
+    if not sides:
         return None
+    ticks = lo + np.flatnonzero(np.logical_or.reduce(
+        [(seg >= frozen) if sign == SELL else (seg <= frozen) for sign, frozen in sides]))
     now = dict(zip((SELL, BUY), engine.current_release_bounds()))
     after = np.searchsorted(fill_at, ticks, side="right")
+    j = int(after[-1])       # the bulk fills before the last such tick
+    if j:
+        nums, dens = _cloud_prefix(engine.cloud, raw[:j], quantity)
     hit = np.zeros(len(ticks), dtype=bool)
     for sign, frozen in sides:
         # the bound after j bulk fills; the current one in exact ints
-        bound = np.full(len(fill_at) + 1, now[sign], dtype=np.int64)
-        if len(fill_at):
-            level = release_level(sign, nums[1:len(bound)], dens[1:len(bound)],
-                                  engine.params.gamma)
+        bound = np.full(j + 1, now[sign], dtype=np.int64)
+        if j:
+            level = release_level(sign, nums[1:], dens[1:], engine.params.gamma)
             bound[1:] = sign * np.maximum(sign * level, sign * frozen)
         hit |= sign * (prices[ticks] - bound[after]) >= 0
     return int(ticks[np.argmax(hit)]) if hit.any() else None

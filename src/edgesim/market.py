@@ -79,9 +79,10 @@ class OrderLog(Sequence[Order]):
         rows = [(o.id, o.time, o.sign, o.price, o.quantity) for o in orders]
         self._blocks = [int64_array(rows).reshape(-1, 5).T]
 
-    def append(self, *row: int) -> None:
-        """Append one row, id, time, sign, price, quantity, as a (5, 1) block."""
-        self._blocks.append(int64_array(row).reshape(5, 1))
+    def append(self, *row: int) -> np.ndarray:
+        """Append one row, id, time, sign, price, quantity, as a (5, 1) block; return it."""
+        self._blocks.append(block := int64_array(row).reshape(5, 1))
+        return block
 
     def append_block(self, block: np.ndarray) -> None:
         """Append a (5, k) block of rows; the log keeps it as it is."""

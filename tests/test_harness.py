@@ -3,6 +3,7 @@ import tempfile
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ def test_engines_agree_on_default_profile():
                          run_simulation(cfg, engine="blocked"))
 
 
+def test_scalar_engine_keeps_a_mirrored_fill_once_for_both_logs():
+    # S* shares the block S appended for each fill it mirrors; only a
+    # release is a row of its own
+    cfg = quick(seed=5, phases=2, record_ticks=False)
+    scalar = run_simulation(cfg, engine="scalar")
+    s_blocks = {id(block) for block in scalar.orders_s._blocks}
+    own = [block for block in scalar.orders_sstar._blocks if id(block) not in s_blocks]
+    shared = len(scalar.orders_sstar._blocks) - len(own)
+    assert shared > 0
+    assert shared == len(scalar.orders_sstar) - len(scalar.records)
+    assert sum(block.shape[1] for block in own) == len(scalar.records)
+    blocked = run_simulation(cfg, engine="blocked")
+    assert scalar.orders_s == blocked.orders_s
+    assert scalar.orders_sstar == blocked.orders_sstar
+
+
 # -- phase records, read from the report alone ----------------------------------
 
 SPREAD_AND_SPACING = replace(
@@ -202,6 +219,22 @@ def _outcome(cfg, engine):
         return type(exc), str(exc)
 
 
+def _outcome_and_sums(cfg, engine):
+    """_outcome with the run's final running sums (W_s, SQ_s, W*, SQ*), or
+    None: without kept orders or recorded ticks no report field shows
+    them, as the diff takes only their differences."""
+    sums = [None]
+    build_report = harness._RunState.build_report
+
+    def keep_sums(state, *args):
+        sums.append((state.w_s, state.sq_s, state.w_star, state.sq_star))
+        return build_report(state, *args)
+
+    with mock.patch.object(harness._RunState, "build_report", keep_sums):
+        outcome = _outcome(cfg, engine)
+    return outcome, sums[-1]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_configs())
@@ -215,6 +248,16 @@ def test_engines_agree_on_fuzzed_configs(cfg):
             write_run_artifacts(blocked, out)
             verdicts = verify_run(out)
         assert all_passed(verdicts), verdicts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs())
+def test_engines_agree_on_fuzzed_configs_booked_by_sums(cfg):
+    # no kept orders and no recorded ticks: the blocked engine books its
+    # bulk fills by two reductions and builds no per-fill array
+    cfg = replace(cfg, run=replace(cfg.run, keep_orders=False, record_ticks=False))
+    assert _outcome_and_sums(cfg, "scalar") == _outcome_and_sums(cfg, "blocked")
 
 
 def _edge_config(rng: random.Random) -> dict:
@@ -549,35 +592,88 @@ BLOCK_EDGES = {
 }
 
 
-@pytest.mark.parametrize("edge", BLOCK_EDGES)
-def test_engines_agree_at_block_edges(edge, monkeypatch):
+# Each edge with kept orders and recorded ticks, and with neither ("-sums"),
+# where the blocked engine books its bulk fills by their sums alone.
+SUMS_ONLY = {"keep_orders": False, "record_ticks": False}
+
+
+@pytest.mark.parametrize("edge, bookkeeping",
+                         [(edge, {}) for edge in BLOCK_EDGES]
+                         + [(edge, SUMS_ONLY) for edge in BLOCK_EDGES],
+                         ids=[*BLOCK_EDGES, *(f"{edge}-sums" for edge in BLOCK_EDGES)])
+def test_engines_agree_at_block_edges(edge, bookkeeping, monkeypatch):
+    # the edge is found on the kept, recorded run: bookkeeping changes no
+    # decision
     seed, occurs = BLOCK_EDGES[edge]
     monkeypatch.setattr(harness, "_BLOCK", 16)
     cfg = edge_config(seed)
     blocked = run_simulation(cfg, engine="blocked")
     assert occurs(blocked, 16)
-    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+    if bookkeeping:
+        cfg = replace(cfg, run=replace(cfg.run, **bookkeeping))
+        assert _outcome_and_sums(cfg, "scalar") == _outcome_and_sums(cfg, "blocked")
+    else:
+        assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+
+
+def _bulk_fills(monkeypatch):
+    """A list of the fill count of each bulk stretch booked from now on."""
+    counts = []
+    mirror_fills = harness._RunState.mirror_fills
+
+    def count(state, start, at, *args):
+        counts.append(len(at))
+        return mirror_fills(state, start, at, *args)
+
+    monkeypatch.setattr(harness._RunState, "mirror_fills", count)
+    return counts
+
+
+def _agree_where_the_int64_guard_fails(keep_orders):
+    # prices near 2**55: beyond 2**62 // g units of cloud quantity the
+    # blocked engine takes every fill as an event, in exact ints; the unit
+    # commission counts the fills
+    cfg = edge_config(seed=7, grid_min=2 ** 55)
+    cfg = replace(cfg, run=replace(cfg.run, record_ticks=False, keep_orders=keep_orders,
+                                   commission_per_unit=1))
+    blocked = _outcome_and_sums(cfg, "blocked")
+    assert blocked[0].commissions_s > 2 ** 62 // (2 ** 55 + 40)
+    assert _outcome_and_sums(cfg, "scalar") == blocked
 
 
 def test_engines_agree_where_the_int64_guard_fails():
-    # prices near 2**55: beyond 2**62 // g units of cloud quantity the
-    # blocked engine takes every fill as an event, in exact ints
-    cfg = edge_config(seed=7, grid_min=2 ** 55)
-    cfg = replace(cfg, run=replace(cfg.run, record_ticks=False))
-    blocked = run_simulation(cfg, engine="blocked")
-    assert len(blocked.orders_s) > 2 ** 62 // (2 ** 55 + 40)
-    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+    _agree_where_the_int64_guard_fails(keep_orders=True)
 
 
-@pytest.mark.parametrize("grid_min", [2 ** 61 - 40, -2 ** 61])
-def test_engines_agree_at_the_int64_grid_bound(grid_min):
+def test_engines_agree_where_the_int64_guard_fails_booked_by_sums(monkeypatch):
+    # a stretch runs to its block's end, so only short blocks give
+    # stretches short enough for the guard while the cloud is small: then
+    # the two reductions run on prices near 2**55
+    monkeypatch.setattr(harness, "_BLOCK", 16)
+    bulk = _bulk_fills(monkeypatch)
+    _agree_where_the_int64_guard_fails(keep_orders=False)
+    assert sum(bulk) > 100
+
+
+@pytest.mark.parametrize("grid_min, bookkeeping",
+                         [(2 ** 61 - 40, {}), (-2 ** 61, {}),
+                          (2 ** 61 - 40, SUMS_ONLY), (-2 ** 61, SUMS_ONLY)],
+                         ids=[str(2 ** 61 - 40), str(-2 ** 61),
+                              f"{2 ** 61 - 40}-sums", f"{-2 ** 61}-sums"])
+def test_engines_agree_at_the_int64_grid_bound(grid_min, bookkeeping, monkeypatch):
     # the grid may reach +/-2**61 (PriceProcessConfig); beyond, the config
-    # is refused, and both engines run a grid at either end of the bound
+    # is refused, and both engines run a grid at either end of the bound.
+    # There the guard lets only a lone first fill go in bulk, so the
+    # sums-only runs take one-tick blocks: one reduction of |raw| ~ 2**61.
     cfg = edge_config(seed=7, grid_min=grid_min)
-    cfg = replace(cfg, run=replace(cfg.run, record_ticks=False))
-    blocked = run_simulation(cfg, engine="blocked")
-    assert blocked.phases_completed == cfg.run.target_phases
-    assert_reports_equal(run_simulation(cfg, engine="scalar"), blocked)
+    cfg = replace(cfg, run=replace(cfg.run, **{"record_ticks": False, **bookkeeping}))
+    if bookkeeping:
+        monkeypatch.setattr(harness, "_BLOCK", 1)
+    bulk = _bulk_fills(monkeypatch)
+    blocked = _outcome_and_sums(cfg, "blocked")
+    assert blocked[0].phases_completed == cfg.run.target_phases
+    assert _outcome_and_sums(cfg, "scalar") == blocked
+    assert sum(bulk) == 1 or not bookkeeping
 
 
 def test_long_phase_with_an_empty_queue_is_not_stranded():

@@ -9,7 +9,7 @@ from .dominance import (DelayedOrderRecord, DelayQueueEntry, DominanceEngine,
                         DominanceParams, InvariantViolation, PhaseReport,
                         SimulationError, StrandedOrderError, pair_extreme,
                         phase_pnl_diff_check, release_level)
-from .harness import (RunConfig, RunReport, RunSettings, SweepRow, TickSeries,
+from .harness import (RunConfig, RunReport, RunSettings, SweepRow,
                       default_config, run_simulation, sweep)
 from .market import (BUY, SELL, Instrument, Money, Order, OrderLog,
                      fill_price, quanta_to_currency)

@@ -5,7 +5,8 @@ baseline strategy (whose intents fill at the next tick's side-adjusted
 price) and to the dominance engine, computes both strategies' PnL
 exactly, and checks every end-of-phase proof obligation as it happens.
 Any violated clause aborts the run with InvariantViolation; a completed
-RunReport therefore certifies that every check passed.
+RunReport therefore certifies that every check passed.  With
+run.record_ticks its ticks are the rows of ticks.csv (see edgesim.runio).
 
 Two execution engines produce bit-identical results:
 
@@ -124,19 +125,6 @@ def default_config(**run_overrides) -> RunConfig:
 
 
 @dataclass
-class TickSeries:
-    """Per-tick outputs: one row per tick, t = 0 .. final."""
-    time: np.ndarray
-    price: np.ndarray
-    pnl_s: np.ndarray
-    pnl_sstar: np.ndarray
-    diff: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.time)
-
-
-@dataclass
 class RunReport:
     config: RunConfig
     master_seed: int
@@ -152,7 +140,7 @@ class RunReport:
     commissions_sstar: Money
     stop_reason: str
     verdicts: list[dict]
-    ticks: TickSeries | None = None
+    ticks: np.ndarray | None = None     # ticks.csv's rows, (n, 5) int64
     orders_s: OrderLog | None = None
     orders_sstar: OrderLog | None = None
 
@@ -372,9 +360,9 @@ class _RunState:
         self._marks.append((time, self.w_s, self.sq_s,
                             self.w_star, self.sq_star))
 
-    def tick_series(self, final_time: int) -> TickSeries | None:
-        """Rows t = 0 .. final_time: each tick's price under the last mark
-        at or before it, so the last event at a tick wins."""
+    def tick_series(self, final_time: int) -> np.ndarray | None:
+        """Rows t = 0 .. final_time of RunReport.ticks: each tick's price
+        under the last mark at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
         # With g the largest grid magnitude, half of 2 * m * max(|W| +
@@ -392,10 +380,11 @@ class _RunState:
                 f"or strategy.quantity, or set run.record_ticks: false")
         marks = np.array(self._marks, dtype=np.int64)
         n = final_time + 1
-        # One allocation holds the five columns, filled _BLOCK (12,288) ticks
-        # at a time: no temporary is series-sized, and a 96 KiB column chunk
-        # stays under glibc's 128 KiB mmap threshold, so peak memory is steady.
-        time, price, pnl_s, pnl_star, diff = np.empty((5, n), dtype=np.int64)
+        # One allocation holds the rows, its five column views filled _BLOCK
+        # (12,288) ticks at a time: no temporary is series-sized, and a 96 KiB
+        # one stays under glibc's 128 KiB mmap threshold, so memory is steady.
+        rows = np.empty((n, 5), dtype=np.int64)
+        time, price, pnl_s, pnl_star, diff = rows.T
         pos = 0
         for piece in (self.path_prices, *self._path_blocks):
             k = min(len(piece), n - pos)
@@ -409,17 +398,16 @@ class _RunState:
             pnl_s[lo:hi] = self.m * (w_s - price[lo:hi] * sq_s)
             pnl_star[lo:hi] = self.m * (w_star - price[lo:hi] * sq_star)
         np.subtract(pnl_star, pnl_s, out=diff)
-        return TickSeries(time, price, pnl_s, pnl_star, diff)
+        return rows
 
     # -- report --------------------------------------------------------------
 
     def build_report(self, seed: int, final_time: int, final_price: int) -> RunReport:
-        series = self.tick_series(final_time)
-        # Drawdowns need the per-tick series; None without it.
+        rows = self.tick_series(final_time)
+        # The drawdowns of the pnl_s and pnl_sstar columns; None without ticks.
         dd_s = dd_star = None
-        if series is not None:
-            dd_s = _max_drawdown(series.pnl_s)
-            dd_star = _max_drawdown(series.pnl_sstar)
+        if rows is not None:
+            dd_s, dd_star = _max_drawdown(rows[:, 2]), _max_drawdown(rows[:, 3])
         engine = self.engine
         # S fills every intent; S* all but those still queued.
         qty_s = self.order_count * self.config.strategy.quantity
@@ -438,13 +426,12 @@ class _RunState:
             commissions_s=self.config.run.commission_per_unit * qty_s,
             commissions_sstar=self.config.run.commission_per_unit * qty_star,
             stop_reason=self.config.run.stop_reason, verdicts=verdicts,
-            ticks=series, orders_s=self.orders_s, orders_sstar=self.orders_star)
+            ticks=rows, orders_s=self.orders_s, orders_sstar=self.orders_star)
 
 
 def _max_drawdown(pnl: np.ndarray) -> Money:
-    drawdown = np.maximum.accumulate(pnl)
-    drawdown -= pnl
-    return int(drawdown.max())
+    peaks = np.maximum.accumulate(pnl)
+    return int(np.subtract(peaks, pnl, out=peaks).max())
 
 
 def run_simulation(config: RunConfig, master_seed: int | None = None,

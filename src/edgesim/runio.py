@@ -41,8 +41,9 @@ multiplier without ticks writes diffs beyond int64) that str() writes:
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
 the run keeps its price path and one aggregate mark (the signed cash and
 position sums of S and S*) per fill or release, and the rows follow from
-the two, the last event at a tick winning.  format_rows writes it in
-blocks of rows, as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
+the two, the last event at a tick winning.  RunReport.ticks holds them in
+the file's layout, an (n, 5) int64 array, and format_rows writes blocks of
+them as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
 ticks needs every PnL to fit in a signed 64-bit integer; a run that could
 exceed it stops with an error naming the multiplier and the quantity
 (set run.record_ticks: false for such runs).  read_ticks streams the file
@@ -155,8 +156,11 @@ def config_from_dict(data: Mapping | None) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if data is not None and not isinstance(data, Mapping):
         raise ValueError(f"{path}: config root must be a mapping")
     return config_from_dict(data)
@@ -305,13 +309,10 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
 
     (out / TICKS_CSV).unlink(missing_ok=True)       # an earlier run's
     if report.ticks is not None:
-        t = report.ticks
-        cols = (t.time, t.price, t.pnl_s, t.pnl_sstar, t.diff)
         with open(out / TICKS_CSV, "wb") as fh:
             fh.write(TICKS_HEADER.encode() + b"\n")
-            for lo in range(0, len(t), _CHUNK_ROWS):
-                fh.write(format_rows(np.column_stack(
-                    [c[lo:lo + _CHUNK_ROWS] for c in cols])))
+            for lo in range(0, len(report.ticks), _CHUNK_ROWS):
+                fh.write(format_rows(report.ticks[lo:lo + _CHUNK_ROWS]))
 
     with open(out / SUMMARY_JSON, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
@@ -363,7 +364,7 @@ def read_summary(run_dir: str | Path) -> dict:
     with open(Path(run_dir) / SUMMARY_JSON, "r", encoding="utf-8") as fh:
         try:
             summary = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{SUMMARY_JSON}: not valid JSON: {exc}") from exc
     if not (isinstance(summary, dict) and isinstance(summary.get("config"), dict)
             and isinstance(summary.get("results"), dict)):
@@ -380,7 +381,7 @@ def write_sweep_csv(rows: list[SweepRow], path: str | Path) -> None:
                            "phases_completed", "q_delayed", "n_delayed",
                            "mean_gap_ticks", "note"])
         for row in rows:
-            mean_gap = "" if row.mean_gap is None else f"{float(row.mean_gap):.6f}"
+            mean_gap = "" if row.mean_gap is None else str(row.mean_gap)
             w.writerow([str(row.cell.get(k, "")) for k in keys]
                        + [row.replication, row.seed, row.status, row.final_diff,
                           row.phases_completed, row.q_delayed, row.n_delayed,

@@ -219,8 +219,9 @@ def test_criterion_8_degenerate_delay():
     cfg = default_config(master_seed=77, total_ticks=100_000, target_phases=None)
     cfg = replace(cfg, dominance=replace(cfg.dominance, delay_probability=0))
     rep = run_simulation(cfg)
-    assert np.all(rep.ticks.diff == 0)
-    assert np.array_equal(rep.ticks.pnl_s, rep.ticks.pnl_sstar)
+    _, _, pnl_s, pnl_sstar, diff = rep.ticks.T
+    assert np.all(diff == 0)
+    assert np.array_equal(pnl_s, pnl_sstar)
     assert rep.q_delayed_total == 0
     print("PASS criterion 8: with delays forced off the PnL difference "
           "is 0 at every one of 100000 ticks")

@@ -1,3 +1,4 @@
+import csv
 import random
 import tempfile
 from dataclasses import fields, replace
@@ -26,7 +27,7 @@ from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
 from edgesim.market import Instrument, Order
 from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
                             PriceProcessConfig, estimate_hitting_time)
-from edgesim.runio import config_from_dict, write_run_artifacts
+from edgesim.runio import config_from_dict, load_config, write_run_artifacts
 from edgesim.strategies import BaselineConfig
 from edgesim.verify import all_passed, verify_run
 
@@ -48,11 +49,7 @@ def quick(seed=11, phases=2, **run_overrides):
 
 def assert_reports_equal(a, b):
     assert replace(a, ticks=None) == replace(b, ticks=None)
-    if a.ticks is None or b.ticks is None:
-        assert a.ticks is None and b.ticks is None
-    else:
-        for name in ("time", "price", "pnl_s", "pnl_sstar", "diff"):
-            assert np.array_equal(getattr(a.ticks, name), getattr(b.ticks, name))
+    assert np.array_equal(a.ticks, b.ticks)     # both None, or the same rows
 
 
 def test_run_settings_validation():
@@ -428,7 +425,7 @@ def test_report_diff_matches_accounting_oracle():
         t = phase.end_time
         s_hist = [o for o in rep.orders_s if o.time <= t]
         star_hist = [o for o in rep.orders_sstar if o.time <= t]
-        price = int(rep.ticks.price[t])
+        price = int(rep.ticks[t, 1])
         diff = (pnl_direct(star_hist, price, inst)
                 - pnl_direct(s_hist, price, inst))
         assert diff == phase.pnl_diff
@@ -500,7 +497,7 @@ def test_positions_match_at_phase_ends():
 def test_diff_moves_only_while_positions_differ():
     cfg = quick(seed=19)
     rep = run_simulation(cfg)
-    diff = rep.ticks.diff
+    *_, diff = rep.ticks.T
     pending = np.zeros(rep.final_time + 2, dtype=bool)
     for r in rep.records:
         pending[r.delay_time:r.execution_time] = True
@@ -515,7 +512,8 @@ def test_degenerate_delay_keeps_diff_zero():
     cfg = without_delays(default_config(master_seed=23, total_ticks=40_000,
                                         target_phases=None))
     rep = run_simulation(cfg)
-    assert np.all(rep.ticks.diff == 0)
+    *_, diff = rep.ticks.T
+    assert np.all(diff == 0)
     assert rep.q_delayed_total == 0
     assert rep.phases == []
 
@@ -704,8 +702,9 @@ def test_mean_reverting_price_process_runs():
                                      reversion_strength=Fraction(1, 4)))
     rep = run_simulation(cfg)
     assert rep.final_time == 20_000
-    assert rep.ticks.price.min() >= 9000
-    assert rep.ticks.price.max() <= 11000
+    _, price, *_ = rep.ticks.T
+    assert price.min() >= 9000
+    assert price.max() <= 11000
 
 
 def test_default_engine_matches_scalar_on_mean_reverting_walk():
@@ -726,7 +725,7 @@ def test_total_ticks_mode_stops_exactly():
     cfg = default_config(master_seed=41, total_ticks=12_345, target_phases=None)
     rep = run_simulation(cfg)
     assert rep.final_time == 12_345
-    assert len(rep.ticks.time) == 12_346
+    assert rep.ticks.shape == (12_346, 5)
     assert rep.stop_reason == "total_ticks"
     assert rep.max_drawdown_s >= 0
 
@@ -757,16 +756,27 @@ def _pnl_from_orders(orders, price, multiplier):
 @pytest.mark.parametrize("engine", ["scalar", "blocked"])
 def test_tick_series_matches_order_lists(cfg, engine):
     rep = run_simulation(cfg, engine=engine)
-    ticks = rep.ticks
-    assert len(ticks) == rep.final_time + 1
-    assert np.array_equal(ticks.time, np.arange(rep.final_time + 1))
+    # the rows of ticks.csv, in its column order
+    assert rep.ticks.dtype == np.int64 and rep.ticks.flags.c_contiguous
+    assert rep.ticks.shape == (rep.final_time + 1, 5)
+    time, price, pnl_s, pnl_sstar, diff = rep.ticks.T
+    assert np.array_equal(time, np.arange(rep.final_time + 1))
     m = cfg.instrument.multiplier
-    pnl_s = _pnl_from_orders(rep.orders_s, ticks.price, m)
-    pnl_star = _pnl_from_orders(rep.orders_sstar, ticks.price, m)
-    assert np.array_equal(ticks.pnl_s, pnl_s)
-    assert np.array_equal(ticks.pnl_sstar, pnl_star)
-    assert np.array_equal(ticks.diff, pnl_star - pnl_s)
-    assert pnl_s.min() < 0 < pnl_s.max()
+    want_s = _pnl_from_orders(rep.orders_s, price, m)
+    want_star = _pnl_from_orders(rep.orders_sstar, price, m)
+    assert np.array_equal(pnl_s, want_s)
+    assert np.array_equal(pnl_sstar, want_star)
+    assert np.array_equal(diff, want_star - want_s)
+    assert want_s.min() < 0 < want_s.max()
+    # the drawdowns by a running peak in Python ints
+    for drawdown, pnl in ((rep.max_drawdown_s, want_s),
+                          (rep.max_drawdown_sstar, want_star)):
+        values = pnl.tolist()
+        peak, worst = values[0], 0
+        for value in values:
+            peak = max(peak, value)
+            worst = max(worst, peak - value)
+        assert drawdown == worst > 0
 
 
 def test_cli_refuses_a_tick_series_beyond_int64(tmp_path, capsys):
@@ -823,7 +833,8 @@ def _tick_series_with_mark(w, m=1):
 
 def test_int64_range_check_boundary():
     # The bound 2*m*max(...) is even: 2**63 - 2 is the largest that passes.
-    assert _tick_series_with_mark(2 ** 62 - 1).pnl_s[0] == 2 ** 62 - 1
+    _, _, pnl_s, _, _ = _tick_series_with_mark(2 ** 62 - 1).T
+    assert pnl_s[0] == 2 ** 62 - 1
     for w, m, bound in [(2 ** 62, 1, 2 ** 63), (-2 ** 63, 1, 2 ** 64),
                         (2 ** 61, 2, 2 ** 63),
                         (2 ** 64, 3, 3 * 2 ** 65)]:   # beyond int64: exact ints
@@ -927,3 +938,12 @@ def test_sweep_cli_parses_grid_values_as_config_fields(tmp_path):
     assert rows[0].startswith("tau,delay_probability,replication")
     assert [r.split(",")[:2] for r in rows[1:]] == [
         [tau, p] for tau in ("4", "5") for p in ("1/2", "3/4", "1")]
+    # each mean gap is its cell's run's exact Fraction, as in summary.json
+    config = load_config(path)
+    for row in csv.DictReader(rows):
+        cell = replace(config.dominance, tau=int(row["tau"]),
+                       delay_probability=Fraction(row["delay_probability"]))
+        gap = run_simulation(replace(config, dominance=cell),
+                             int(row["seed"])).mean_order_gap
+        assert row["status"] == "ok"
+        assert row["mean_gap_ticks"] == ("" if gap is None else str(gap))

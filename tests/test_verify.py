@@ -277,6 +277,9 @@ def _writer_never_writes():
     pytest.param(lambda d: (d / SUMMARY_JSON).write_text('{"config": '),
                  "summary.json: not valid JSON: Expecting value",
                  id="summary_cut_short"),
+    pytest.param(lambda d: (d / SUMMARY_JSON).write_bytes(b"\xff{}"),
+                 "summary.json: not valid JSON: 'utf-8' codec can't decode "
+                 "byte 0xff in position 0", id="summary_not_utf8"),
     pytest.param(lambda d: _edit_summary(d, lambda s: _dominance(s).pop("gamma")),
                  "summary.json: config key dominance.gamma is missing", id="no_gamma"),
     pytest.param(lambda d: _edit_summary(d, lambda s: _dominance(s).update(gamma="x")),
@@ -596,14 +599,12 @@ def test_ticks_csv_equals_savetxt_of_the_series(tmp_path):
     cfg = default_config(master_seed=41, total_ticks=150_000,
                          target_phases=None, half_spread=2)
     report = run_simulation(cfg)
-    t = report.ticks
-    assert t.pnl_s.min() < 0 and t.pnl_sstar.min() < 0
+    _, _, pnl_s, pnl_sstar, _ = report.ticks.T
+    assert pnl_s.min() < 0 and pnl_sstar.min() < 0
     write_run_artifacts(report, tmp_path)
     expected = io.BytesIO()
     expected.write((TICKS_HEADER + "\n").encode())
-    np.savetxt(expected, np.column_stack([t.time, t.price, t.pnl_s,
-                                          t.pnl_sstar, t.diff]),
-               fmt="%d", delimiter=",")
+    np.savetxt(expected, report.ticks, fmt="%d", delimiter=",")
     assert (tmp_path / TICKS_CSV).read_bytes() == expected.getvalue()
     assert all_passed(verify_run(tmp_path))
     # read back in several blocks, as np.loadtxt reads the whole file
@@ -849,6 +850,18 @@ def test_config_rejects_bad_keys_and_types(tmp_path, capsys, text, message):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_not_utf8_is_refused_by_name(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(b"\xffrun:\n  target_phases: 1\n")
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff in position 0"
+    with pytest.raises(ValueError) as refusal:
+        load_config(path)
+    assert str(refusal.value).startswith(message)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "run").exists()
 
 

@@ -17,8 +17,8 @@ Two execution engines produce bit-identical results:
     deadline.  The queue holds between events, so every other fill, a
     forced delay candidate too, goes in bulk, as int64 arrays (the cloud
     before each fill only where a delay or release test reads it, the
-    running sums by two reductions); where those sums could pass 2**62
-    every fill is an event, in exact ints.  Blocks of 12,288 ticks keep
+    running sums by two reductions); the first fill whose sums could pass
+    2**62 is an event, in exact ints.  Blocks of 12,288 ticks keep
     each int64 temporary under glibc's 128 KiB mmap threshold; no result
     depends on the block size.
 
@@ -199,6 +199,7 @@ class _RunState:
                                       self.delay_draws)
         self.streams: BaselineStreams = baseline_streams(seed)
         self.price_rng = substream(seed, STREAM_PRICE)
+        self._g = max(abs(config.price.grid_min), abs(config.price.grid_max))
 
         # Running integer aggregates: W = sum sign*price*qty, SQ = sum sign*qty.
         self.w_s = self.sq_s = self.w_star = self.sq_star = self.order_count = 0
@@ -211,11 +212,13 @@ class _RunState:
 
         # Tick record: the price path (the start price and the scalar
         # engine's prices, then the blocked engine's blocks) and one mark
-        # (t, W_s, SQ_s, W*, SQ*) per aggregate change.  tick_series derives
-        # every row from the two.
+        # (t, W_s, SQ_s, W*, SQ*) per aggregate change, the int64 columns of
+        # _marks[:, :_n_marks]; a run stops at the first mark _check_bounds
+        # refuses.  tick_series derives every row from the two.
         self.path_prices: list[int] = []
         self._path_blocks: list[np.ndarray] = []
-        self._marks: list[tuple[int, int, int, int, int]] = []
+        self._marks = np.empty((5, 1024), dtype=np.int64)
+        self._n_marks = 0
         self.emit_initial_row(config.price.start_price)
 
     # -- PnL ------------------------------------------------------------
@@ -258,10 +261,13 @@ class _RunState:
             self.orders_s.append_block(block)
             self.orders_star.append_block(block)
         if self.record_ticks:
-            self._marks += [(time, self.w_s + w, self.sq_s + sq, self.w_star + w,
-                             self.sq_star + sq) for time, w, sq in zip(
-                times.tolist(), np.cumsum(signs * fills * quantity).tolist(),
-                (np.cumsum(signs) * quantity).tolist())]
+            w, sq = np.cumsum(signs * fills * quantity), np.cumsum(signs) * quantity
+            marks = self._new_marks(len(at))
+            marks[:] = (times, self.w_s + w, self.sq_s + sq, self.w_star + w,
+                        self.sq_star + sq)
+            # Exact in int64 (guard, prior sums passed); each checked only if one may fail.
+            if 2 * self.m * (1 + self._g) * int(np.abs(marks[1:]).max()) >= 2 ** 63:
+                self._check_bounds(zip(*marks[1:].tolist()))
         self.order_count += len(at)
         flow = quantity * (int(signs @ raw_prices) - self.half_spread * len(at))
         position = quantity * int(signs.sum())
@@ -347,7 +353,7 @@ class _RunState:
         """Start the record: the price at t = 0 under zero aggregates."""
         if self.record_ticks:
             self.path_prices.append(price)
-            self._marks.append((0, 0, 0, 0, 0))
+            self._new_marks(1)[:, 0] = 0
 
     def emit_rows(self, prices: np.ndarray) -> None:
         """Record one walk_block block of the price path."""
@@ -357,28 +363,38 @@ class _RunState:
     def emit_row(self, time: int) -> None:
         """Mark the aggregates after an event at tick `time` (called only
         while ticks are recorded)."""
-        self._marks.append((time, self.w_s, self.sq_s,
-                            self.w_star, self.sq_star))
+        sums = (self.w_s, self.sq_s, self.w_star, self.sq_star)
+        self._check_bounds([sums])
+        self._new_marks(1)[:, 0] = (time, *sums)
+
+    def _new_marks(self, k: int) -> np.ndarray:
+        """The (5, k) columns of the next k marks, in one buffer whose capacity
+        doubles from 1,024: blocks or odd sizes fragmented the heap (+6 MB RSS)."""
+        n = self._n_marks
+        if n + k > self._marks.shape[1]:
+            self._marks = np.pad(self._marks, ((0, 0), (0, max(self._marks.shape[1], k))))
+        self._n_marks = n + k
+        return self._marks[:, n:n + k]
+
+    def _check_bounds(self, marks) -> None:
+        """Refuse the first mark (W_s, SQ_s, W*, SQ*) whose bound 2 * m * (|W| +
+        g * |SQ|) reaches 2**63: half of it bounds a PnL at every grid price (g
+        the largest grid magnitude), so the diff and drawdowns, and fits int64."""
+        g = self._g
+        for w_s, sq_s, w_star, sq_star in marks:
+            bound = 2 * self.m * max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
+            if bound >= 2 ** 63:
+                raise SimulationError(
+                    f"the tick series would overflow int64 (PnL bound {bound} "
+                    f"with instrument.multiplier {self.m}); use a smaller multiplier "
+                    f"or strategy.quantity, or set run.record_ticks: false")
 
     def tick_series(self, final_time: int) -> np.ndarray | None:
         """Rows t = 0 .. final_time of RunReport.ticks: each tick's price
         under the last mark at or before it, so the last event at a tick wins."""
         if not self.record_ticks:
             return None
-        # With g the largest grid magnitude, half of 2 * m * max(|W| +
-        # g * |SQ|) bounds each PnL at every grid price, so the bound covers
-        # the diff and drawdowns; below 2**63 every mark fits int64 too.
-        grid = self.config.price
-        g = max(abs(grid.grid_min), abs(grid.grid_max))
-        bound = 2 * self.m * max(
-            max(abs(w_s) + g * abs(sq_s), abs(w_star) + g * abs(sq_star))
-            for _, w_s, sq_s, w_star, sq_star in self._marks)
-        if bound >= 2 ** 63:
-            raise SimulationError(
-                f"the tick series would overflow int64 (PnL bound {bound} "
-                f"with instrument.multiplier {self.m}); use a smaller multiplier "
-                f"or strategy.quantity, or set run.record_ticks: false")
-        marks = np.array(self._marks, dtype=np.int64)
+        mark_t, w_s, sq_s, w_star, sq_star = self._marks[:, :self._n_marks]
         n = final_time + 1
         # One allocation holds the rows, its five column views filled _BLOCK
         # (12,288) ticks at a time: no temporary is series-sized, and a 96 KiB
@@ -393,10 +409,9 @@ class _RunState:
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             time[lo:hi] = np.arange(lo, hi)
-            at = np.searchsorted(marks[:, 0], time[lo:hi], side="right") - 1
-            w_s, sq_s, w_star, sq_star = marks[at, 1:].T
-            pnl_s[lo:hi] = self.m * (w_s - price[lo:hi] * sq_s)
-            pnl_star[lo:hi] = self.m * (w_star - price[lo:hi] * sq_star)
+            at = np.searchsorted(mark_t, time[lo:hi], side="right") - 1
+            pnl_s[lo:hi] = self.m * (w_s.take(at) - price[lo:hi] * sq_s.take(at))
+            pnl_star[lo:hi] = self.m * (w_star.take(at) - price[lo:hi] * sq_star.take(at))
         np.subtract(pnl_star, pnl_s, out=diff)
         return rows
 
@@ -520,27 +535,26 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
     quantity = config.strategy.quantity
     n = len(prices)
     raw = prices[fill_at]
-    # int64 guard: bulk sums are at most g * (den + the quantity left), and
-    # the delay and release tests add two such terms.  An empty stretch
-    # takes no sums, so a quantity beyond int64 never reaches numpy.
-    g = max(abs(config.price.grid_min), abs(config.price.grid_max)) + state.half_spread
+    # int64 guard: bulk sums are at most g * (den + the quantity booked), and
+    # the delay and release tests add two such terms; a stretch takes the
+    # fills that keep it below 2**62 (none of a quantity beyond int64).
+    g = state._g + state.half_spread
     i = pos = 0      # the next fill, the next tick to scan for releases
     while True:
         at, sg, p = fill_at[i:], signs[i:], raw[i:]
         k = len(at)
-        stage1 = min(engine.stage1_remaining, k)
-        c = 0            # the first fill that is an event, or k
-        if k and g * (engine.cloud[1] + k * quantity) < 2 ** 62:
-            c = k
-            if len(engine.queue) < params.queue_cap:
-                nums, dens = _cloud_prefix(engine.cloud, p, quantity)
-                cand = (draws.peek(k - stage1) < draws.probability) & exceeds_tolerance(
-                    sg[stage1:], nums[stage1:k], dens[stage1:k], p[stage1:], params.tau)
-                j = stage1 + np.flatnonzero(cand)
-                j = j[spaced_and_reachable(sg[j], p[j], release_level(  # that enqueue
-                    sg[j], nums[j], dens[j], params.gamma), engine.queue,
-                    params.min_distance, config.price.grid_min, config.price.grid_max)]
-                c = int(j[0]) if len(j) else k
+        # the first fill that is an event, or k
+        c = min(k, max(((2 ** 62 - 1) // g - engine.cloud[1]) // quantity, 0))
+        stage1 = min(engine.stage1_remaining, c)
+        if c and len(engine.queue) < params.queue_cap:
+            nums, dens = _cloud_prefix(engine.cloud, p[:c], quantity)
+            cand = (draws.peek(c - stage1) < draws.probability) & exceeds_tolerance(
+                sg[stage1:c], nums[stage1:c], dens[stage1:c], p[stage1:c], params.tau)
+            j = stage1 + np.flatnonzero(cand)
+            j = j[spaced_and_reachable(sg[j], p[j], release_level(  # that enqueue
+                sg[j], nums[j], dens[j], params.gamma), engine.queue,
+                params.min_distance, config.price.grid_min, config.price.grid_max)]
+            c = int(j[0]) if len(j) else c
         fill_tick = int(at[c]) if c < k else n
         deadline = engine.backstop_deadline()
         d = n if deadline is None else min(deadline - (t + 1), n)

@@ -40,12 +40,12 @@ multiplier without ticks writes diffs beyond int64) that str() writes:
 
 ticks.csv has one row per tick, t = 0 .. final_time, and is derived data:
 the run keeps its price path and one aggregate mark (the signed cash and
-position sums of S and S*) per fill or release, and the rows follow from
-the two, the last event at a tick winning.  RunReport.ticks holds them in
-the file's layout, an (n, 5) int64 array, and format_rows writes blocks of
-them as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
-ticks needs every PnL to fit in a signed 64-bit integer; a run that could
-exceed it stops with an error naming the multiplier and the quantity
+position sums of S and S*, int64) per fill or release; the rows follow
+from the two, the last event at a tick winning.  RunReport.ticks holds
+them in the file's layout, an (n, 5) int64 array, and format_rows writes
+blocks of them as "%d,%d,%d,%d,%d\n" would, in numpy passes.  Recording
+ticks needs every PnL to fit in a signed 64-bit integer: a run stops at
+the first mark that could exceed it, naming the multiplier and quantity
 (set run.record_ticks: false for such runs).  read_ticks streams the file
 back in blocks and accepts only what format_rows writes: five fields a
 row, int64 values other than -2**63, so verify checks it in bounded

@@ -158,28 +158,28 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
                        for r in records for when in ("delay", "exec")],
                     key=lambda cell: cell[0])
     k = 0       # the next pinned cell
-    peaks = np.full(2, np.iinfo(np.int64).min)
-    drawdowns = np.zeros(2, np.uint64)
+    # Each PnL column's running peak and max drawdown; peak - pnl is in [0, 2**64).
+    peaks, drawdowns = [np.iinfo(np.int64).min] * 2, [0, 0]
     n_rows, last = 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
     try:
         for rows in read_ticks(run_dir):
             times, price, pnl_s, pnl_star, diff = rows.T
-            bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
-            if len(bad):
+            if times[0] != n_rows or not (np.diff(times) == 1).all():
+                bad = np.flatnonzero(times != np.arange(n_rows, n_rows + len(rows)))
                 fail(f"ticks.csv row {n_rows + bad[0]} has t={times[bad[0]]}; "
                      f"rows must run t = 0, 1, ...")
             # An int64 step wraps into {-1, 0, 1} only from -2**63, which
             # read_ticks refuses.
             step = (np.diff(price, prepend=last[1]) + 1).view(np.uint64)
-            bad = np.flatnonzero((price < lo) | (price > hi) | (step > 2))
-            if len(bad):
+            if price.min() < lo or price.max() > hi or step.max() > 2:
+                bad = np.flatnonzero((price < lo) | (price > hi) | (step > 2))
                 fail(f"t={times[bad[0]]}: price {price[bad[0]]} is outside "
                      f"[{lo}, {hi}] or more than one tick from the last")
             total = pnl_s + diff
-            # int64 addition wraps; a wrapped sum is never a match.
-            wrapped = ((pnl_s ^ total) & (diff ^ total)) < 0
-            bad = np.flatnonzero((pnl_star != total) | wrapped)
-            if len(bad):
+            # int64 addition wraps, to the sign of neither term: never a match.
+            wrap = (pnl_s ^ total) & (diff ^ total)
+            if not np.array_equal(pnl_star, total) or wrap.min() < 0:
+                bad = np.flatnonzero((pnl_star != total) | (wrap < 0))
                 fail(f"t={times[bad[0]]}: diff column inconsistent with the "
                      f"two PnL columns")
             while k < len(pinned) and 0 <= pinned[k][0] < n_rows + len(rows):
@@ -188,10 +188,11 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
                     fail(f"{whose}: ticks.csv {TICKS_HEADER.split(',')[col]} at "
                          f"t={t} is {got}, but {source} gives {value}")
                 k += 1
-            # Running peaks of both PnL columns; peak - pnl is in [0, 2**64).
-            peak = np.maximum(np.maximum.accumulate(rows[:, 2:4]), peaks)
-            drop = peak.view(np.uint64) - rows[:, 2:4].view(np.uint64)
-            peaks, drawdowns = peak[-1], np.maximum(drawdowns, drop.max(axis=0))
+            for c, pnl in enumerate((pnl_s, pnl_star)):
+                peak = np.maximum.accumulate(pnl)
+                np.maximum(peak, peaks[c], out=peak)
+                peaks[c], drop = peak[-1], np.subtract(peak, pnl, out=peak).view(np.uint64)
+                drawdowns[c] = max(drawdowns[c], int(drop.max()))
             n_rows, last = n_rows + len(rows), rows[-1]
     except ValueError as exc:
         fail(f"ticks.csv {exc}")

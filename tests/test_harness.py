@@ -653,6 +653,22 @@ def test_engines_agree_where_the_int64_guard_fails_booked_by_sums(monkeypatch):
     assert sum(bulk) > 100
 
 
+@pytest.mark.parametrize("bookkeeping", [{}, SUMS_ONLY], ids=["kept", "sums"])
+def test_a_stretch_goes_in_bulk_up_to_where_the_int64_guard_fails(bookkeeping,
+                                                                   monkeypatch):
+    # at the full block size a stretch near 2**55 holds more fills than the
+    # guard allows: those it allows go in bulk, the rest in later passes
+    cfg = edge_config(seed=7, grid_min=2 ** 55)
+    cfg = replace(cfg, run=replace(cfg.run, **bookkeeping))
+    bulk = _bulk_fills(monkeypatch)
+    if bookkeeping:
+        assert _outcome_and_sums(cfg, "blocked") == _outcome_and_sums(cfg, "scalar")
+    else:
+        assert_reports_equal(run_simulation(cfg, engine="blocked"),
+                             run_simulation(cfg, engine="scalar"))
+    assert sum(bulk) > 0
+
+
 @pytest.mark.parametrize("grid_min, bookkeeping",
                          [(2 ** 61 - 40, {}), (-2 ** 61, {}),
                           (2 ** 61 - 40, SUMS_ONLY), (-2 ** 61, SUMS_ONLY)],
@@ -748,11 +764,20 @@ def _pnl_from_orders(orders, price, multiplier):
     return multiplier * (np.cumsum(w) - price * np.cumsum(sq))
 
 
+# The mean-reverting walk with a spread and kept orders, two phases.
+MEAN_REVERTING_SPREAD = replace(
+    default_config(master_seed=2, target_phases=2, keep_orders=True, half_spread=1),
+    price=replace(default_config().price, kind=MEAN_REVERTING_WALK,
+                  reversion_strength=Fraction(1, 2)))
+
+
 @pytest.mark.parametrize("cfg", [
     default_config(master_seed=41, total_ticks=12_345, target_phases=None,
                    keep_orders=True, half_spread=2),
     quick(seed=13, phases=3, half_spread=1),
-], ids=["total_ticks", "target_phases"])
+    replace(MEAN_REVERTING_SPREAD, instrument=replace(MEAN_REVERTING_SPREAD.instrument,
+                                                      multiplier=7)),
+], ids=["total_ticks", "target_phases", "mean_reverting_multiplier_7"])
 @pytest.mark.parametrize("engine", ["scalar", "blocked"])
 def test_tick_series_matches_order_lists(cfg, engine):
     rep = run_simulation(cfg, engine=engine)
@@ -823,11 +848,12 @@ def test_cli_refuses_a_recorded_quantity_beyond_int64(tmp_path, capsys):
 
 
 def _tick_series_with_mark(w, m=1):
-    """tick_series(0) of a run whose one mark holds W_s = w."""
+    """tick_series(0) of a run whose one event, at t = 0, leaves W_s = w."""
     cfg = default_config()
     cfg = replace(cfg, instrument=replace(cfg.instrument, multiplier=m))
     state = harness._RunState(cfg, 1)
-    state._marks.append((0, w, 0, 0, 0))
+    state.w_s = w
+    state.emit_row(0)
     return state.tick_series(0)
 
 
@@ -842,6 +868,41 @@ def test_int64_range_check_boundary():
             _tick_series_with_mark(w, m)
         assert f"(PnL bound {bound} with instrument.multiplier {m})" in str(
             refusal.value)
+
+
+def test_engines_refuse_a_recorded_run_at_the_same_mark():
+    # the bound passes 2**63 inside a bulk stretch, once the position has
+    # grown: the blocked engine bounds that stretch's marks one by one and
+    # refuses the scalar engine's mark, with its bound
+    cfg = quick(seed=13, phases=3)
+    cfg = replace(cfg, instrument=replace(cfg.instrument, multiplier=2 ** 63 // 10 ** 6))
+    with pytest.raises(SimulationError) as scalar:
+        run_simulation(cfg, engine="scalar")
+    with pytest.raises(SimulationError) as blocked:
+        run_simulation(cfg, engine="blocked")
+    assert str(blocked.value) == str(scalar.value)
+    assert "mirror_fills" in [entry.name for entry in blocked.traceback]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_a_recorded_run_beyond_int64_stops_at_its_first_fill(engine, monkeypatch):
+    # each mark is bounded as it is made, so a long run is refused at the
+    # first fill's tick (25), having drawn only the prices up to it
+    cfg = default_config(master_seed=1, total_ticks=10_000_000, target_phases=None)
+    first = run_simulation(replace(cfg, run=replace(
+        cfg.run, total_ticks=100, keep_orders=True))).orders_s[0].time
+    assert first == 25
+    calls = {"walk_block": 0, "next_price": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(harness, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, counted)
+    cfg = replace(cfg, strategy=replace(cfg.strategy, quantity=2 ** 62))
+    with pytest.raises(SimulationError, match="would overflow int64"):
+        run_simulation(cfg, engine=engine)
+    assert calls == ({"walk_block": 0, "next_price": first} if engine == "scalar"
+                     else {"walk_block": 1, "next_price": 0})
 
 
 # -- sweep -----------------------------------------------------------------------

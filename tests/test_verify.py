@@ -570,7 +570,27 @@ def test_price_jump_fails_consistency(run_dir, tmp_path, offset):
     # the rows before the jump are unchanged, so the second block still
     # starts at the same tick
     assert len(next(read_ticks(dst))) == _first_tick_of_second_block(dst)
-    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+    assert _consistency_detail(dst).startswith(f"t={t}: price ")
+
+
+def _consistency_detail(run_dir):
+    """The detail of the failed tick-consistency verdict: its first offender."""
+    [verdict] = [v for v in verify_run(run_dir) if v.clause == CLAUSE_TICK_CONSISTENCY]
+    assert not verdict.passed
+    return verdict.detail
+
+
+def test_a_wrapped_pnl_sum_is_named_at_its_row(run_dir, tmp_path):
+    # pnl_s + diff wraps around in int64 to exactly pnl_sstar at t = 100,
+    # and every field is one read_ticks accepts
+    dst = _copy(run_dir, tmp_path)
+    path = dst / TICKS_CSV
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(_set_row(lines, 100, pnl_s_quanta=2 ** 62,
+                                     diff_quanta=2 ** 62 + 1,
+                                     pnl_sstar_quanta=-2 ** 63 + 1)))
+    assert _consistency_detail(dst) == ("t=100: diff column inconsistent with "
+                                        "the two PnL columns")
 
 
 @pytest.mark.parametrize("key", ["grid_min", "grid_max"])

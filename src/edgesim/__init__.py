@@ -7,7 +7,7 @@ from .accounting import (FIFO, LIFO, LotMatch, PnLBreakdown, UnmatchedLot,
                          signed_open_position)
 from .dominance import (DelayedOrderRecord, DelayQueueEntry, DominanceEngine,
                         DominanceParams, InvariantViolation, PhaseReport,
-                        SimulationError, StrandedOrderError, pair_extreme,
+                        SimulationError, StrandedOrderError,
                         phase_pnl_diff_check, release_level)
 from .harness import (RunConfig, RunReport, RunSettings, SweepRow,
                       default_config, run_simulation, sweep)

@@ -20,9 +20,11 @@ The order cloud is the pair (sum p*q, sum q) over the overlay's own
 fills; its gravity center C is their exact ratio.  Every tick the queue
 is scanned in enqueue order and an entry is released once the price
 clears its gain level, sign * (P - minmax_sign(C_now, C_frozen)) > gamma,
-where minmax_sign is the max for a sell and the min for a buy
-(pair_extreme; release_level turns the level into a grid price).  The
-frozen snapshot anchors the level, which yields the per-order guarantee
+where minmax_sign is the max for a sell and the min for a buy.  As
+release_level is monotone in its anchor, that is two integer comparisons:
+P against the current cloud's level and against frozen_trigger, the
+frozen center's.  The frozen snapshot anchors the level, which yields the
+per-order guarantee
 
     sign * (execution_price - delay_price) > gamma + tau   (exact)
 
@@ -138,7 +140,6 @@ class DelayQueueEntry:
     delay_grid_price: int     # unadjusted grid price at the delay tick
     gravity_num: int          # gravity center at delay time, as an exact pair
     gravity_den: int
-    delta_T_at_delay: Fraction
     frozen_trigger: int       # first grid price that could ever release this entry
 
 
@@ -147,7 +148,6 @@ class DelayedOrderRecord(DelayQueueEntry):
     """One completed delay: its queue entry plus the execution."""
     execution_time: int
     execution_price: int
-    delta_G_at_execution: Fraction
 
     @property
     def gap(self) -> int:
@@ -171,12 +171,6 @@ class PhaseReport:
         return len(self.records)
 
 
-def pair_extreme(sign: int, n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    """The larger of n1/d1 and n2/d2 for sign +1 (a sell), the smaller for
-    sign -1 (a buy), as a pair; denominators positive, ties give the first."""
-    return (n1, d1) if sign * (n1 * d2 - n2 * d1) >= 0 else (n2, d2)
-
-
 def exceeds_tolerance(sign, num, den, raw_price, tau):
     """The delay test sign * (C - P) > tau against the cloud C = num/den
     (den > 0); elementwise on int64 arrays whose products fit."""
@@ -187,8 +181,8 @@ def release_level(sign: int, num: int, den: int, gamma: int) -> int:
     """The gain level of a rational anchor num/den (den > 0) as a grid
     price: the smallest P with P > num/den + gamma for a sell, the largest
     P with P < num/den - gamma for a buy.  An entry releases at P exactly
-    when sign * (P - level) >= 0.  Nondecreasing in the anchor, so the
-    level of pair_extreme's anchor is the extreme of the two levels."""
+    when sign * (P - level) >= 0.  Nondecreasing in the anchor, so P
+    clears the level of minmax_sign(a, b) exactly when it clears both."""
     return sign * ((sign * num + gamma * den) // den + 1)
 
 
@@ -262,13 +256,11 @@ class DominanceEngine:
     def stage(self) -> int:
         return 1 if self.stage1_remaining else 2
 
-    # Frozen conservative release levels over the current queue: no sell
-    # entry can release below the first and no buy entry above the second
-    # (None: no such entry), regardless of later cloud movement.  They
-    # change only when the queue changes, so callers may use them to skip
-    # scans over price stretches that provably release nothing.
     @property
     def frozen_bounds(self) -> tuple[int | None, int | None]:
+        """The lowest sell and highest buy frozen_trigger queued (None: no
+        such entry).  No entry releases short of them, whatever the cloud
+        does, so a price stretch that reaches neither releases nothing."""
         sells = [e.frozen_trigger for e in self.queue if e.sign == SELL]
         buys = [e.frozen_trigger for e in self.queue if e.sign != SELL]
         return min(sells, default=None), max(buys, default=None)
@@ -334,17 +326,16 @@ class DominanceEngine:
             self._cloud_add(quantity, raw_price)
             return FORCED
 
-        delta_t = Fraction(sign * (raw_price * den - num), den) + self.params.tau
+        # delta_T = sign * (P - C) + tau, times den > 0
+        delta_t = sign * (raw_price * den - num) + self.params.tau * den
         self.checked[CLAUSE_PER_ORDER_GAP] += 1
         if delta_t >= 0:
-            raise InvariantViolation(
-                CLAUSE_PER_ORDER_GAP,
-                f"delta_T at delay must be < 0, got {delta_t}")
+            raise InvariantViolation(CLAUSE_PER_ORDER_GAP, f"delta_T at delay must "
+                                     f"be < 0, got {Fraction(delta_t, den)}")
         self.queue.append(DelayQueueEntry(
             order_id=order_id, sign=sign, quantity=quantity, delay_time=time,
             base_fill_price=base_fill_price, delay_grid_price=raw_price,
-            gravity_num=num, gravity_den=den, delta_T_at_delay=delta_t,
-            frozen_trigger=level))
+            gravity_num=num, gravity_den=den, frozen_trigger=level))
         self.checked[CLAUSE_QUEUE_CAP] += 1
         if len(self.queue) > self.params.queue_cap:
             raise InvariantViolation(
@@ -364,37 +355,29 @@ class DominanceEngine:
         """
         self.check_phase_backstop(time)
         executed: list[DelayedOrderRecord] = []
-        if self.queue:
-            remaining: list[DelayQueueEntry] = []
-            gamma = self.params.gamma
-            for entry in self.queue:
-                sign = entry.sign
-                mn, md = pair_extreme(sign, self._cloud_num, self._cloud_den,
-                                      entry.gravity_num, entry.gravity_den)
-                if sign * (raw_price - release_level(sign, mn, md, gamma)) >= 0:
-                    record = DelayedOrderRecord(
-                        **vars(entry), execution_time=time,
-                        execution_price=fill_price(raw_price, sign,
-                                                   self.half_spread),
-                        delta_G_at_execution=(
-                            Fraction(sign * (raw_price * md - mn), md) - gamma))
-                    gap = record.gap
-                    self.checked[CLAUSE_PER_ORDER_GAP] += 1
-                    if gap <= self.params.gamma + self.params.tau:
-                        raise InvariantViolation(
-                            CLAUSE_PER_ORDER_GAP,
-                            f"order {entry.order_id}: gap {gap} ticks does not "
-                            f"exceed gamma + tau = "
-                            f"{self.params.gamma + self.params.tau}")
-                    self._cloud_add(entry.quantity, raw_price)
-                    self.records.append(record)
-                    self.q_delayed_total += entry.quantity
-                    self.gap_weighted_total += gap * entry.quantity
-                    executed.append(record)
-                else:
-                    remaining.append(entry)
-            if executed:
-                self.queue = remaining
+        remaining: list[DelayQueueEntry] = []
+        gamma, margin = self.params.gamma, self.params.gamma + self.params.tau
+        for entry in self.queue:
+            sign = entry.sign
+            level = release_level(sign, self._cloud_num, self._cloud_den, gamma)
+            if (sign * (raw_price - level) < 0
+                    or sign * (raw_price - entry.frozen_trigger) < 0):
+                remaining.append(entry)
+                continue
+            record = DelayedOrderRecord(
+                **vars(entry), execution_time=time,
+                execution_price=fill_price(raw_price, sign, self.half_spread))
+            self.checked[CLAUSE_PER_ORDER_GAP] += 1
+            if record.gap <= margin:
+                raise InvariantViolation(
+                    CLAUSE_PER_ORDER_GAP, f"order {entry.order_id}: gap {record.gap} "
+                    f"ticks does not exceed gamma + tau = {margin}")
+            self._cloud_add(entry.quantity, raw_price)
+            self.records.append(record)
+            self.q_delayed_total += entry.quantity
+            self.gap_weighted_total += record.gap * entry.quantity
+            executed.append(record)
+        self.queue = remaining
 
         # A phase starts with an empty queue and an entry leaves it only by
         # release, so a release this phase and an empty queue end it.

@@ -602,14 +602,14 @@ def _first_release(engine: DominanceEngine, prices: np.ndarray, lo: int, hi: int
     j = int(after[-1])       # the bulk fills before the last such tick
     if j:
         nums, dens = _cloud_prefix(engine.cloud, raw[:j], quantity)
-    hit = np.zeros(len(ticks), dtype=bool)
+    hit, price = np.zeros(len(ticks), dtype=bool), prices[ticks]
     for sign, frozen in sides:
-        # the bound after j bulk fills; the current one in exact ints
-        bound = np.full(j + 1, now[sign], dtype=np.int64)
+        # the cloud's level after j bulk fills (before any, the exact current
+        # bound), then on_tick's two comparisons
+        level = np.full(j + 1, now[sign], dtype=np.int64)
         if j:
-            level = release_level(sign, nums[1:], dens[1:], engine.params.gamma)
-            bound[1:] = sign * np.maximum(sign * level, sign * frozen)
-        hit |= sign * (prices[ticks] - bound[after]) >= 0
+            level[1:] = release_level(sign, nums[1:], dens[1:], engine.params.gamma)
+        hit |= (sign * (price - level[after]) >= 0) & (sign * (price - frozen) >= 0)
     return int(ticks[np.argmax(hit)]) if hit.any() else None
 
 

@@ -14,17 +14,18 @@ n_delayed.  Executions after the last phase end are accepted only in a
 total_ticks run, as the run itself accepts them.
 ticks.csv exists exactly when the config echo says run.record_ticks; its
 check streams it in blocks, with the grammar format_rows writes (see
-runio), in bounded memory, and looks up the diff at each phase end and
-the price at each record's t_delay and t_exec, so a one-tick shift of
-either time is caught only where the price moved.
+runio), in bounded memory, and looks up the zero PnLs and diff at t = 0,
+the diff at each phase end and the price at each record's t_delay and
+t_exec, so a one-tick shift of either time is caught only where the
+price moved.
 Every summary.json result but the commissions is compared with one table
 derived from the replay (the record totals; the final time, and the
 final diff of a target_phases stop), from ticks.csv when recorded (the
 final time, price and diff, both drawdowns) and from the config echo
-(stop_reason, null drawdowns without ticks, and the currency strings as
-the tick and quanta results times tick_size).  Each clause yields one
-verdict; a violation names the first offending phase, order, tick or
-result.  Phase numbers, order ids, and summary.json keys, schema, seed
+(stop_reason, null drawdowns without ticks, and the currency strings
+quanta_to_currency makes of the tick and quanta results).  Each clause
+yields one verdict; a violation names the first offending phase, order,
+tick or result.  Phase numbers, order ids, and summary.json keys, schema, seed
 or verdicts (clauses, passes and counts) that simulate could not have
 written are refused by name.
 """
@@ -42,6 +43,7 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         CLAUSE_POSITIVITY, CLAUSE_QUEUE_CAP,
                         CLAUSE_TICK_CONSISTENCY, phase_clause_failures)
 from .harness import ORACLE_CHECK, VERDICT_CLAUSES, RunConfig
+from .market import quanta_to_currency
 from .runio import (DELAYED_CSV, DELAYED_HEADER, PHASES_CSV, PHASES_HEADER,
                     SUMMARY_JSON, SUMMARY_SCHEMA, TICKS_CSV, TICKS_HEADER,
                     config_from_dict, config_to_dict, read_int_csv, read_summary,
@@ -141,16 +143,18 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
     """Stream ticks.csv: rows t = 0, 1, ... in order, a price path from
     start_price moving at most one tick a row inside the grid, pnl_sstar =
     pnl_s + diff on every row, and the cells the other files pin: the
-    start_price at t = 0, each phase end's diff as in phases.csv, and the
-    price at each record's t_delay and t_exec, its fill price plus sign *
-    half_spread.
+    start_price and zero PnL columns at t = 0, each phase end's diff as in
+    phases.csv, and the price at each record's t_delay and t_exec, its fill
+    price plus sign * half_spread.
     fail(detail) fails the clause, as does a file that read_ticks refuses.
     Returns the results the rows derive: the final time, price and diff
     and both max drawdowns."""
     lo, hi, half = config.price.grid_min, config.price.grid_max, config.run.half_spread
-    # (tick, column, value, whose, file) in tick order: column 1 is the
-    # price, 4 the diff.  A negative tick ends the lookup and is missing.
+    # (tick, column, value, whose, source) in tick order, columns as in
+    # TICKS_HEADER.  A negative tick ends the lookup and is missing.
     pinned = sorted([(0, 1, config.price.start_price, "the start", SUMMARY_JSON)]
+                    + [(0, col, 0, "the start", "a run with no fills")
+                       for col in (2, 3, 4)]
                     + [(p["end_time"], 4, p["diff_quanta"], f"phase {p['phase']}",
                         PHASES_CSV) for p in phases]
                     + [(r[f"t_{when}"], 1, r[f"p_{when}_ticks"] + r["sign"] * half,
@@ -271,10 +275,11 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
     results = summary["results"]
     fails: dict[str, str] = {}
     fail = fails.setdefault
-    tick_size = config.instrument.tick_size
+    def currency(value: int) -> str:
+        return str(quanta_to_currency(value, config.instrument))
     echoed = {"stop_reason": config.run.stop_reason,
-              "final_price_currency": str(results["final_price_ticks"] * tick_size),
-              "final_diff_currency": str(results["final_diff_quanta"] * tick_size)}
+              "final_price_currency": currency(results["final_price_ticks"]),
+              "final_diff_currency": currency(results["final_diff_quanta"])}
     if not recorded:
         echoed.update(max_drawdown_s_quanta=None, max_drawdown_sstar_quanta=None)
     # (clause, source, results): the derived results summary.json must hold.

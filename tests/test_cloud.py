@@ -7,8 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesim.dominance import (MIRROR, DominanceEngine, DominanceParams,
-                               pair_extreme)
+from edgesim.dominance import MIRROR, DominanceEngine, DominanceParams
 from edgesim.market import BUY, SELL
 
 fills_strategy = st.lists(
@@ -100,13 +99,3 @@ def test_gravity_on_every_prefix(fills):
     for i in range(len(fills)):
         fold(fills[i:i + 1], engine)
         assert engine.gravity() == batch_gravity(fills[:i + 1])
-
-
-# -- the sign-aware extreme of two centers ------------------------------------
-
-@given(st.integers(-10**9, 10**9), st.integers(1, 10**6),
-       st.integers(-10**9, 10**9), st.integers(1, 10**6))
-def test_rational_pair_extrema(n1, d1, n2, d2):
-    a, b = Fraction(n1, d1), Fraction(n2, d2)
-    assert Fraction(*pair_extreme(SELL, n1, d1, n2, d2)) == max(a, b)
-    assert Fraction(*pair_extreme(BUY, n1, d1, n2, d2)) == min(a, b)

@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PHASE_IDENTITY, CLAUSE_POSITIVITY,
                                ENQUEUE, FORCED, MIRROR, DelayedOrderRecord,
-                               DominanceEngine, DominanceParams, PhaseReport,
-                               StrandedOrderError, pair_extreme,
+                               DelayQueueEntry, DominanceEngine,
+                               DominanceParams, PhaseReport, StrandedOrderError,
                                phase_clause_failures, phase_pnl_diff_check,
                                release_level)
 from edgesim.market import BUY, SELL, Instrument, Order
@@ -42,26 +43,65 @@ def seed_stage1(engine, price=10000, start_id=1, time=0):
     return start_id + n
 
 
-# -- the gain level: minmax_sign(C_now, C_frozen) is pair_extreme ---------------
+# -- the gain level: an order releases once P clears minmax_sign(C_now, C_frozen) --
+
+def releases(sign, now, frozen, gamma, price, tau=1):
+    """Whether on_tick at price releases one order of this sign delayed
+    under the center frozen, with the cloud at now; each center is an exact
+    (num, den) pair, and the cloud is den unit fills around num/den."""
+    engine = make_engine(tau=tau, gamma=gamma)
+    low, extra = divmod(*now)
+    engine.mirror_fills(np.array([low] * (now[1] - extra) + [low + 1] * extra), 1)
+    assert engine.cloud == now
+    delay_price = price - sign * (gamma + tau + 1)     # any gap passes
+    engine.queue.append(DelayQueueEntry(
+        order_id=1, sign=sign, quantity=1, delay_time=0,
+        base_fill_price=delay_price, delay_grid_price=delay_price,
+        gravity_num=frozen[0], gravity_den=frozen[1],
+        frozen_trigger=release_level(sign, *frozen, gamma)))
+    records, _ = engine.on_tick(1, price)
+    return bool(records)
+
 
 def test_minmax_max_case():
-    assert pair_extreme(SELL, 2, 1, 7, 1) == (7, 1)
+    # a sell's level rises from the larger center, frozen or current
+    for now, frozen in (((2, 1), (7, 1)), ((7, 1), (2, 1))):
+        assert not releases(SELL, now, frozen, 1, 8)
+        assert releases(SELL, now, frozen, 1, 9)
 
 
 def test_minmax_min_case():
-    assert pair_extreme(BUY, 2, 1, 7, 1) == (2, 1)
+    for now, frozen in (((2, 1), (7, 1)), ((7, 1), (2, 1))):
+        assert not releases(BUY, now, frozen, 1, 1)
+        assert releases(BUY, now, frozen, 1, 0)
 
 
 def test_minmax_identity_case():
-    for sign in (SELL, BUY):
-        assert pair_extreme(sign, 5, 1, 5, 1) == (5, 1)
-        assert Fraction(*pair_extreme(sign, 10, 2, 5, 1)) == 5
+    # equal centers, one written as 10/2
+    assert not releases(SELL, (10, 2), (5, 1), 1, 6)
+    assert releases(SELL, (10, 2), (5, 1), 1, 7)
+    assert not releases(BUY, (5, 1), (10, 2), 1, 4)
+    assert releases(BUY, (5, 1), (10, 2), 1, 3)
 
 
 def test_minmax_exact_on_rationals():
-    a, b = Fraction(10000, 3), Fraction(9999, 2)
-    assert Fraction(*pair_extreme(SELL, 10000, 3, 9999, 2)) == max(a, b)
-    assert Fraction(*pair_extreme(BUY, 10000, 3, 9999, 2)) == min(a, b)
+    # 9999/2 > 10000/3: the sell clears 9999/2 + 1, the buy 10000/3 - 1
+    for now, frozen in (((10000, 3), (9999, 2)), ((9999, 2), (10000, 3))):
+        assert not releases(SELL, now, frozen, 1, 5000)
+        assert releases(SELL, now, frozen, 1, 5001)
+        assert not releases(BUY, now, frozen, 1, 3333)
+        assert releases(BUY, now, frozen, 1, 3332)
+
+
+@given(st.sampled_from([SELL, BUY]),
+       st.tuples(st.integers(-10**5, 10**5), st.integers(1, 100)),
+       st.tuples(st.integers(-10**5, 10**5), st.integers(1, 100)),
+       st.integers(1, 50), st.integers(-1100, 1100))
+def test_on_tick_releases_past_the_extreme_center(sign, now, frozen, gamma, price):
+    # the paper's rule in Fractions: sign * (P - minmax_sign(C_now, C_frozen)) > gamma
+    centers = (Fraction(*now), Fraction(*frozen))
+    extreme = max(centers) if sign == SELL else min(centers)
+    assert releases(sign, now, frozen, gamma, price) == (sign * (price - extreme) > gamma)
 
 
 @given(st.sampled_from([SELL, BUY]), st.integers(-10**9, 10**9),
@@ -81,10 +121,12 @@ def test_release_level_matches_fraction(sign, num, den, gamma, price):
        st.integers(1, 10**6), st.integers(1, 1000))
 def test_level_of_the_extreme_anchor_is_the_extreme_level(sign, n1, d1, n2, d2,
                                                           gamma):
-    # the identity behind current_release_bounds: the level of
+    # the identity behind on_tick and current_release_bounds: the level of
     # minmax_sign(C_now, C_frozen) is the max (sell) / min (buy) of the two
-    # single-anchor levels, so the queue's bound needs no pair per entry
-    level = release_level(sign, *pair_extreme(sign, n1, d1, n2, d2), gamma)
+    # single-anchor levels, so no entry needs the extreme center as a pair
+    a, b = Fraction(n1, d1), Fraction(n2, d2)
+    extreme = max(a, b) if sign == SELL else min(a, b)
+    level = release_level(sign, extreme.numerator, extreme.denominator, gamma)
     levels = (release_level(sign, n1, d1, gamma), release_level(sign, n2, d2, gamma))
     assert level == (max(levels) if sign == SELL else min(levels))
 
@@ -128,7 +170,7 @@ def sell_delayed_at_10000_cloud_at_9960():
 def test_execution_ready_sell_clears_gain():
     records, _ = sell_delayed_at_10000_cloud_at_9960().on_tick(20, 10050)
     assert len(records) == 1
-    assert records[0].delta_G_at_execution == 10
+    assert records[0].execution_price == 10050
 
 
 def test_execution_ready_boundary_is_strict():
@@ -136,7 +178,7 @@ def test_execution_ready_boundary_is_strict():
     assert engine.current_release_bounds() == (10041, None)
     assert engine.on_tick(20, 10040) == ([], False)
     records, _ = engine.on_tick(21, 10041)
-    assert records[0].delta_G_at_execution == 1
+    assert records[0].execution_price == 10041
 
 
 def test_execution_ready_buy_case():
@@ -145,7 +187,7 @@ def test_execution_ready_buy_case():
     assert engine.on_base_fill(next_id, BUY, 1, 10, 10075, 10075) == ENQUEUE
     assert engine.on_tick(20, 9960) == ([], False)
     records, _ = engine.on_tick(21, 9950)
-    assert records[0].delta_G_at_execution == 10
+    assert records[0].execution_price == 9950
 
 
 def test_current_cloud_anchors_when_it_is_the_extreme():
@@ -181,7 +223,7 @@ def test_enqueue_then_release_composes_the_events():
     assert len(engine.queue) == 1
     entry = engine.queue[0]
     assert Fraction(entry.gravity_num, entry.gravity_den) == 10000
-    assert entry.delta_T_at_delay < 0
+    assert entry.frozen_trigger == 10041
 
     # the same tick can never release the just-delayed order
     records, ended = engine.on_tick(10, 9925)
@@ -197,8 +239,6 @@ def test_enqueue_then_release_composes_the_events():
     rec = records[0]
     assert rec.execution_price - rec.base_fill_price == 125
     assert rec.gap == 125 > 40 + 50
-    assert rec.delta_T_at_delay < 0
-    assert rec.delta_G_at_execution > 0
     assert engine.queue == []
     assert engine.phase_index == 2
     assert engine.stage == 1
@@ -396,9 +436,8 @@ def _delayed_record(order_id, sign, qty, p_delay, p_exec, t_delay=10, t_exec=30)
     return DelayedOrderRecord(
         order_id=order_id, sign=sign, quantity=qty, delay_time=t_delay,
         base_fill_price=p_delay, delay_grid_price=p_delay, gravity_num=10000,
-        gravity_den=1, delta_T_at_delay=Fraction(-1),
-        frozen_trigger=release_level(sign, 10000, 1, 40), execution_time=t_exec,
-        execution_price=p_exec, delta_G_at_execution=Fraction(1))
+        gravity_den=1, frozen_trigger=release_level(sign, 10000, 1, 40),
+        execution_time=t_exec, execution_price=p_exec)
 
 
 def test_phase_check_single_delayed_sell():

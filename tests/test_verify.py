@@ -498,9 +498,14 @@ def _shift_row_diff(lines, t):
                  id="pnl_sstar"),
     # pnl_s + diff wraps around in int64 to exactly pnl_sstar
     pytest.param(lambda lines, end: _set_row(lines, 100, pnl_s_quanta=2**62,
-                                             diff_quanta=2**62,
-                                             pnl_sstar_quanta=-2**63),
+                                             diff_quanta=2**62 + 1,
+                                             pnl_sstar_quanta=-2**63 + 1),
                  id="int64_wrap"),
+    # a run starts flat: both PnL levels, or pnl_sstar and diff, moved at t = 0
+    pytest.param(lambda lines, end: _set_row(lines, 0, pnl_s_quanta=-1,
+                                             pnl_sstar_quanta=-1),
+                 id="start_pnl"),
+    pytest.param(lambda lines, end: _shift_row_diff(lines, 0), id="start_diff"),
     pytest.param(lambda lines, end: (lines[:1] + [line[:-1] + ",0\n"
                                                   for line in lines[1:]]),
                  id="sixth_column"),
@@ -529,13 +534,18 @@ def _shift_row_diff(lines, t):
                                                 lambda v: "1" + "0" * 19),
                  id="twenty_digits"),
 ])
-def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit):
+def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit, request):
     dst = _copy(run_dir, tmp_path)
     path = dst / TICKS_CSV
     lines = path.read_text().splitlines(keepends=True)
     last_end = read_int_csv(dst, PHASES_CSV, PHASES_HEADER)[-1]["end_time"]
     path.write_text("".join(edit(lines, last_end)))
-    assert CLAUSE_TICK_CONSISTENCY in failed_clauses(verify_run(dst))
+    verdict = {v.clause: v for v in verify_run(dst)}[CLAUSE_TICK_CONSISTENCY]
+    assert not verdict.passed
+    # The wrapped row also moves both drawdowns, which the summary.json
+    # comparison catches; the row check must catch it first.
+    if request.node.callspec.id == "int64_wrap":
+        assert "diff column inconsistent" in verdict.detail
 
 
 def _rewrite_prices(run_dir: Path, t: int, step: int) -> None:

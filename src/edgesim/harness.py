@@ -20,7 +20,8 @@ Two execution engines produce bit-identical results:
     running sums by two reductions); the first fill whose sums could pass
     2**62 is an event, in exact ints.  Blocks of 12,288 ticks keep
     each int64 temporary under glibc's 128 KiB mmap threshold; no result
-    depends on the block size.
+    depends on the block size.  Prices are read through a PriceBlock,
+    sparse for the unrecorded reflecting walk, else walk_block's path.
 
 Both engines hand each tick's releases and phase end to one _RunState
 step, settle, once the tick's fills are booked; the run set-up (the price
@@ -50,9 +51,9 @@ from .dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                         phase_clause_failures, phase_pnl_diff_check,
                         release_level, spaced_and_reachable)
 from .market import BUY, SELL, Instrument, Money, OrderLog, fill_price
-from .prices import (STREAM_DELAY, STREAM_PRICE,
-                     STREAM_REPLICATION, PriceProcessConfig, next_price,
-                     substream, walk_block)
+from .prices import (REFLECTING_WALK, STREAM_DELAY, STREAM_PRICE,
+                     STREAM_REPLICATION, PriceBlock, PriceProcessConfig,
+                     next_price, substream, walk_block)
 from .strategies import (BaselineConfig, BaselineStreams, baseline_on_tick,
                          baseline_streams, intent_block)
 
@@ -500,16 +501,19 @@ def _run_blocked(config: RunConfig, state: _RunState) -> tuple[int, int]:
 
     while True:
         n = _BLOCK if total is None else min(_BLOCK, total - t)
-        prices = walk_block(price, rng, n, pcfg)
-        state.emit_rows(prices)
+        if state.record_ticks or pcfg.kind != REFLECTING_WALK:
+            block = PriceBlock(walk_block(price, rng, n, pcfg))
+            state.emit_rows(block.prices())
+        else:
+            block = PriceBlock.reflecting(price, rng, n, pcfg)
         # The intent of tick t + o fills at offset o (tick 0 has none), so
         # each block draws the intents of the ticks before its own.
         first = int(t == 0)
         offsets, signs = intent_block(scfg, t + first, n - first, state.streams)
-        stop = _advance_block(config, state, t, prices, offsets + first, signs)
+        stop = _advance_block(config, state, t, n, block, offsets + first, signs)
         if stop is not None:
             return stop
-        t, price = t + n, int(prices[-1])
+        t, price = t + n, block.last
         if total is not None and t >= total:
             return t, price
 
@@ -521,8 +525,8 @@ def _cloud_prefix(cloud: tuple[int, int], raw: np.ndarray, quantity: int):
             cloud[1] + quantity * np.arange(len(raw) + 1))
 
 
-def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarray,
-                   fill_at: np.ndarray, signs: np.ndarray
+def _advance_block(config: RunConfig, state: _RunState, t: int, n: int,
+                   block: PriceBlock, fill_at: np.ndarray, signs: np.ndarray
                    ) -> tuple[int, int] | None:
     """Apply the fills and releases of the block of ticks t+1 .. t+n, one
     event at a time; returns (tick, price) once the phase target is met.
@@ -533,8 +537,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
     its cap, and _first_release each build only the cloud they read."""
     engine, draws, params = state.engine, state.delay_draws, config.dominance
     quantity = config.strategy.quantity
-    n = len(prices)
-    raw = prices[fill_at]
+    raw = block.take(fill_at)
     # int64 guard: bulk sums are at most g * (den + the quantity booked), and
     # the delay and release tests add two such terms; a stretch takes the
     # fills that keep it below 2**62 (none of a quantity beyond int64).
@@ -558,7 +561,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         fill_tick = int(at[c]) if c < k else n
         deadline = engine.backstop_deadline()
         d = n if deadline is None else min(deadline - (t + 1), n)
-        r = (_first_release(engine, prices, pos, min(fill_tick, d), at[:c], p, quantity)
+        r = (_first_release(engine, block, pos, min(fill_tick, d), at[:c], p, quantity)
              if engine.queue else None)
         if r is None and d < n and d <= fill_tick:
             engine.check_phase_backstop(t + 1 + d)   # raises
@@ -568,7 +571,7 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
         draws.skip(max(m - stage1, 0))
         i += m
         if r is not None:
-            tick, price = t + 1 + r, int(prices[r])
+            tick, price = t + 1 + r, int(block.take(r))
             if state.settle(tick, price):
                 return tick, price
             pos = r + 1
@@ -581,28 +584,33 @@ def _advance_block(config: RunConfig, state: _RunState, t: int, prices: np.ndarr
             return None
 
 
-def _first_release(engine: DominanceEngine, prices: np.ndarray, lo: int, hi: int,
+def _first_release(engine: DominanceEngine, block: PriceBlock, lo: int, hi: int,
                    fill_at: np.ndarray, raw: np.ndarray, quantity: int) -> int | None:
     """The first block offset in [lo, hi) at which on_tick releases
     something, or None.  fill_at are the bulk fills before hi, at raw
     prices raw; a tick sees the cloud after the j of them at or before it,
-    built only once a tick past a frozen bound has bulk fills before it."""
-    seg = prices[lo:hi]
-    # Short of the frozen bounds nothing releases, whatever the cloud
-    # does: the stretch's max and min screen each side first.
+    built only once a tick past a frozen bound has bulk fills before it.
+    Short of the frozen bounds nothing releases, whatever the cloud does:
+    block.bounds screens each side, and only a stretch that may reach a
+    frozen bound reads the full path."""
+    if hi <= lo:
+        return None
+    top, bottom = block.bounds(lo, hi)
     sides = [(sign, frozen) for sign, frozen in zip((SELL, BUY), engine.frozen_bounds)
-             if frozen is not None and len(seg)
-             and (seg.max() >= frozen if sign == SELL else seg.min() <= frozen)]
+             if frozen is not None and (top >= frozen if sign == SELL else bottom <= frozen)]
     if not sides:
         return None
+    seg = block.prices()[lo:hi]
     ticks = lo + np.flatnonzero(np.logical_or.reduce(
         [(seg >= frozen) if sign == SELL else (seg <= frozen) for sign, frozen in sides]))
+    if not ticks.size:
+        return None
     now = dict(zip((SELL, BUY), engine.current_release_bounds()))
     after = np.searchsorted(fill_at, ticks, side="right")
     j = int(after[-1])       # the bulk fills before the last such tick
     if j:
         nums, dens = _cloud_prefix(engine.cloud, raw[:j], quantity)
-    hit, price = np.zeros(len(ticks), dtype=bool), prices[ticks]
+    hit, price = np.zeros(len(ticks), dtype=bool), block.take(ticks)
     for sign, frozen in sides:
         # the cloud's level after j bulk fills (before any, the exact current
         # bound), then on_tick's two comparisons

@@ -43,6 +43,11 @@ minimum, the walk reflected at one edge alone is exactly
 corrections at once, which gives the two-sided walk up to the first tick
 at which x leaves the grid, where the two edges interact.
 
+A run that records no ticks reads a block's prices at fills, a stretch's
+max and min, and the last.  PriceBlock.reflecting sums walk_block's moves
+per 8-tick word (one SWAR multiply), and builds the full path only where
+a word start nears an edge, as the walk may reflect, or on request.
+
 estimate_hitting_time samples first passages, the reflecting walk's as
 the exit time of a free walk from an interval (the same law).  One move
 changes a walk by at most a tick, so a row of 64 moves can hold the exit
@@ -198,17 +203,22 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
 
     Consumes exactly n uniforms from rng.  The reflecting walk sums the
     _steps moves and applies the reflection identity of the module
-    docstring, restarting it where the two edges interact; the
-    mean-reverting walk classifies its moves against a window of
-    thresholds (_walk_mean_reverting).
+    docstring (_reflecting_path); the mean-reverting walk classifies its
+    moves against a window of thresholds (_walk_mean_reverting).
     """
     if n <= 0:
         return np.empty(0, dtype=np.int64)
     if config.kind == MEAN_REVERTING_WALK:
         return _walk_mean_reverting(price, rng.random(n), config)
     stay = float(config.stay_probability)
-    gmin, gmax = config.grid_min, config.grid_max
-    steps = _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5)
+    return _reflecting_path(price, _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5),
+                            config)
+
+
+def _reflecting_path(price: int, steps: np.ndarray,
+                     config: PriceProcessConfig) -> np.ndarray:
+    """walk_block's reflecting path from price under the moves steps."""
+    gmin, gmax, n = config.grid_min, config.grid_max, len(steps)
     out = np.empty(n, dtype=np.int64)
     p, i = price, 0
     for _ in range(_MAX_BLOCK_RESTARTS):
@@ -233,6 +243,57 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
         p = _reflect(p + int(steps[j]), gmin, gmax)
         out[j] = p
     return out
+
+
+class PriceBlock:
+    """A block's prices, read only through take, bounds, prices and last:
+    a full path, such as walk_block's, or the sparse block of reflecting,
+    which builds its path on the first prices() call."""
+
+    def __init__(self, path: np.ndarray | None = None):
+        self._path = path
+        self.last = None if path is None else int(path[-1])
+
+    @classmethod
+    def reflecting(cls, price: int, rng: np.random.Generator, n: int,
+                   config: PriceProcessConfig) -> PriceBlock:
+        """walk_block(price, rng, n, config) of the reflecting walk (n >= 1),
+        from the same moves.  Plus 1 and padded with holds to whole 8-byte
+        words, times 0x0101010101010101 they hold in byte k the sum of bytes
+        0 .. k: the top bytes' cumsum gives the word starts."""
+        block, stay = cls(), float(config.stay_probability)
+        block._price, block._config = price, config
+        block._steps = _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5)
+        block._bytes = np.ones(-(-n // 8) * 8, dtype=np.uint8)
+        np.add(block._steps, 1, out=block._bytes[:n], casting="unsafe")
+        block._bytes.view("<u8")[:] *= 0x0101010101010101
+        block._starts = np.concatenate(([price], block._bytes[7::8] - np.int64(8)))
+        np.cumsum(block._starts, out=block._starts)
+        top, bottom = block.bounds(0, n)     # beyond an edge, the walk may reflect
+        near_edge = top > config.grid_max or bottom < config.grid_min
+        block.last = int(block.prices()[-1] if near_edge else block._starts[-1])
+        return block
+
+    def take(self, offsets):
+        """The prices at the offsets (an int or an int array)."""
+        if self._path is not None:
+            return self._path[offsets]
+        return self._starts[offsets >> 3] + self._bytes[offsets] - (offsets & 7) - 1
+
+    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
+        """(top, bottom) around the prices at offsets lo .. hi - 1 (hi > lo),
+        a word's being within 8 ticks of its start; exact once built."""
+        if self._path is not None:
+            seg = self._path[lo:hi]
+            return int(seg.max()), int(seg.min())
+        starts = self._starts[lo >> 3:((hi - 1) >> 3) + 1]
+        return int(starts.max()) + 8, int(starts.min()) - 8
+
+    def prices(self) -> np.ndarray:
+        """Every price of the block, built on the first call."""
+        if self._path is None:
+            self._path = _reflecting_path(self._price, self._steps, self._config)
+        return self._path
 
 
 def _walk_mean_reverting(price: int, u: np.ndarray,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgesim import cli, harness
+from edgesim import cli, harness, prices
 from edgesim.accounting import pnl_direct
 from edgesim.dominance import (CLAUSE_LOWER_BOUND, CLAUSE_MONOTONICITY,
                                CLAUSE_PER_ORDER_GAP, CLAUSE_PHASE_IDENTITY,
@@ -26,7 +26,8 @@ from edgesim.harness import (ORACLE_CHECK, RunConfig, RunSettings,
                              sweep)
 from edgesim.market import Instrument, Order
 from edgesim.prices import (ABOVE, MEAN_REVERTING_WALK, REFLECTING_WALK,
-                            PriceProcessConfig, estimate_hitting_time)
+                            PriceBlock, PriceProcessConfig,
+                            estimate_hitting_time)
 from edgesim.runio import config_from_dict, load_config, write_run_artifacts
 from edgesim.strategies import BaselineConfig
 from edgesim.verify import all_passed, verify_run
@@ -249,12 +250,15 @@ def test_engines_agree_on_fuzzed_configs(cfg):
 
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(small_configs())
-def test_engines_agree_on_fuzzed_configs_booked_by_sums(cfg):
+@given(small_configs(), st.sampled_from([13, 16, 12288]))
+def test_engines_agree_on_fuzzed_configs_booked_by_sums(cfg, block):
     # no kept orders and no recorded ticks: the blocked engine books its
-    # bulk fills by two reductions and builds no per-fill array
+    # bulk fills by two reductions and builds no per-fill array, and the
+    # reflecting walk's blocks are sparse, also where a block is not whole
+    # 8-tick words
     cfg = replace(cfg, run=replace(cfg.run, keep_orders=False, record_ticks=False))
-    assert _outcome_and_sums(cfg, "scalar") == _outcome_and_sums(cfg, "blocked")
+    with mock.patch.object(harness, "_BLOCK", block):
+        assert _outcome_and_sums(cfg, "scalar") == _outcome_and_sums(cfg, "blocked")
 
 
 def _edge_config(rng: random.Random) -> dict:
@@ -735,6 +739,75 @@ def test_default_engine_matches_scalar_on_mean_reverting_walk():
                   dominance=replace(cfg.dominance, min_distance=5))
     assert_reports_equal(run_simulation(cfg, engine="scalar"),
                          run_simulation(cfg))
+
+
+def _count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry (the call's arguments) per call of
+    owner.name from now on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [
+    default_config(master_seed=1, target_phases=1, record_ticks=False),
+    quick(seed=5, phases=3, record_ticks=False, keep_orders=False)],
+    ids=["default", "narrow"])
+def test_unrecorded_reflecting_runs_read_a_sparse_price_block(cfg, monkeypatch):
+    # without recorded ticks the reflecting walk never builds walk_block's
+    # path: a block builds its full path only where a word start lies
+    # within 8 ticks of a grid edge, or where a release scan reads a stretch
+    # that comes near a frozen bound (within the 16 ticks of slack that
+    # word-start bounds add to the stretch's own max and min)
+    monkeypatch.setattr(harness, "_BLOCK", 1000)
+    scalar = _outcome_and_sums(cfg, "scalar")
+
+    def no_full_walk(*args):
+        raise AssertionError("the unrecorded reflecting walk called walk_block")
+    monkeypatch.setattr(harness, "walk_block", no_full_walk)
+    blocks, near = [], []
+    reflecting = PriceBlock.reflecting
+
+    def keep(price, rng, n, config):
+        blocks.append((price, n, reflecting(price, rng, n, config)))
+        return blocks[-1][2]
+    monkeypatch.setattr(PriceBlock, "reflecting", keep)
+    first_release = harness._first_release
+
+    def screened(engine, block, lo, hi, *args):
+        seg, (sell, buy) = block.take(np.arange(lo, hi)), engine.frozen_bounds
+        near.append(len(seg) and ((sell is not None and seg.max() + 16 >= sell)
+                                  or (buy is not None and seg.min() - 16 <= buy)))
+        return first_release(engine, block, lo, hi, *args)
+    monkeypatch.setattr(harness, "_first_release", screened)
+    builds = _count_calls(monkeypatch, prices, "_reflecting_path")
+
+    assert _outcome_and_sums(cfg, "blocked") == scalar
+    built = len(builds)
+    edge = 0
+    for price, n, block in blocks:
+        path = block.prices()
+        starts = np.concatenate(([price], path[7::8]))[:-(-n // 8)]
+        edge += bool(starts.max() > cfg.price.grid_max - 8
+                     or starts.min() < cfg.price.grid_min + 8)
+    assert built <= edge + sum(near) < len(blocks)
+
+
+@pytest.mark.parametrize("kind, record_ticks",
+                         [(REFLECTING_WALK, True), (MEAN_REVERTING_WALK, False)])
+def test_full_path_runs_call_walk_block_once_a_block(kind, record_ticks, monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK", 512)
+    cfg = quick(phases=2, record_ticks=record_ticks)
+    cfg = replace(cfg, price=replace(cfg.price, kind=kind,
+                                     reversion_strength=Fraction(1, 2)))
+    calls = _count_calls(monkeypatch, harness, "walk_block")
+    report = run_simulation(cfg)
+    assert len(calls) == -(-report.final_time // 512) > 1
 
 
 def test_total_ticks_mode_stops_exactly():

@@ -9,7 +9,7 @@ from edgesim import cli, prices
 from edgesim.prices import (_MAX_BLOCK_RESTARTS, ABOVE, BELOW,
                             MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, HittingTimeSummary,
-                            PriceProcessConfig, _hit_one_reflecting,
+                            PriceBlock, PriceProcessConfig, _hit_one_reflecting,
                             _reflect, _steps, _thresholds, _up_probability,
                             estimate_hitting_time, next_price, substream,
                             walk_block)
@@ -151,13 +151,13 @@ def test_walk_block_chunks_compose():
 
 
 class FixedUniform:
-    """Stands in for a generator whose next uniform is u."""
+    """Stands in for a generator whose next uniforms are all u."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, n=None):
+        return self.u if n is None else np.full(n, self.u)
 
 
 @pytest.mark.parametrize("stay", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
@@ -190,15 +190,21 @@ def test_step_kernel_is_the_scalar_move_at_the_boundaries(stay):
 
 @st.composite
 def reflecting_walks(draw):
-    """Widths 1 to 3,000, narrow ones often, starting at or next to either
-    edge."""
-    gmin = draw(st.integers(0, 100))
-    gmax = gmin + draw(st.one_of(st.integers(1, 5), st.integers(1, 3000)))
+    """Widths 1 to 100,000, narrow ones often, near 0 or at either end of the
+    int64-safe grid (+/-2**61), starting anywhere, often at or next to
+    either edge; stays from 0 to 1 - 2**-20."""
+    width = draw(st.one_of(st.integers(1, 5), st.integers(1, 3000),
+                           st.integers(3000, 100_000)))
+    gmin = draw(st.one_of(st.integers(0, 100),
+                          st.sampled_from([-2 ** 61, 2 ** 61 - width])))
+    gmax = gmin + width
     return PriceProcessConfig(
         grid_min=gmin, grid_max=gmax,
-        start_price=draw(st.sampled_from([gmin, gmin + 1, gmax - 1, gmax])),
+        start_price=draw(st.one_of(st.sampled_from([gmin, gmin + 1, gmax - 1, gmax]),
+                                   st.integers(gmin, gmax))),
         stay_probability=draw(st.sampled_from(
-            [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)])))
+            [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
+             1 - Fraction(1, 2 ** 20)])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -210,6 +216,49 @@ def test_reflecting_walk_block_is_the_scalar_path(config, n, seed):
     got = walk_block(config.start_price, substream(seed, STREAM_PRICE), n,
                      config)
     assert got.tolist() == expected
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(reflecting_walks(),
+       st.one_of(st.integers(1, 40), st.integers(1, 3 * 12_288 + 5)),
+       st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
+def test_price_block_accessors_are_walk_block_prices(config, n, seed, rnd):
+    # walk_block is the oracle: the sparse block draws the same uniforms,
+    # and each accessor gives its prices, sparse or (near an edge) full
+    rng = substream(seed, STREAM_PRICE)
+    path = walk_block(config.start_price, rng, n, config)
+    after = rng.random()
+    rng = substream(seed, STREAM_PRICE)
+    block = PriceBlock.reflecting(config.start_price, rng, n, config)
+    assert rng.random() == after
+    offsets = np.array([0, n - 1, *(rnd.randrange(n) for _ in range(40))])
+    assert np.array_equal(block.take(offsets), path[offsets])
+    assert block.take(n - 1) == path[-1]
+    stretches = [(lo, rnd.randrange(lo + 1, n + 1))
+                 for lo in (0, *(rnd.randrange(n) for _ in range(20)))]
+    for lo, hi in stretches:
+        top, bottom = block.bounds(lo, hi)
+        assert bottom <= path[lo:hi].min() and path[lo:hi].max() <= top
+    assert block.last == path[-1]
+    assert np.array_equal(block.prices(), path)
+    for lo, hi in stretches:      # exact once the full path exists
+        assert block.bounds(lo, hi) == (path[lo:hi].max(), path[lo:hi].min())
+
+
+@pytest.mark.parametrize("start, u, n", [(50, 0.25, 24), (50, 0.75, 24),
+                                         (93, 0.25, 8), (7, 0.75, 8)])
+def test_price_block_is_exact_where_a_word_moves_8_ticks(start, u, n):
+    # stay 0 and one uniform throughout: n moves one way.  Each word ends 8
+    # ticks from its start, the bounds' full reach, and a lone word that
+    # starts 7 ticks from an edge reflects
+    config = PriceProcessConfig(grid_min=0, grid_max=100, start_price=start,
+                                stay_probability=Fraction(0))
+    path = walk_block(start, FixedUniform(u), n, config)
+    block = PriceBlock.reflecting(start, FixedUniform(u), n, config)
+    assert np.array_equal(block.take(np.arange(n)), path)
+    for lo, hi in [(0, 8), (5, 19), (16, 24)][:n // 8]:
+        top, bottom = block.bounds(lo, hi)
+        assert bottom <= path[lo:hi].min() and path[lo:hi].max() <= top
 
 
 def count_reflect_calls(monkeypatch):

@@ -44,16 +44,11 @@ corrections at once, which gives the two-sided walk up to the first tick
 at which x leaves the grid, where the two edges interact.
 
 A run that records no ticks reads a block's prices at fills, a stretch's
-max and min, and the last.  PriceBlock.reflecting sums walk_block's moves
-per 8-tick word (one SWAR multiply), and builds the full path only where
-a word start nears an edge, as the walk may reflect, or on request.
-
-estimate_hitting_time samples first passages, the reflecting walk's as
-the exit time of a free walk from an interval (the same law).  One move
-changes a walk by at most a tick, so a row of 64 moves can hold the exit
-only if it starts within 64 ticks of the interval's ends: the sampler
-takes the walk at each row start from the row sums and prefix-sums only
-the rows that pass this screen (_hit_one_reflecting).
+max and min, and the last; estimate_hitting_time reads a passage.  Both
+sum the moves per 8-tick word with one SWAR multiply (_words).  A word's
+prices lie within 8 ticks of its start, so PriceBlock.reflecting builds
+the full path only where a word start nears an edge (or on request), and
+the sampler reads only the words that start near its target.
 
 Deterministic substreams are derived from a master seed with
 numpy SeedSequence spawn keys; see substream().
@@ -88,11 +83,6 @@ _MAX_BLOCK_RESTARTS = 8
 
 # Ticks a mean-reverting window adds a side to its guess (4 to 32 ran alike).
 _MARGIN = 8
-
-# The reflecting hitting sampler screens its blocks in rows of this many
-# moves (64 had the best median of 32, 64, 128 and 256 on the recurrence
-# set-up over ten interleaved rounds).
-_ROW = 64
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -140,21 +130,23 @@ class PriceProcessConfig:
         return self.grid_max - self.grid_min
 
 
-def _up_probability(config: PriceProcessConfig, price: int) -> float:
-    """0.5, tilted by strength * (center - price) / width for the
-    mean-reverting walk and clamped to [0, 1].  The tilt is the float
-    nearest the exact rational, as float(Fraction) gives it: both are one
-    correctly rounded integer division."""
-    if config.kind == REFLECTING_WALK:
-        return 0.5
-    s = config.reversion_strength
-    tilt = (s.numerator * (config.grid_min + config.grid_max - 2 * price)
-            / (2 * s.denominator * config.width))
-    return min(1.0, max(0.0, 0.5 + tilt))
+def _up_threshold(config: PriceProcessConfig, price: int, stay: float) -> float:
+    """stay + (1 - stay) * p_up, below which a move goes up; stay is
+    float(config.stay_probability), which every caller holds.  p_up is 0.5,
+    for the mean-reverting walk tilted by strength * (center - price) /
+    width and clamped to [0, 1], the tilt being the float nearest the exact
+    rational: int / int, as float(Fraction), rounds correctly once."""
+    p_up = 0.5
+    if config.kind == MEAN_REVERTING_WALK:
+        s = config.reversion_strength
+        tilt = (s.numerator * (config.grid_min + config.grid_max - 2 * price)
+                / (2 * s.denominator * config.width))
+        p_up = min(1.0, max(0.0, 0.5 + tilt))
+    return stay + (1.0 - stay) * p_up
 
 
 def _thresholds(config: PriceProcessConfig, lo: int, hi: int) -> np.ndarray:
-    """thr[p - lo] = stay + (1 - stay) * p_up(p) for p in lo .. hi, the
+    """thr[p - lo] = _up_threshold(config, p, stay) for p in lo .. hi, the
     floats next_price compares u against.  The tilt's denominator exceeds
     |numerator|, so below 2**53 both are exact float64s, which numpy
     divides correctly rounded, as Python's int / int does."""
@@ -162,8 +154,7 @@ def _thresholds(config: PriceProcessConfig, lo: int, hi: int) -> np.ndarray:
     s = config.reversion_strength
     den = 2 * s.denominator * config.width
     if den >= 2 ** 53:
-        return np.array([stay + (1.0 - stay) * _up_probability(config, p)
-                         for p in range(lo, hi + 1)])
+        return np.array([_up_threshold(config, p, stay) for p in range(lo, hi + 1)])
     num = s.numerator * (config.grid_min + config.grid_max
                          - 2 * np.arange(lo, hi + 1, dtype=np.int64))
     return stay + (1.0 - stay) * np.clip(0.5 + num / float(den), 0.0, 1.0)
@@ -185,7 +176,7 @@ def next_price(price: int, rng: np.random.Generator,
     stay = float(config.stay_probability)
     if u < stay:
         return price
-    step = 1 if u < stay + (1.0 - stay) * _up_probability(config, price) else -1
+    step = 1 if u < _up_threshold(config, price, stay) else -1
     return _reflect(price + step, config.grid_min, config.grid_max)
 
 
@@ -195,6 +186,20 @@ def _steps(u: np.ndarray, stay: float, thr) -> np.ndarray:
     thr (a float, or one per uniform) is stay + (1 - stay) * p_up >= stay,
     so these are exactly next_price's comparisons, also for p_up 0 or 1."""
     return (u >= stay).view(np.int8) - 2 * (u >= thr).view(np.int8)
+
+
+def _words(start: int, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, starts): the walk from start under the int8 moves steps
+    after move i is starts[i >> 3] + sums[i] - (i & 7) - 1.  Plus 1, padded
+    with holds to whole 8-byte words and times 0x0101010101010101, the
+    moves hold in byte k of a word the sum of its bytes 0 .. k; the top
+    bytes' cumsum gives starts, the walk at each word start and the end."""
+    sums = np.ones(-(-len(steps) // 8) * 8, dtype=np.uint8)
+    np.add(steps, 1, out=sums[:len(steps)], casting="unsafe")
+    sums.view("<u8")[:] *= 0x0101010101010101
+    starts = np.concatenate(([start], sums[7::8] - np.int64(8)))
+    np.cumsum(starts, out=starts)
+    return sums, starts
 
 
 def walk_block(price: int, rng: np.random.Generator, n: int,
@@ -211,8 +216,8 @@ def walk_block(price: int, rng: np.random.Generator, n: int,
     if config.kind == MEAN_REVERTING_WALK:
         return _walk_mean_reverting(price, rng.random(n), config)
     stay = float(config.stay_probability)
-    return _reflecting_path(price, _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5),
-                            config)
+    steps = _steps(rng.random(n), stay, _up_threshold(config, price, stay))
+    return _reflecting_path(price, steps, config)
 
 
 def _reflecting_path(price: int, steps: np.ndarray,
@@ -258,17 +263,11 @@ class PriceBlock:
     def reflecting(cls, price: int, rng: np.random.Generator, n: int,
                    config: PriceProcessConfig) -> PriceBlock:
         """walk_block(price, rng, n, config) of the reflecting walk (n >= 1),
-        from the same moves.  Plus 1 and padded with holds to whole 8-byte
-        words, times 0x0101010101010101 they hold in byte k the sum of bytes
-        0 .. k: the top bytes' cumsum gives the word starts."""
+        from the same moves, read through their _words."""
         block, stay = cls(), float(config.stay_probability)
         block._price, block._config = price, config
-        block._steps = _steps(rng.random(n), stay, stay + (1.0 - stay) * 0.5)
-        block._bytes = np.ones(-(-n // 8) * 8, dtype=np.uint8)
-        np.add(block._steps, 1, out=block._bytes[:n], casting="unsafe")
-        block._bytes.view("<u8")[:] *= 0x0101010101010101
-        block._starts = np.concatenate(([price], block._bytes[7::8] - np.int64(8)))
-        np.cumsum(block._starts, out=block._starts)
+        block._steps = _steps(rng.random(n), stay, _up_threshold(config, price, stay))
+        block._bytes, block._starts = _words(price, block._steps)
         top, bottom = block.bounds(0, n)     # beyond an edge, the walk may reflect
         near_edge = top > config.grid_max or bottom < config.grid_min
         block.last = int(block.prices()[-1] if near_edge else block._starts[-1])
@@ -315,7 +314,7 @@ def _walk_mean_reverting(price: int, u: np.ndarray,
     p, i = price, 0
     while i < len(u):
         uw = u[i:]
-        moves = _steps(uw, stay, stay + (1.0 - stay) * _up_probability(config, p))
+        moves = _steps(uw, stay, _up_threshold(config, p, stay))
         path = np.cumsum(moves, dtype=np.int64)
         low, high = min(0, int(path.min())), max(0, int(path.max()))
         lo, hi = max(gmin, p + low - _MARGIN), min(gmax, p + high + _MARGIN)
@@ -370,68 +369,59 @@ def _validate_threshold(config: PriceProcessConfig, start_price: int,
     return start_price + sign * (xi + 1)
 
 
+def _blocks(cap: int):
+    """(done, n) for a passage's blocks: n doubles from 256 to 32,768 and
+    stops at cap.  Uniforms are drawn in order, so n changes no time."""
+    done, n = 0, 1 << 8
+    while done < cap:
+        yield done, min(n, cap - done)
+        done, n = done + n, min(2 * n, 1 << 15)
+
+
 def _hit_one_reflecting(rng: np.random.Generator, config: PriceProcessConfig,
                         start: int, target: int, direction: str,
                         cap: int) -> int:
     """First passage time to the target price for one replication, or 0
     if not reached within cap steps (times are >= 1 so 0 is free).
 
-    Only one boundary can be touched before the hit (the target lies
-    strictly inside the grid and the walk moves one tick at a time), and
-    a symmetric walk reflected at a single boundary has the law (not the
-    path) of the folded free walk, boundary + |free walk - boundary|, so
-    the passage time is distributed as the free walk's exit time from a
-    symmetric interval, which needs no reflection handling at all.
+    The target lies strictly inside the grid, so the walk meets at most
+    one edge before the hit, and a symmetric walk reflected at one edge
+    has the law (not the path) of the folded free walk, edge + |free walk
+    - edge|: the passage time is the free walk's exit time from (-tgt,
+    tgt), which needs no reflection at all.
 
-    Uniforms are drawn into one buffer in blocks that double from 256 to
-    32,768, so a short passage draws little more than it uses; the stream
-    is sequential, so the block sizes do not change the hitting time.  A
-    row of _ROW moves that starts at s stays within _ROW ticks of s, so
-    it can reach +/-tgt only if |s| >= tgt - _ROW: the row sums give each
-    row's start, only the rows that pass this screen are prefix-summed,
-    and the first of them to reach +/-tgt holds the passage.  A last,
-    cap-limited block that is not whole rows is screened as one row.
+    A word of _words that starts at s stays within 8 ticks of s, so it can
+    reach +/-tgt only if |s| >= tgt - 8; only those words are read tick by
+    tick.  The holds that pad a last word repeat a price read before them.
     """
-    stay = float(config.stay_probability)
-    up_threshold = stay + (1.0 - stay) * 0.5
+    u, stay = np.empty(1 << 15), float(config.stay_probability)
+    up_threshold = _up_threshold(config, start, stay)
     sign, edge = (1, config.grid_min) if direction == ABOVE else (-1, config.grid_max)
     x, tgt = sign * (start - edge), sign * (target - edge)
-    u = np.empty(1 << 15)
-    done, block = 0, 1 << 8
-    while done < cap:
-        n = min(block, cap - done)
-        block = min(2 * block, 1 << 15)
-        steps = _steps(rng.random(out=u[:n]), stay, up_threshold)
-        # a ragged last block is one row; n < 2**15 keeps its int16 sum exact
-        width = n if n % _ROW else _ROW
-        rows = steps.reshape(-1, width)
-        sums = rows.sum(axis=1, dtype=np.int16)
-        starts = np.cumsum(sums, dtype=np.int64) + x - sums
-        near = np.flatnonzero(np.abs(starts) >= tgt - width)
-        walk = np.cumsum(rows[near], axis=1, dtype=np.int64) + starts[near, None]
-        hits = np.flatnonzero(np.abs(walk) >= tgt)
-        if hits.size:
-            r, j = divmod(int(hits[0]), width)
-            return done + int(near[r]) * width + j + 1
-        x = int(starts[-1]) + int(sums[-1])
-        done += n
+    for done, n in _blocks(cap):
+        sums, starts = _words(x, _steps(rng.random(out=u[:n]), stay, up_threshold))
+        near = np.flatnonzero(np.abs(starts[:-1]) >= tgt - 8)
+        if near.size:
+            walk = sums.reshape(-1, 8)[near] + (starts[near, None] - np.arange(1, 9))
+            hits = np.flatnonzero(np.abs(walk) >= tgt)
+            if hits.size:
+                w, k = divmod(int(hits[0]), 8)
+                return done + 8 * int(near[w]) + k + 1
+        x = int(starts[-1])
     return 0
 
 
 def _hit_one_walk(rng: np.random.Generator, config: PriceProcessConfig,
                   start: int, target: int, direction: str, cap: int) -> int:
     """As _hit_one_reflecting, for any walk: the first passage of its
-    walk_block path, drawn in the same doubling blocks."""
-    price, done, block = start, 0, 1 << 8
-    while done < cap:
-        n = min(block, cap - done)
-        block = min(2 * block, 1 << 15)
+    walk_block path, drawn in the same _blocks."""
+    price = start
+    for done, n in _blocks(cap):
         path = walk_block(price, rng, n, config)
         hit = path >= target if direction == ABOVE else path <= target
         if hit.any():
             return done + int(np.argmax(hit)) + 1
         price = int(path[-1])
-        done += n
     return 0
 
 

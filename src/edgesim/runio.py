@@ -292,9 +292,17 @@ def parse_rows(data: bytes, line: int = 1) -> np.ndarray:
 
 
 def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
-    """Write phases.csv, delayed_orders.csv, summary.json, and ticks.csv
-    exactly when the run recorded its tick series, into out_dir."""
+    """Write phases.csv, delayed_orders.csv, summary.json, and ticks.csv (exactly
+    when the run recorded its tick series) into a new, empty or earlier run's out_dir."""
     out = Path(out_dir)
+    try:    # a run directory's summary.json names its schema
+        schema = str(json.loads((out / SUMMARY_JSON).read_bytes())["schema"])
+    except (OSError, ValueError, LookupError, TypeError):
+        schema = ""
+    if (out.is_dir() and any(out.iterdir())
+            and schema.rpartition("/")[0] != SUMMARY_SCHEMA.rpartition("/")[0]):
+        raise ValueError(f"{out} is not empty and holds no edgesim run "
+                         f"({SUMMARY_JSON}); refusing to write into it")
     out.mkdir(parents=True, exist_ok=True)
 
     phases = [(p.phase_index, p.end_time, p.delayed_quantity, p.pnl_diff,

@@ -142,7 +142,8 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
                             config: RunConfig, fail) -> dict:
     """Stream ticks.csv: rows t = 0, 1, ... in order, a price path from
     start_price moving at most one tick a row inside the grid, pnl_sstar =
-    pnl_s + diff on every row, and the cells the other files pin: the
+    pnl_s + diff on every row, each PnL falling where the price holds only
+    by whole fills (none rising), and the cells the other files pin: the
     start_price and zero PnL columns at t = 0, each phase end's diff as in
     phases.csv, and the price at each record's t_delay and t_exec, its fill
     price plus sign * half_spread.
@@ -150,6 +151,8 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
     Returns the results the rows derive: the final time, price and diff
     and both max drawdowns."""
     lo, hi, half = config.price.grid_min, config.price.grid_max, config.run.half_spread
+    # What a fill or release books at a held price; none books 2**63 or more.
+    unit = config.instrument.multiplier * half * config.strategy.quantity
     # (tick, column, value, whose, source) in tick order, columns as in
     # TICKS_HEADER.  A negative tick ends the lookup and is missing.
     pinned = sorted([(0, 1, config.price.start_price, "the start", SUMMARY_JSON)]
@@ -186,6 +189,15 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
                 bad = np.flatnonzero((pnl_star != total) | (wrap < 0))
                 fail(f"t={times[bad[0]]}: diff column inconsistent with the "
                      f"two PnL columns")
+            for c in (2, 3):        # the PnL moves at a held price, row i - 1 to i
+                col = np.concatenate((last[c:c + 1], rows[:, c]))
+                i = np.flatnonzero((step == 1) & (col[1:] != col[:-1]))
+                fall = col[i].view(np.uint64) - col[i + 1].view(np.uint64)
+                odd = fall % np.uint64(unit) if 0 < unit < 2 ** 63 else fall
+                bad = i[(col[i + 1] > col[i]) | (odd != 0)]
+                if bad.size:
+                    fail(f"t={times[bad[0]]}: {TICKS_HEADER.split(',')[c]} {col[bad[0]]} "
+                         f"-> {col[bad[0] + 1]} at a held price, not whole fills of -{unit}")
             while k < len(pinned) and 0 <= pinned[k][0] < n_rows + len(rows):
                 t, col, value, whose, source = pinned[k]
                 if (got := int(rows[t - n_rows, col])) != value:

@@ -10,7 +10,7 @@ from edgesim.prices import (_MAX_BLOCK_RESTARTS, ABOVE, BELOW,
                             MEAN_REVERTING_WALK, REFLECTING_WALK,
                             STREAM_HITTING, STREAM_PRICE, HittingTimeSummary,
                             PriceBlock, PriceProcessConfig, _hit_one_reflecting,
-                            _reflect, _steps, _thresholds, _up_probability,
+                            _reflect, _steps, _thresholds, _up_threshold,
                             estimate_hitting_time, next_price, substream,
                             walk_block)
 
@@ -306,14 +306,13 @@ def test_whole_grid_thresholds_are_the_scalar_float_law(stay, strength):
                                     reversion_strength=strength)
         grid = range(gmin, gmax + 1)
         center = Fraction(gmin + gmax, 2)
-        p_up = [_up_probability(config, p) for p in grid]
+        s = float(stay)
+        thr = [_up_threshold(config, p, s) for p in grid]
         # the documented law, in exact rationals rounded once
         tilts = [float(strength * (center - p) / (gmax - gmin)) for p in grid]
-        assert p_up == [min(1.0, max(0.0, 0.5 + t)) for t in tilts]
-        s = float(stay)
+        assert thr == [s + (1.0 - s) * min(1.0, max(0.0, 0.5 + t)) for t in tilts]
         # the whole grid as one window
-        assert _thresholds(config, gmin, gmax).tolist() == [
-            s + (1.0 - s) * q for q in p_up]
+        assert _thresholds(config, gmin, gmax).tolist() == thr
 
 
 @st.composite
@@ -349,10 +348,10 @@ def test_window_thresholds_are_the_scalar_float_law(window):
     center = Fraction(config.grid_min + config.grid_max, 2)
     tilts = [float(config.reversion_strength * (center - p) / config.width)
              for p in prices_]
-    p_up = [_up_probability(config, p) for p in prices_]
-    assert p_up == [min(1.0, max(0.0, 0.5 + t)) for t in tilts]
+    scalar = [_up_threshold(config, p, s) for p in prices_]
+    assert scalar == [s + (1.0 - s) * min(1.0, max(0.0, 0.5 + t)) for t in tilts]
     thr = _thresholds(config, lo, hi)
-    assert thr.tolist() == [s + (1.0 - s) * q for q in p_up]
+    assert thr.tolist() == scalar
     assert (np.diff(thr) <= 0).all()
 
 
@@ -367,13 +366,13 @@ def test_window_thresholds_take_float64_or_the_scalar_expression(
                                 reversion_strength=Fraction(1, 3))
     calls = []
 
-    def counted(config, price):
+    def counted(config, price, stay):
         calls.append(price)
-        return _up_probability(config, price)
-    monkeypatch.setattr(prices, "_up_probability", counted)
+        return _up_threshold(config, price, stay)
+    monkeypatch.setattr(prices, "_up_threshold", counted)
     for lo in (gmin, (gmin + gmax) // 2 - 50, gmax - 100):
         thr = _thresholds(config, lo, lo + 100)
-        assert thr.tolist() == [0.5 + 0.5 * _up_probability(config, p)
+        assert thr.tolist() == [_up_threshold(config, p, 0.5)
                                 for p in range(lo, lo + 101)]
     assert len(calls) == (303 if scalar else 0)
 
@@ -621,12 +620,12 @@ def test_reflecting_hitting_time_steps_the_scalar_law():
         assert s == HittingTimeSummary(samples, 10**6, samples,
                                        float(np.mean(case)), max(case))
         times += case
-    # hits in the first row, and passages longer than the first block
+    # hits in the first 64 ticks, and passages longer than the first block
     assert min(times) <= 64 and max(times) > 256
 
 
 def full_prefix_hitting_time(rng, config, start, target, direction, cap):
-    """The reflecting sampler without its row screen: every block of the
+    """The reflecting sampler without its word screen: every block of the
     folded free walk is prefix-summed in full."""
     stay = float(config.stay_probability)
     up_threshold = stay + (1.0 - stay) * 0.5
@@ -677,9 +676,10 @@ def scripted_hitting_times(config, start, target, direction, cap, u):
 
 @st.composite
 def scripted_passages(draw):
-    """A reflecting walk, a threshold, a cap (under 64, not a multiple of
-    64, or whole rows) and a script of moves in runs of one kind, so rows
-    start anywhere near the target and a passage can fall on any tick."""
+    """A reflecting walk, a threshold, a cap (under one 8-move word, not
+    whole words, or whole words) and a script of moves in runs of one kind,
+    so words start anywhere near the target and a passage can fall on any
+    tick."""
     gmax = draw(st.integers(3, 400))
     direction = draw(st.sampled_from([ABOVE, BELOW]))
     start = draw(st.integers(0, gmax - 2) if direction == ABOVE
@@ -687,8 +687,8 @@ def scripted_passages(draw):
     xi = draw(st.integers(1, gmax - start - 1 if direction == ABOVE
                           else start - 1))
     target = start + xi + 1 if direction == ABOVE else start - xi - 1
-    cap = draw(st.one_of(st.integers(1, 63), st.integers(64, 3000),
-                         st.integers(1, 47).map(lambda k: 64 * k)))
+    cap = draw(st.one_of(st.integers(1, 7), st.integers(8, 3000),
+                         st.integers(1, 375).map(lambda k: 8 * k)))
     runs = draw(st.lists(st.tuples(st.sampled_from([HOLD, UP, DOWN]),
                                    st.integers(1, 150)), max_size=30))
     u = np.concatenate([np.full(k, v) for v, k in runs] + [np.full(cap, HOLD)])
@@ -699,29 +699,15 @@ def scripted_passages(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(scripted_passages())
-def test_row_screen_is_the_full_prefix_sum_on_scripted_moves(case):
+def test_word_screen_is_the_full_prefix_sum_on_scripted_moves(case):
     got, expected, (used, ref_used) = scripted_hitting_times(*case)
     assert got == expected
     assert used == ref_used
 
 
-@pytest.mark.parametrize("start,xi,cap,script,expected", [
-    # a row that starts exactly tgt - 64 away reaches it on its last tick
-    (0, 63, 256, [UP] * 64, 64),
-    (0, 63, 256, [HOLD] * 64 + [UP] * 64, 128),
-    (0, 63, 256, [DOWN] * 64, 64),
-    # one tick short of the screen: no row can reach the target
-    (0, 64, 256, [UP] * 64, 0),
-    # the ragged last block of 300 - 256 = 44 moves holds the passage
-    (0, 39, 300, [HOLD] * 256 + [UP] * 40, 296),
-    # ... or the cap ends it one tick short, a miss
-    (0, 39, 295, [HOLD] * 256 + [UP] * 40, 0),
-    # a cap under one row
-    (0, 3, 5, [UP] * 4, 4),
-    (0, 3, 3, [UP] * 4, 0),
-])
-def test_row_screen_edges_are_the_full_prefix_sum(start, xi, cap, script,
-                                                  expected):
+def passage_from_a_scripted_start(start, xi, cap, script, expected):
+    """Under script and then holds, the sampler and the full prefix sum
+    both pass beyond start + xi at tick expected (0: not by cap)."""
     config = PriceProcessConfig(grid_min=0, grid_max=100, start_price=start,
                                 stay_probability=SCRIPT_STAY)
     u = (script + [HOLD] * cap)[:cap]
@@ -730,12 +716,53 @@ def test_row_screen_edges_are_the_full_prefix_sum(start, xi, cap, script,
     assert got == reference == expected
 
 
+@pytest.mark.parametrize("start,xi,cap,script,expected", [
+    # a word that starts exactly tgt - 8 away reaches it on its last move
+    (0, 7, 64, [UP] * 8, 8),
+    (0, 7, 64, [HOLD] * 8 + [UP] * 8, 16),
+    (0, 7, 64, [DOWN] * 8, 8),
+    # one tick further: no word can reach the target
+    (0, 8, 64, [UP] * 8, 0),
+    # a cap that is not whole words, the passage in the padded last word
+    (0, 4, 269, [HOLD] * 264 + [UP] * 5, 269),
+    # ... or the same cap one tick short, a miss
+    (0, 4, 268, [HOLD] * 264 + [UP] * 5, 0),
+    # a cap under one word
+    (0, 3, 5, [UP] * 4, 4),
+    (0, 3, 3, [UP] * 4, 0),
+])
+def test_word_screen_edges_are_the_full_prefix_sum(start, xi, cap, script,
+                                                   expected):
+    passage_from_a_scripted_start(start, xi, cap, script, expected)
+
+
+@pytest.mark.parametrize("start,xi,cap,script,expected", [
+    # 64-move runs: a run that starts exactly tgt - 64 away, eight words,
+    # reaches it on its last tick
+    (0, 63, 256, [UP] * 64, 64),
+    (0, 63, 256, [HOLD] * 64 + [UP] * 64, 128),
+    (0, 63, 256, [DOWN] * 64, 64),
+    # one tick further: no 64-move run can reach the target
+    (0, 64, 256, [UP] * 64, 0),
+    # the last block of 300 - 256 = 44 moves holds the passage
+    (0, 39, 300, [HOLD] * 256 + [UP] * 40, 296),
+    # ... or the cap ends it one tick short, a miss
+    (0, 39, 295, [HOLD] * 256 + [UP] * 40, 0),
+    # a cap under 64 moves
+    (0, 3, 5, [UP] * 4, 4),
+    (0, 3, 3, [UP] * 4, 0),
+])
+def test_row_screen_edges_are_the_full_prefix_sum(start, xi, cap, script,
+                                                  expected):
+    passage_from_a_scripted_start(start, xi, cap, script, expected)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(reflecting_walks(), st.sampled_from([ABOVE, BELOW]),
        st.integers(1, 200),
        st.one_of(st.integers(1, 63), st.integers(1, 100_000)),
        st.integers(0, 2 ** 32 - 1))
-def test_row_screen_is_the_full_prefix_sum(config, direction, xi, cap, seed):
+def test_word_screen_is_the_full_prefix_sum(config, direction, xi, cap, seed):
     # the real generator: random(out=...) draws the same stream as
     # random(n), and the screen gives the full prefix sum's passage
     room = (config.grid_max - config.start_price if direction == ABOVE

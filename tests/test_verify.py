@@ -367,6 +367,26 @@ def test_simulate_into_a_reused_out_dir_verifies(tmp_path, capsys, first, second
     assert cli.main(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("summary", [None, b"{}", b'{"schema": "notes/1"}', b"[1]"],
+                         ids=["none", "no_schema", "other_schema", "not_an_object"])
+def test_simulate_refuses_an_out_dir_that_holds_no_run(tmp_path, capsys, summary):
+    # a user's files, and no summary.json of an edgesim run: nothing is
+    # written or deleted
+    out = tmp_path / "mine"
+    out.mkdir()
+    files = {TICKS_CSV: b"my ticks\n", PHASES_CSV: b"my phases\n"}
+    if summary is not None:
+        files[SUMMARY_JSON] = summary
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    path = tmp_path / "short.yaml"
+    path.write_text("price: {grid_min: 9800, grid_max: 10200}\n"
+                    "run: {target_phases: 1, record_ticks: false}\n")
+    assert cli.main(["simulate", str(path), "--seed", "11", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
 def _edit_result(run_dir: Path, key: str, edit) -> None:
     summary = read_summary(run_dir)
     summary["results"][key] = edit(summary["results"][key])
@@ -482,6 +502,14 @@ def _shift_row_diff(lines, t):
                     diff_quanta=cols[4] + 1)
 
 
+def _raise_both_pnls_at_a_held_price(lines, end):
+    # The row stays consistent, but no fill at a held price raises a PnL.
+    t = next(t for t in range(100, len(lines) - 1)
+             if lines[t].split(",")[1] == lines[t + 1].split(",")[1])
+    cols = [int(v) for v in lines[t + 1].split(",")]
+    return _set_row(lines, t, pnl_s_quanta=cols[2] + 1, pnl_sstar_quanta=cols[3] + 1)
+
+
 # Line 0 of ticks.csv is the header; line k + 1 holds tick k.
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda lines, end: lines[:100] + lines[101:], id="deleted"),
@@ -501,6 +529,7 @@ def _shift_row_diff(lines, t):
                                              diff_quanta=2**62 + 1,
                                              pnl_sstar_quanta=-2**63 + 1),
                  id="int64_wrap"),
+    pytest.param(_raise_both_pnls_at_a_held_price, id="paired_pnl"),
     # a run starts flat: both PnL levels, or pnl_sstar and diff, moved at t = 0
     pytest.param(lambda lines, end: _set_row(lines, 0, pnl_s_quanta=-1,
                                              pnl_sstar_quanta=-1),
@@ -546,6 +575,24 @@ def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit, request):
     # comparison catches; the row check must catch it first.
     if request.node.callspec.id == "int64_wrap":
         assert "diff column inconsistent" in verdict.detail
+
+
+def test_pnl_falling_by_part_of_a_fill_at_a_held_price_fails_consistency(tmp_path):
+    # half_spread 2: a fill at a held price books -2, so a fall of 1 is no
+    # fill; the next row moves, so only the held-price rule can see it
+    write_run_artifacts(run_simulation(default_config(
+        master_seed=41, total_ticks=20_000, target_phases=None, half_spread=2)), tmp_path)
+    lines = (tmp_path / TICKS_CSV).read_text().splitlines(keepends=True)
+    price = [line.split(",")[1] for line in lines]
+    t = next(t for t in range(100, len(lines) - 2)
+             if price[t] == price[t + 1] != price[t + 2])
+    cols = [int(v) for v in lines[t + 1].split(",")]
+    (tmp_path / TICKS_CSV).write_text("".join(_set_row(
+        lines, t, pnl_s_quanta=cols[2] - 1, pnl_sstar_quanta=cols[3] - 1)))
+    detail = {v.clause: v.detail for v in verify_run(tmp_path) if not v.passed}
+    assert detail[CLAUSE_TICK_CONSISTENCY] == (
+        f"t={t}: pnl_s_quanta {cols[2]} -> {cols[2] - 1} at a held price, not "
+        f"whole fills of -2")
 
 
 def _rewrite_prices(run_dir: Path, t: int, step: int) -> None:

@@ -25,8 +25,8 @@ import yaml
 from .dominance import SimulationError
 from .harness import RunConfig, replication_seed, run_simulation, sweep
 from .prices import ABOVE, BELOW, estimate_hitting_time
-from .runio import (load_config, parse_field, write_run_artifacts,
-                    write_sweep_csv)
+from .runio import (check_out_dir, load_config, parse_field,
+                    write_run_artifacts, write_sweep_csv)
 from .verify import all_passed, verify_run
 
 
@@ -61,11 +61,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_base = Path(args.out or config.run.out_dir or "edgesim_run")
 
     reps = config.run.replications
+    outs = [check_out_dir(out_base / f"rep_{rep:03d}" if reps > 1 else out_base)
+            for rep in range(reps)]     # each refused before the first run
     ok = True
-    for rep in range(reps):
+    for rep, out in enumerate(outs):
         rep_seed = replication_seed(config.run.master_seed, rep)
         report = run_simulation(config, master_seed=rep_seed)
-        out = out_base if reps == 1 else out_base / f"rep_{rep:03d}"
         write_run_artifacts(report, out)
         print(f"run seed={rep_seed}: {report.phases_completed} phases, "
               f"{len(report.records)} delayed orders, "

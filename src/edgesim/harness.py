@@ -322,31 +322,15 @@ class _RunState:
                              f"previous diff={prev_diff}")
         self.phases.append(report)
 
-    def settle(self, time: int, price: int, audit: bool = False) -> bool:
-        """Close tick `time` once its fills are booked: release what the
-        price reaches, audit the diff if asked, end the phase if it ended.
-        True once the run has its target_phases."""
+    def settle(self, time: int, price: int) -> bool:
+        """Close tick `time` once its fills are booked: release what the price
+        reaches, end the phase if it ended; True once at target_phases."""
         records, phase_ended = self.engine.on_tick(time, price)
         if records:
             self.apply_executions(records)
-        if audit:
-            self.audit_tick(price)
         if phase_ended:
             self.end_phase(time, price)
         return phase_ended and len(self.phases) == self.config.run.target_phases
-
-    def audit_tick(self, price: int) -> None:
-        """Mid-phase reconciliation: the diff equals the telescoping sum of
-        executed delays plus the open-position discrepancy of queued ones."""
-        pend = sum(e.sign * (price - e.base_fill_price) * e.quantity
-                   for e in self.engine.queue)
-        expected = self.m * (self.engine.gap_weighted_total + pend)
-        got = self.diff(price)
-        self.checked[CLAUSE_PHASE_IDENTITY] += 1
-        if got != expected:
-            raise InvariantViolation(
-                CLAUSE_PHASE_IDENTITY,
-                f"mid-phase diff {got} != telescoping + pending {expected}")
 
     # -- tick rows ----------------------------------------------------------
 
@@ -451,31 +435,26 @@ def _max_drawdown(pnl: np.ndarray) -> Money:
 
 
 def run_simulation(config: RunConfig, master_seed: int | None = None,
-                   engine: str = "blocked", per_tick_audit: bool = False) -> RunReport:
+                   engine: str = "blocked") -> RunReport:
     """Run one replication to its stopping condition and return the report.
 
     engine: "blocked" (the default) vectorizes event-free stretches,
     "scalar" steps literally tick by tick.  Both produce identical reports
-    for identical seeds.  per_tick_audit additionally re-checks the
-    PnL-difference reconciliation at every tick (scalar engine only; slow,
-    meant for tests).
+    for identical seeds.
     """
     seed = config.run.master_seed if master_seed is None else master_seed
     if engine not in ("scalar", "blocked"):
         raise ValueError(f"unknown engine {engine!r}")
-    if per_tick_audit and engine != "scalar":
-        raise ValueError("per_tick_audit requires the scalar engine")
 
     state = _RunState(config, seed)
     if engine == "scalar":
-        final_time, final_price = _run_scalar(config, state, per_tick_audit)
+        final_time, final_price = _run_scalar(config, state)
     else:
         final_time, final_price = _run_blocked(config, state)
     return state.build_report(seed, final_time, final_price)
 
 
-def _run_scalar(config: RunConfig, state: _RunState,
-                per_tick_audit: bool) -> tuple[int, int]:
+def _run_scalar(config: RunConfig, state: _RunState) -> tuple[int, int]:
     pcfg, scfg, rng = config.price, config.strategy, state.price_rng
     t, price = 0, pcfg.start_price
     path = state.path_prices if state.record_ticks else None
@@ -490,7 +469,7 @@ def _run_scalar(config: RunConfig, state: _RunState,
         pending = baseline_on_tick(scfg, t, state.streams)
         if path is not None:
             path.append(price)
-        if state.settle(t, price, per_tick_audit) or (total is not None and t >= total):
+        if state.settle(t, price) or (total is not None and t >= total):
             return t, price
 
 

@@ -291,10 +291,11 @@ def parse_rows(data: bytes, line: int = 1) -> np.ndarray:
     return value.reshape(-1, 5)
 
 
-def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
-    """Write phases.csv, delayed_orders.csv, summary.json, and ticks.csv (exactly
-    when the run recorded its tick series) into a new, empty or earlier run's out_dir."""
+def check_out_dir(out_dir: str | Path) -> Path:
+    """Path(out_dir), refused by name unless new, empty or an earlier run's."""
     out = Path(out_dir)
+    if bad := next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None):
+        raise ValueError(f"{bad} is not a directory; refusing to write a run into {out}")
     try:    # a run directory's summary.json names its schema
         schema = str(json.loads((out / SUMMARY_JSON).read_bytes())["schema"])
     except (OSError, ValueError, LookupError, TypeError):
@@ -303,6 +304,13 @@ def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
             and schema.rpartition("/")[0] != SUMMARY_SCHEMA.rpartition("/")[0]):
         raise ValueError(f"{out} is not empty and holds no edgesim run "
                          f"({SUMMARY_JSON}); refusing to write into it")
+    return out
+
+
+def write_run_artifacts(report: RunReport, out_dir: str | Path) -> Path:
+    """Write phases.csv, delayed_orders.csv, summary.json, and ticks.csv (exactly
+    when the run recorded its tick series) into a new, empty or earlier run's out_dir."""
+    out = check_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     phases = [(p.phase_index, p.end_time, p.delayed_quantity, p.pnl_diff,

@@ -11,13 +11,14 @@ q_delayed and n_delayed must be the derived ones, and
 dominance.phase_clause_failures, the run's own phase-end judge, judges
 its diff and bound against the derived telescoping sum, Q_D and
 n_delayed.  Executions after the last phase end are accepted only in a
-total_ticks run, as the run itself accepts them.
-ticks.csv exists exactly when the config echo says run.record_ticks; its
-check streams it in blocks, with the grammar format_rows writes (see
-runio), in bounded memory, and looks up the zero PnLs and diff at t = 0,
-the diff at each phase end and the price at each record's t_delay and
-t_exec, so a one-tick shift of either time is caught only where the
-price moved.
+total_ticks run, as the run itself accepts them.  The same sweep writes
+the tape: per delay and execution, the price it pins (fill price plus
+sign * half_spread) and S*'s PnL less S's after it: executed delays'
+telescoping sum plus queued ones' open discrepancy.  ticks.csv exists
+exactly when the config echo says run.record_ticks; its check streams it
+in blocks, with the grammar format_rows writes (see runio), in bounded
+memory, and holds each row's diff up to the last phase end (the per-tick
+identity), and the price at each record's t_delay and t_exec, to the tape.
 Every summary.json result but the commissions is compared with one table
 derived from the replay (the record totals; the final time, and the
 final diff of a target_phases stop), from ticks.csv when recorded (the
@@ -62,21 +63,27 @@ class Verdict:
         return f"{status}  {self.clause}{tail}"
 
 
-def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) -> dict:
+def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) -> tuple:
     """fail(clause, detail) each violated clause at its first offender;
-    return the summary.json results that the records derive.  Phases not
-    numbered 1..n, or order ids not rising from 1 with t_delay (one fill a
-    tick), raise ValueError naming the file and line."""
-    margin = config.dominance.gamma + config.dominance.tau
-    cap = config.dominance.queue_cap
-    m = config.instrument.multiplier
+    return the summary.json results that the records derive and the tape,
+    (tick, pinned price, order id, m·A, m·B) per delay and execution: S*'s
+    PnL less S's at price P after it is m·A + m·B·P.  Phases not numbered
+    1..n, or order ids not rising from 1 with t_delay (one fill a tick),
+    raise ValueError naming the file and line."""
+    margin, m = config.dominance.gamma + config.dominance.tau, config.instrument.multiplier
+    cap, half = config.dominance.queue_cap, config.run.half_spread
     events = sorted([(r["t_delay"], 0, r["order_id"], r) for r in records]
                     + [(r["t_exec"], 1, r["order_id"], r) for r in records]
                     + [(p["end_time"], 2, k, p) for k, p in enumerate(phases)],
                     key=lambda e: e[:3])
     queued = q_delayed = telescoping = gap_sum = n_phase = end = prev = last_id = 0
-    last_t = last_exec = None
+    tape, m_a, m_b, last_t, last_exec = [], 0, 0, None, None
     for t, kind, key, row in events:
+        if kind < 2:    # S books the fill at its delay, S* at its execution
+            sign, p = row["sign"], row[("p_delay_ticks", "p_exec_ticks")[kind]]
+            turn = (1 - 2 * kind) * sign * m * row["qty"]
+            m_a, m_b = m_a - turn * p, m_b + turn
+            tape.append((t, p + sign * half, key, m_a, m_b))
         if kind == 0:
             if key <= last_id or t == last_t:
                 raise ValueError(f"{DELAYED_CSV} line {records.index(row) + 2}: order "
@@ -127,7 +134,7 @@ def _replay(config: RunConfig, phases: list[dict], records: list[dict], fail) ->
     mean_gap = str(Fraction(gap_sum, len(records))) if records else None
     return {**stop, "phases_completed": len(phases),
             "n_delayed_orders": len(records), "q_delayed_total": q_delayed,
-            "mean_order_gap_ticks": mean_gap}
+            "mean_order_gap_ticks": mean_gap}, tape
 
 
 def _compare(fail, clause: str, where: str, row: dict, derived: dict, source: str):
@@ -138,36 +145,31 @@ def _compare(fail, clause: str, where: str, row: dict, derived: dict, source: st
             fail(clause, f"{where}: {key} {got} != {value} from {source}")
 
 
-def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dict],
+def _check_tick_consistency(run_dir: Path, phases: list[dict], tape: list[tuple],
                             config: RunConfig, fail) -> dict:
     """Stream ticks.csv: rows t = 0, 1, ... in order, a price path from
     start_price moving at most one tick a row inside the grid, pnl_sstar =
     pnl_s + diff on every row, each PnL falling where the price holds only
-    by whole fills (none rising), and the cells the other files pin: the
-    start_price and zero PnL columns at t = 0, each phase end's diff as in
-    phases.csv, and the price at each record's t_delay and t_exec, its fill
-    price plus sign * half_spread.
+    by whole fills (none rising), no PnL at t = 0, the last phase end a
+    row, the tape's price pins and, up to the last phase end, where every
+    queued order is a record, its diff m·A + m·B·price after each row.
     fail(detail) fails the clause, as does a file that read_ticks refuses.
     Returns the results the rows derive: the final time, price and diff
     and both max drawdowns."""
     lo, hi, half = config.price.grid_min, config.price.grid_max, config.run.half_spread
     # What a fill or release books at a held price; none books 2**63 or more.
     unit = config.instrument.multiplier * half * config.strategy.quantity
-    # (tick, column, value, whose, source) in tick order, columns as in
-    # TICKS_HEADER.  A negative tick ends the lookup and is missing.
-    pinned = sorted([(0, 1, config.price.start_price, "the start", SUMMARY_JSON)]
-                    + [(0, col, 0, "the start", "a run with no fills")
-                       for col in (2, 3, 4)]
-                    + [(p["end_time"], 4, p["diff_quanta"], f"phase {p['phase']}",
-                        PHASES_CSV) for p in phases]
-                    + [(r[f"t_{when}"], 1, r[f"p_{when}_ticks"] + r["sign"] * half,
-                        f"order {r['order_id']}", DELAYED_CSV)
-                       for r in records for when in ("delay", "exec")],
-                    key=lambda cell: cell[0])
-    k = 0       # the next pinned cell
+    end = phases[-1]["end_time"] if phases else -1
+    # m·A, m·B after each tick's last event to end; clamped ticks sort as before.
+    sums = {-1: (0, 0)} | {min(max(t, -1), 2 ** 63 - 1): (a, b)
+                           for t, _, _, a, b in tape if t <= end}
+    # |m·A + m·B·price| <= |m·A| + max(-lo, hi)·|m·B|: below 2**63, int64 is exact.
+    if exact := max(abs(a) + max(-lo, hi) * abs(b) for a, b in sums.values()) < 2 ** 63:
+        at, m_a, m_b = np.array([(t, *ab) for t, ab in sums.items()], np.int64).T
     # Each PnL column's running peak and max drawdown; peak - pnl is in [0, 2**64).
     peaks, drawdowns = [np.iinfo(np.int64).min] * 2, [0, 0]
-    n_rows, last = 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
+    # the rows and tape entries read; the last row, at first the one t = 0 must be
+    n_rows, k, last = 0, 0, np.array([0, config.price.start_price, 0, 0, 0], np.int64)
     try:
         for rows in read_ticks(run_dir):
             times, price, pnl_s, pnl_star, diff = rows.T
@@ -198,12 +200,25 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
                 if bad.size:
                     fail(f"t={times[bad[0]]}: {TICKS_HEADER.split(',')[c]} {col[bad[0]]} "
                          f"-> {col[bad[0] + 1]} at a held price, not whole fills of -{unit}")
-            while k < len(pinned) and 0 <= pinned[k][0] < n_rows + len(rows):
-                t, col, value, whose, source = pinned[k]
-                if (got := int(rows[t - n_rows, col])) != value:
-                    fail(f"{whose}: ticks.csv {TICKS_HEADER.split(',')[col]} at "
-                         f"t={t} is {got}, but {source} gives {value}")
+            if not n_rows and (got := rows[0].tolist()) != last.tolist():
+                fail(f"the start: ticks.csv row {got}, not {last.tolist()}: "
+                     f"start_price and no fills")
+            while k < len(tape) and 0 <= tape[k][0] < n_rows + len(rows):
+                t, value, order = tape[k][:3]
+                if (got := int(price[t - n_rows])) != value:
+                    fail(f"order {order}: ticks.csv price at t={t} is {got}, "
+                         f"but {DELAYED_CSV} gives {value}")
                 k += 1
+            if not exact:
+                fail(f"{DELAYED_CSV}: m·A + m·B·price of its orders reaches 2**63")
+            elif (n := min(len(rows), end + 1 - n_rows)) > 0:
+                # sums i..j hold over the rows, each from its tick on
+                i, j = np.searchsorted(at, (n_rows, n_rows + n - 1), side="right") - 1
+                runs = np.diff(at[i + 1:j + 1], prepend=n_rows, append=n_rows + n)
+                want = m_b[i:j + 1].repeat(runs) * price[:n] + m_a[i:j + 1].repeat(runs)
+                for r in np.flatnonzero(diff[:n] != want)[:1]:     # the first, if any
+                    fail(f"t={times[r]}: diff {diff[r]}, but the orders of "
+                         f"{DELAYED_CSV} give {want[r]} at price {price[r]}")
             for c, pnl in enumerate((pnl_s, pnl_star)):
                 peak = np.maximum.accumulate(pnl)
                 np.maximum(peak, peaks[c], out=peak)
@@ -212,8 +227,10 @@ def _check_tick_consistency(run_dir: Path, phases: list[dict], records: list[dic
             n_rows, last = n_rows + len(rows), rows[-1]
     except ValueError as exc:
         fail(f"ticks.csv {exc}")
-    for t, _, _, whose, _ in pinned[k:]:
-        fail(f"{whose}: tick {t} missing from ticks.csv")
+    for t, _, order, *_ in tape[k:]:
+        fail(f"order {order}: tick {t} missing from ticks.csv")
+    if phases and not 0 <= end < n_rows:
+        fail(f"phase {phases[-1]['phase']}: tick {end} missing from ticks.csv")
     return {"final_time": n_rows - 1, "final_price_ticks": int(last[1]),
             "final_diff_quanta": int(last[4]),
             "max_drawdown_s_quanta": int(drawdowns[0]),
@@ -243,24 +260,19 @@ def _unwritten(summary: dict, config: RunConfig, phases: list[dict],
     if (type(seed) is not int or seed < 0
             or (run.replications == 1 and seed != run.master_seed)):
         bad.append("seed")
-    # Each enqueue and each release checks the per-order gap, each phase end
-    # every phase clause, and the per-tick audit the identity at t = 1, 2, ...
+    # Each enqueue and release checks the gap, each phase end every phase clause.
     n, cap = len(phases), (config.dominance.queue_cap if run.total_ticks else 0)
-    final_time = run.total_ticks or (phases[-1]["end_time"] if phases else 0)
     try:
         rows = summary.get("verdicts")
-        got = {v["clause"]: v["checked"] for v in rows}
-        enqueues, identity = got[CLAUSE_QUEUE_CAP], got[CLAUSE_PHASE_IDENTITY]
+        enqueues = {v["clause"]: v["checked"] for v in rows}[CLAUSE_QUEUE_CAP]
         counts = {**dict.fromkeys(VERDICT_CLAUSES, n), CLAUSE_QUEUE_CAP: enqueues,
                   CLAUSE_PER_ORDER_GAP: enqueues + n_records,
-                  CLAUSE_PHASE_IDENTITY: identity,
                   ORACLE_CHECK: n if run.keep_orders else 0}
         written = (rows == [{"clause": clause, "passed": True, "checked": counts[clause]}
                             for clause in VERDICT_CLAUSES]
                    and all(v["passed"] is True and type(v["checked"]) is int
                            for v in rows)
-                   and 0 <= enqueues - n_records <= cap
-                   and identity in (n, n + final_time))
+                   and 0 <= enqueues - n_records <= cap)
     except (TypeError, KeyError):
         written = False
     return bad if written else bad + ["verdicts"]
@@ -294,9 +306,9 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
               "final_diff_currency": currency(results["final_diff_quanta"])}
     if not recorded:
         echoed.update(max_drawdown_s_quanta=None, max_drawdown_sstar_quanta=None)
+    derived, tape = _replay(config, phases, records, fail)
     # (clause, source, results): the derived results summary.json must hold.
-    table = [(CLAUSE_PHASE_IDENTITY, "the records",
-              _replay(config, phases, records, fail)),
+    table = [(CLAUSE_PHASE_IDENTITY, "the records", derived),
              (CLAUSE_PHASE_IDENTITY, "the config echo", echoed)]
     orders, phase_ends = f"{len(records)} orders", f"{len(phases)} phases"
     passed = {CLAUSE_PER_ORDER_GAP: orders, CLAUSE_PHASE_IDENTITY: phase_ends,
@@ -304,7 +316,7 @@ def verify_run(run_dir: str | Path) -> list[Verdict]:
               CLAUSE_MONOTONICITY: phase_ends, CLAUSE_QUEUE_CAP: orders}
     if recorded:
         ticks = _check_tick_consistency(
-            run_dir, phases, records, config,
+            run_dir, phases, tape, config,
             lambda detail: fail(CLAUSE_TICK_CONSISTENCY, detail))
         table.append((CLAUSE_TICK_CONSISTENCY, TICKS_CSV, ticks))
         passed[CLAUSE_TICK_CONSISTENCY] = (f"{ticks['final_time'] + 1} ticks, "

@@ -416,9 +416,11 @@ def test_verdict_counts_are_the_checks_that_ran(keep_orders):
         CLAUSE_MONOTONICITY, CLAUSE_POSITION_MATCH)}
 
 
-def test_per_tick_audit_passes():
-    run_simulation(quick(seed=11, phases=3), engine="scalar",
-                   per_tick_audit=True)
+@pytest.mark.parametrize("engine", ["scalar", "blocked"])
+def test_recorded_run_verifies_the_per_tick_identity(engine, tmp_path):
+    # verify holds every ticks.csv diff to the records' identity
+    write_run_artifacts(run_simulation(quick(seed=11, phases=3), engine=engine), tmp_path)
+    assert all_passed(verify_run(tmp_path))
 
 
 def test_report_diff_matches_accounting_oracle():

@@ -369,9 +369,11 @@ def test_simulate_into_a_reused_out_dir_verifies(tmp_path, capsys, first, second
 
 @pytest.mark.parametrize("summary", [None, b"{}", b'{"schema": "notes/1"}', b"[1]"],
                          ids=["none", "no_schema", "other_schema", "not_an_object"])
-def test_simulate_refuses_an_out_dir_that_holds_no_run(tmp_path, capsys, summary):
+def test_simulate_refuses_an_out_dir_that_holds_no_run(tmp_path, capsys, monkeypatch,
+                                                       summary):
     # a user's files, and no summary.json of an edgesim run: nothing is
-    # written or deleted
+    # written or deleted, and nothing simulated first
+    monkeypatch.setattr(cli, "run_simulation", _no_simulation)
     out = tmp_path / "mine"
     out.mkdir()
     files = {TICKS_CSV: b"my ticks\n", PHASES_CSV: b"my phases\n"}
@@ -385,6 +387,26 @@ def test_simulate_refuses_an_out_dir_that_holds_no_run(tmp_path, capsys, summary
     assert cli.main(["simulate", str(path), "--seed", "11", "--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated before --out was refused")
+
+
+@pytest.mark.parametrize("replications", [1, 2])
+def test_simulate_refuses_an_out_that_is_a_file(tmp_path, capsys, monkeypatch,
+                                                replications):
+    # with two replications the run directories would lie under the file
+    monkeypatch.setattr(cli, "run_simulation", _no_simulation)
+    out = tmp_path / "mine"
+    out.write_bytes(b"my notes\n")
+    path = tmp_path / "short.yaml"
+    path.write_text("price: {grid_min: 9800, grid_max: 10200}\n"
+                    f"run: {{target_phases: 1, replications: {replications}}}\n")
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+    assert f"{out} is not a directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"my notes\n"
+    assert set(tmp_path.iterdir()) == {path, out}
 
 
 def _edit_result(run_dir: Path, key: str, edit) -> None:
@@ -502,6 +524,21 @@ def _shift_row_diff(lines, t):
                     diff_quanta=cols[4] + 1)
 
 
+def _move_the_start_price(lines):
+    # one tick off start_price, toward or onto the price at t = 1: no fill
+    # pins t = 0, and the path still moves at most one tick a row
+    start, after = (int(line.split(",")[1]) for line in lines[1:3])
+    return _set_row(lines, 0, price_ticks=start + (after - start or 1))
+
+
+def _shift_diff_where_the_price_moved(lines, end):
+    # The row stays consistent, and the price moves into and out of it, so
+    # the held-price rule cannot see it; only the per-tick identity can.
+    price = [line.split(",")[1] for line in lines]
+    t = next(t for t in range(100, end) if price[t] != price[t + 1] != price[t + 2])
+    return _shift_row_diff(lines, t)
+
+
 def _raise_both_pnls_at_a_held_price(lines, end):
     # The row stays consistent, but no fill at a held price raises a PnL.
     t = next(t for t in range(100, len(lines) - 1)
@@ -522,6 +559,7 @@ def _raise_both_pnls_at_a_held_price(lines, end):
     pytest.param(lambda lines, end: _append_next_row(lines),
                  id="row_after_final_time"),
     pytest.param(_shift_row_diff, id="phase_end_diff"),
+    pytest.param(_shift_diff_where_the_price_moved, id="paired_diff"),
     pytest.param(lambda lines, end: _set_row(lines, 100, pnl_sstar_quanta=1),
                  id="pnl_sstar"),
     # pnl_s + diff wraps around in int64 to exactly pnl_sstar
@@ -535,6 +573,7 @@ def _raise_both_pnls_at_a_held_price(lines, end):
                                              pnl_sstar_quanta=-1),
                  id="start_pnl"),
     pytest.param(lambda lines, end: _shift_row_diff(lines, 0), id="start_diff"),
+    pytest.param(lambda lines, end: _move_the_start_price(lines), id="start_price"),
     pytest.param(lambda lines, end: (lines[:1] + [line[:-1] + ",0\n"
                                                   for line in lines[1:]]),
                  id="sixth_column"),
@@ -575,6 +614,37 @@ def test_tick_row_mutation_fails_consistency(run_dir, tmp_path, edit, request):
     # comparison catches; the row check must catch it first.
     if request.node.callspec.id == "int64_wrap":
         assert "diff column inconsistent" in verdict.detail
+    if request.node.callspec.id == "paired_diff":
+        assert f"but the orders of {DELAYED_CSV} give" in verdict.detail
+
+
+@pytest.mark.parametrize("column,value", [("qty", 10 ** 30), ("t_exec", 2 ** 70),
+                                          ("t_delay", -2 ** 70)])
+def test_out_of_range_record_fails_consistency_without_raising(run_dir, tmp_path,
+                                                               column, value):
+    # m·A and m·B of a quantity of 10**30 pass int64; a tick beyond it is
+    # no row.  Each fails the clause, not the int64 conversion.
+    dst = _copy(run_dir, tmp_path)
+
+    def mutate(body):       # order 1, so that ids still rise with t_delay
+        min(body, key=lambda row: int(row[0]))[DELAYED_HEADER.index(column)] = str(value)
+
+    _rewrite_csv(dst / DELAYED_CSV, mutate)
+    verdict = {v.clause: v for v in verify_run(dst)}[CLAUSE_TICK_CONSISTENCY]
+    assert not verdict.passed
+    if column == "qty":
+        assert verdict.detail.startswith(f"{DELAYED_CSV}: ")
+
+
+def test_total_ticks_run_with_orders_queued_at_the_stop_verifies(tmp_path):
+    # The identity holds the diff only up to the last phase end: orders
+    # still queued at a total_ticks stop are in no file.
+    report = run_simulation(default_config(master_seed=7, total_ticks=30_000,
+                                           target_phases=None, half_spread=2,
+                                           commission_per_unit=1))
+    assert report.commissions_sstar < report.commissions_s     # S* has not taken them
+    write_run_artifacts(report, tmp_path)
+    assert all_passed(verify_run(tmp_path))
 
 
 def test_pnl_falling_by_part_of_a_fill_at_a_held_price_fails_consistency(tmp_path):
